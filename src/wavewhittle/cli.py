@@ -172,7 +172,7 @@ def cmd_estimate(args) -> int:
     if args.demean:
         panel = panel - panel.mean(axis=0, keepdims=True)
     spec = WaveletSpec(vanishing_moments=args.M, boundary=args.boundary)
-    config = EstimationConfig(j0=args.j0, j1=args.j1, seed=args.seed)
+    config = EstimationConfig(j0=args.j0, j1=args.j1)
     result = estimate_panel(panel, spec, config)
 
     warnings = dict(result.warnings)
@@ -189,12 +189,13 @@ def cmd_estimate(args) -> int:
             "effective_j1": result.j1,
             "boundary": args.boundary,
             "demean": bool(args.demean),
-            "seed": args.seed,
             "n_samples": int(panel.shape[0]),
             "channels": names,
         },
         "d_hat": result.d_hat.tolist(),
-        "objective_value": result.objective_value,
+        "objective_value": (
+            result.objective_value if math.isfinite(result.objective_value) else None
+        ),
         "g_hat": _matrix_list(result.g_matrix),
         "omega": _matrix_list(result.omega),
         "correlation": _matrix_list(result.correlation),
@@ -293,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--boundary", default="valid",
                      choices=("valid", "symmetric", "zero", "constant", "periodic"))
     est.add_argument("--demean", action="store_true", help="remove per-channel means first")
-    est.add_argument("--seed", type=int, default=0, help="optimizer multistart seed")
     est.set_defaults(func=cmd_estimate)
 
     sim = sub.add_parser("simulate", help="simulate a fractional panel to CSV")

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, minimize, minimize_scalar
+from scipy.optimize import Bounds, minimize
 
 from .errors import ConfigError, DomainError, LikelihoodError, ScaleRangeError
 from .wavelets import (
@@ -24,6 +24,12 @@ from .wavelets import (
 )
 
 LOG2 = math.log(2.0)
+# Pairs with |cos(pi (d_l - d_m) / 2)| below this are flagged as degenerate.
+DEGENERACY_THRESHOLD = 0.1
+# L-BFGS-B stopping tolerances.  Tighter values (ftol 1e-15, gtol 1e-9) make
+# the line search stop abnormally on some panels, which reads as non-convergence.
+SOLVER_FTOL = 1e-12
+SOLVER_GTOL = 1e-7
 
 
 @dataclass
@@ -83,11 +89,20 @@ def scalogram(pyramid: WaveletPyramid, j0: int, j1: int) -> Scalogram:
     )
 
 
-def _g_weighted(scal: Scalogram, d: np.ndarray, center: float) -> np.ndarray:
-    """(1/n) sum_j Lam_{j-center}(d)^-1 I(j) Lam_{j-center}(d)^-1."""
+def _g_weighted(scal: Scalogram, d: np.ndarray, center: float, weights=None) -> np.ndarray:
+    """(1/n) sum_j w_j Lam_{j-center}(d)^-1 I(j) Lam_{j-center}(d)^-1.
+
+    ``weights`` defaults to w_j = 1; a (k, n_scales) array gives the k
+    weighted sums at once, stacked as a (k, p, p) array.
+    """
     js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)
     factors = 2.0 ** (-np.outer(js - center, d))
-    return np.einsum("jl,jlm,jm->lm", factors, scal.matrices, factors) / scal.n_coefficients
+    scaled = factors[:, :, None] * scal.matrices * factors[:, None, :]
+    if weights is None:
+        weights = np.ones_like(js)
+    p = d.size
+    total = weights @ scaled.reshape(js.size, p * p)
+    return total.reshape(np.shape(weights)[:-1] + (p, p)) / scal.n_coefficients
 
 
 def g_hat(scal: Scalogram, d) -> np.ndarray:
@@ -122,41 +137,54 @@ def objective_R(scal: Scalogram, d) -> float:
     covariance is singular so minimizers treat the point as infeasible.
     """
     d = np.atleast_1d(np.asarray(d, dtype=np.float64))
-    g_bar = _g_weighted(scal, d, scal.mean_scale)
+    return _profile_logdet(_g_weighted(scal, d, scal.mean_scale)) + scal.n_channels - 1.0
+
+
+def _profile_logdet(g_bar: np.ndarray) -> float:
     sign, logdet = np.linalg.slogdet(g_bar)
     if sign <= 0 or not np.isfinite(logdet):
         return math.inf
-    return logdet + scal.n_channels - 1.0
+    return float(logdet)
+
+
+def _objective_and_gradient(scal: Scalogram, d: np.ndarray) -> tuple[float, np.ndarray]:
+    """R(d) and its gradient dR/dd_l = -2 log(2) [G_bar^-1 H]_ll.
+
+    H = (1/n) sum_j (j - <J>) Lam^-1 I(j) Lam^-1 is the scale-weighted
+    companion of G_bar.  At an infeasible point (singular G_bar) the value is
+    +inf and the gradient zero.
+    """
+    center = scal.mean_scale
+    js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)
+    g_bar, h = _g_weighted(scal, d, center, np.stack([np.ones_like(js), js - center]))
+    logdet = _profile_logdet(g_bar)
+    if not math.isfinite(logdet):
+        return math.inf, np.zeros_like(d)
+    grad = -2.0 * LOG2 * np.diagonal(np.linalg.solve(g_bar, h))
+    return logdet + scal.n_channels - 1.0, grad
 
 
 @dataclass
 class EstimationConfig:
-    """Scale range and optimizer settings for the Whittle minimization.
+    """Scale range, search box and iteration cap for the Whittle minimization.
 
     ``j1 = None`` uses the deepest scale with at least p coefficients.
     The search box defaults to (-2, M]; its upper end is resolved against
-    the wavelet spec at estimation time when left as None.
+    the wavelet spec at estimation time when left as None.  A fit that hits
+    ``max_iterations`` (None: the solver's own cap) reports non-convergence.
     """
 
     j0: int = 1
     j1: int | None = None
     box_low: float = -2.0
     box_high: float | None = None
-    multistart: int = 5
-    xatol: float = 1e-5
-    fatol: float = 1e-9
     max_iterations: int | None = None
-    seed: int = 0
-    degeneracy_threshold: float = 0.1
-    coord_threshold: int = 12
 
     def __post_init__(self):
         if self.j0 < 1:
             raise ConfigError("j0 must be at least 1")
         if self.j1 is not None and self.j1 <= self.j0:
             raise ConfigError("j1 must exceed j0")
-        if self.multistart < 1:
-            raise ConfigError("multistart must be at least 1")
 
     def resolved_box(self, spec: WaveletSpec) -> tuple[float, float]:
         high = self.box_high if self.box_high is not None else float(spec.vanishing_moments)
@@ -189,53 +217,12 @@ def _log_regression_init(scal: Scalogram, box: tuple[float, float]) -> np.ndarra
     return np.clip(init, box[0] + margin, box[1] - margin)
 
 
-def _minimize_simplex(fun, x0, box, config):
-    lo, hi = box
-    options = {"xatol": config.xatol, "fatol": config.fatol, "adaptive": x0.size > 4}
-    if config.max_iterations is not None:
-        options["maxiter"] = config.max_iterations
-        options["maxfev"] = config.max_iterations
-    return minimize(
-        fun,
-        x0,
-        method="Nelder-Mead",
-        bounds=Bounds(np.full(x0.size, lo), np.full(x0.size, hi)),
-        options=options,
-    )
-
-
-def _coordinate_descent(fun, x0, box, config):
-    """Cyclic 1-D minimization fallback for large channel counts."""
-    lo, hi = box
-    x = x0.copy()
-    value = fun(x)
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, 61):
-        moved = 0.0
-        for ell in range(x.size):
-            def line(t, ell=ell):
-                trial = x.copy()
-                trial[ell] = t
-                return fun(trial)
-
-            res = minimize_scalar(line, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": config.xatol})
-            if res.fun < value:
-                moved = max(moved, abs(res.x - x[ell]))
-                x[ell] = res.x
-                value = res.fun
-        if moved < 10 * config.xatol:
-            converged = True
-            break
-    return x, value, converged, sweeps
-
-
 def estimate_d(scal: Scalogram, config: EstimationConfig, spec: WaveletSpec):
     """Minimize R(d) over the search box; returns (d_hat, R(d_hat), diagnostics).
 
-    Multi-start simplex search seeded by the per-channel log-regression of
-    scalogram diagonals, plus seeded jitter; deterministic given the config.
+    One bounded L-BFGS-B search on the analytic gradient, started from the
+    per-channel log-regression of the scalogram diagonals; deterministic.
+    A fit whose final objective is not finite is reported as not converged.
     """
     p = scal.n_channels
     if scal.n_coefficients < p:
@@ -244,51 +231,31 @@ def estimate_d(scal: Scalogram, config: EstimationConfig, spec: WaveletSpec):
         )
     if scal.j1 == scal.j0:
         raise ConfigError("single-scale objective is flat in d; need j0 < j1")
-    box = config.resolved_box(spec)
-
-    def fun(d):
-        return objective_R(scal, d)
-
-    x_init = _log_regression_init(scal, box)
-
-    if p > config.coord_threshold:
-        x, value, converged, sweeps = _coordinate_descent(fun, x_init, box, config)
-        diagnostics = {
-            "method": "coordinate-descent",
-            "sweeps": sweeps,
-            "converged": converged,
-            "starts": 1,
-        }
-        return x, value, diagnostics
-
-    rng = np.random.default_rng(config.seed)
-    starts = [x_init]
-    margin = 1e-3 * (box[1] - box[0])
-    for _ in range(config.multistart - 1):
-        jitter = x_init + rng.uniform(-0.5, 0.5, size=p)
-        starts.append(np.clip(jitter, box[0] + margin, box[1] - margin))
-
-    best = None
-    n_converged = 0
-    total_evals = 0
-    for x0 in starts:
-        res = _minimize_simplex(fun, x0, box, config)
-        total_evals += res.nfev
-        n_converged += bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
+    lo, hi = config.resolved_box(spec)
+    options = {"ftol": SOLVER_FTOL, "gtol": SOLVER_GTOL}
+    if config.max_iterations is not None:
+        options["maxiter"] = config.max_iterations
+    res = minimize(
+        lambda d: _objective_and_gradient(scal, d),
+        _log_regression_init(scal, (lo, hi)),
+        method="L-BFGS-B",
+        jac=True,
+        bounds=Bounds(np.full(p, lo), np.full(p, hi)),
+        options=options,
+    )
+    value = float(res.fun)
     diagnostics = {
-        "method": "nelder-mead",
-        "starts": len(starts),
-        "converged": bool(best.success),
-        "all_converged": n_converged == len(starts),
-        "function_evaluations": total_evals,
-        "iterations": int(best.nit),
+        "method": "l-bfgs-b",
+        "converged": bool(res.success) and math.isfinite(value),
+        "function_evaluations": int(res.nfev),
+        "iterations": int(res.nit),
     }
-    return np.asarray(best.x, dtype=np.float64), float(best.fun), diagnostics
+    return np.asarray(res.x, dtype=np.float64), value, diagnostics
 
 
-def estimate_omega(scal: Scalogram, d_hat, spec: WaveletSpec, config: EstimationConfig):
+def estimate_omega(
+    scal: Scalogram, d_hat, spec: WaveletSpec, config: EstimationConfig | None = None
+):
     """Phase-corrected long-run covariance from the profile covariance at d_hat.
 
     Omega_hat[l, m] = G_hat[l, m] / (cos(pi (d_l - d_m)/2) * K(d_l + d_m)/2pi);
@@ -296,6 +263,7 @@ def estimate_omega(scal: Scalogram, d_hat, spec: WaveletSpec, config: Estimation
     unit wavelet variance.  Pairs with |cos| below the degeneracy threshold
     are flagged; an exactly vanishing cosine (or a K-domain violation) marks
     the pair undefined (NaN).  Returns (omega, correlation, g_matrix, warnings).
+    ``config`` is not read; it stays in the signature for existing callers.
     """
     d_hat = np.atleast_1d(np.asarray(d_hat, dtype=np.float64))
     p = d_hat.size
@@ -318,7 +286,7 @@ def estimate_omega(scal: Scalogram, d_hat, spec: WaveletSpec, config: Estimation
     for ell in range(p):
         for m in range(ell, p):
             cosine = math.cos(math.pi * (d_hat[ell] - d_hat[m]) / 2.0)
-            if m > ell and abs(cosine) < config.degeneracy_threshold:
+            if m > ell and abs(cosine) < DEGENERACY_THRESHOLD:
                 warnings["degenerate_pairs"].append((ell, m))
             if abs(cosine) < 1e-12:  # d_l - d_m congruent to 1 mod 2
                 warnings["undefined_pairs"].append((ell, m))
@@ -398,7 +366,7 @@ def estimate_panel(panel: np.ndarray, spec: WaveletSpec, config: EstimationConfi
     pyramid = dwt_pyramid(x, spec, j1)
     scal = scalogram(pyramid, j0, j1)
     d_hat, value, diagnostics = estimate_d(scal, config, spec)
-    omega, correlation, g_matrix, warnings = estimate_omega(scal, d_hat, spec, config)
+    omega, correlation, g_matrix, warnings = estimate_omega(scal, d_hat, spec)
     if config.j1 is not None and j1 != config.j1:
         diagnostics["requested_j1"] = config.j1
     return MwwEstimate(

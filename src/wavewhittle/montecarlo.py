@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arfima import ArfimaSpec, correlation_from_cov, simulate_arfima, validate_long_run_cov
+from .arfima import ArfimaSpec, correlation_from_cov, simulate_arfima
 from .errors import ScenarioError, WavewhittleError
 from .estimator import EstimationConfig, estimate_panel, estimate_univariate_each
 from .wavelets import WaveletSpec
@@ -52,9 +52,10 @@ class Scenario:
     def __post_init__(self):
         self.d = np.atleast_1d(np.asarray(self.d, dtype=np.float64))
         self.omega = np.asarray(self.omega, dtype=np.float64)
-        validate_long_run_cov(self.omega)
-        if self.omega.shape[0] != self.d.size:
-            raise ScenarioError("omega size does not match the d vector")
+        try:
+            self.arfima_spec(0)
+        except (WavewhittleError, ValueError) as exc:
+            raise ScenarioError(str(exc)) from exc
         if self.replications < 1:
             raise ScenarioError("replication count must be at least 1")
 
@@ -351,6 +352,11 @@ def parse_scenario_mapping(data: dict) -> Scenario:
         omega = omega_from_rho(float(mapping["rho"]), d.size)
     else:
         omega = np.eye(d.size)
+    univariate = mapping.get("univariate", True)
+    if isinstance(univariate, str):
+        univariate = _parse_scalar(univariate)
+    if not isinstance(univariate, bool):
+        raise ScenarioError(f"univariate must be true or false, got {mapping['univariate']!r}")
     try:
         return Scenario(
             d=d,
@@ -364,7 +370,7 @@ def parse_scenario_mapping(data: dict) -> Scenario:
             truncation=None if mapping.get("truncation") is None else int(mapping["truncation"]),
             burn_in=int(mapping.get("burn_in", 0)),
             boundary=str(mapping.get("boundary", "valid")),
-            include_univariate=bool(mapping.get("univariate", True)),
+            include_univariate=univariate,
             label=str(mapping.get("label", "")),
         )
     except (WavewhittleError, ValueError, TypeError) as exc:

@@ -1,8 +1,9 @@
 """Shared test oracles, independent of the library's vectorized code paths."""
 
 import numpy as np
+from scipy.optimize import Bounds, minimize
 
-from wavewhittle.estimator import Scalogram, scalogram
+from wavewhittle.estimator import Scalogram, _log_regression_init, objective_R, scalogram
 from wavewhittle.wavelets import WaveletPyramid, WaveletSpec, daubechies_filters
 
 
@@ -48,3 +49,29 @@ def random_scalogram(rng, p=2, j0=1, j1=6, base=40) -> Scalogram:
         n_j = max(base >> j, 1)
         details.append(rng.standard_normal((n_j, p)))
     return scalogram(make_pyramid(details), j0, j1)
+
+
+def multistart_nelder_mead(scal: Scalogram, box):
+    """Reference minimizer of R(d): derivative-free simplex searches from the
+    log-regression start and four seeded jittered starts; returns (d, R(d))."""
+    lo, hi = box
+    p = scal.n_channels
+    x_init = _log_regression_init(scal, box)
+    rng = np.random.default_rng(0)
+    margin = 1e-3 * (hi - lo)
+    x0s = [x_init] + [
+        np.clip(x_init + rng.uniform(-0.5, 0.5, size=p), lo + margin, hi - margin)
+        for _ in range(4)
+    ]
+    best = None
+    for x0 in x0s:
+        res = minimize(
+            lambda d: objective_R(scal, d),
+            x0,
+            method="Nelder-Mead",
+            bounds=Bounds(np.full(p, lo), np.full(p, hi)),
+            options={"xatol": 1e-5, "fatol": 1e-9, "adaptive": p > 4},
+        )
+        if best is None or res.fun < best.fun:
+            best = res
+    return np.asarray(best.x), float(best.fun)

@@ -77,6 +77,24 @@ def test_cli_matches_library(tmp_path):
     assert report["objective_value"] == est.objective_value
 
 
+def test_estimate_degenerate_panel_reports_strict_json(tmp_path):
+    """Identical channels: a singular profile covariance is reported as
+    non-convergence with a null objective, never as a JSON Infinity."""
+    x = np.random.default_rng(61).standard_normal(512)
+    panel_path = tmp_path / "dup.csv"
+    report_path = tmp_path / "dup.json"
+    write_panel(panel_path, np.column_stack([x, x]))
+    assert run_cli("estimate", "--input", str(panel_path), "--output", str(report_path)) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(report_path.read_text(), parse_constant=reject)
+    assert report["objective_value"] is None
+    assert report["warnings"]["non_convergence"] is True
+    assert report["diagnostics"]["converged"] is False
+
+
 def test_estimate_csv_format(tmp_path):
     panel_path = tmp_path / "panel.csv"
     out = tmp_path / "report.csv"
@@ -163,6 +181,20 @@ def test_mc_malformed_scenario(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("d = 0.2\nmystery = 1\n")
     assert run_cli("mc", "--scenario", str(bad)) == 2
+
+
+@pytest.mark.parametrize("d", ["nan, 0.2", "0.5, 0.2"])
+def test_mc_invalid_memory_exits_2(tmp_path, d):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"d = {d}\nrho = 0.4\nreps = 2\n")
+    assert run_cli("mc", "--scenario", str(bad)) == 2
+
+
+def test_estimate_has_no_seed_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("estimate", "--help")
+    assert exc.value.code == 0
+    assert "--seed" not in capsys.readouterr().out
 
 
 def test_omega_file_input(tmp_path):

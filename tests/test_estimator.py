@@ -18,6 +18,7 @@ from wavewhittle.errors import ConfigError, LikelihoodError, ScaleRangeError
 from wavewhittle.estimator import (
     EstimationConfig,
     Scalogram,
+    _objective_and_gradient,
     estimate_d,
     estimate_omega,
     estimate_panel,
@@ -29,25 +30,13 @@ from wavewhittle.estimator import (
     scalogram,
     whittle_likelihood,
 )
-from wavewhittle.wavelets import WaveletPyramid, WaveletSpec, dwt_pyramid, spectral_k
+from wavewhittle.montecarlo import omega_from_rho
+from wavewhittle.wavelets import WaveletSpec, dwt_pyramid, spectral_k
+
+from helpers import make_pyramid, multistart_nelder_mead, random_scalogram
 
 WSPEC = WaveletSpec(vanishing_moments=4)
 LOG2 = math.log(2.0)
-
-
-def make_pyramid(details, spec=WSPEC, n_samples=0):
-    counts = np.array([d.shape[0] for d in details], dtype=np.int64)
-    return WaveletPyramid(details=[np.asarray(d, float) for d in details],
-                          counts=counts, n_samples=n_samples, spec=spec)
-
-
-def random_scalogram(rng, p=2, j0=1, j1=6, base=40):
-    """Scalogram of random coefficient arrays with dyadically shrinking counts."""
-    details = []
-    for j in range(1, j1 + 1):
-        n_j = max(base >> j, 1)
-        details.append(rng.standard_normal((n_j, p)))
-    return scalogram(make_pyramid(details), j0, j1)
 
 
 def simulated_scalogram(seed=0, d=(0.2, 0.2), rho=0.4, n=512, j0=1):
@@ -245,6 +234,7 @@ def test_objective_gradient_against_analytic_trace():
     for _ in range(4):
         d = rng.uniform(-0.2, 0.8, size=2)
         grad = analytic_grad(d)
+        assert_allclose(_objective_and_gradient(scal, d)[1], grad, rtol=1e-10, atol=1e-12)
         h = 1e-5
         for a in range(2):
             dp = d.copy(); dp[a] += h
@@ -281,12 +271,12 @@ def test_estimate_d_recovery_single_replication():
     d_hat, value, diag = estimate_d(scal, config, WSPEC)
     assert np.all(np.abs(d_hat - 0.2) < 0.15)
     assert value == pytest.approx(objective_R(scal, d_hat), abs=1e-12)
-    assert diag["starts"] == 5
+    assert diag["method"] == "l-bfgs-b" and diag["converged"] is True
 
 
 def test_estimate_d_deterministic():
     scal = simulated_scalogram(seed=4)
-    config = EstimationConfig(j0=1, j1=6, seed=3)
+    config = EstimationConfig(j0=1, j1=6)
     first = estimate_d(scal, config, WSPEC)
     second = estimate_d(scal, config, WSPEC)
     assert np.array_equal(first[0], second[0])
@@ -414,16 +404,52 @@ def test_p1_reduction_objective():
         assert objective_R(scal, [d]) == pytest.approx(ref, abs=1e-12)
 
 
-def test_coordinate_descent_path_for_many_channels():
+def test_estimate_d_recovery_five_channels():
     p = 5
-    rng = np.random.default_rng(72)
-    omega = np.eye(p)
-    spec = ArfimaSpec(d=np.full(p, 0.2), omega=omega, n_samples=1024, seed=9)
-    panel = simulate_arfima(spec)
-    config = EstimationConfig(j0=1, j1=6, coord_threshold=3)
-    est = estimate_panel(panel, WSPEC, config)
-    assert est.diagnostics["method"] == "coordinate-descent"
+    spec = ArfimaSpec(d=np.full(p, 0.2), omega=np.eye(p), n_samples=1024, seed=9)
+    est = estimate_panel(simulate_arfima(spec), WSPEC, EstimationConfig(j0=1, j1=6))
+    assert est.diagnostics["converged"] is True
     assert np.all(np.abs(est.d_hat - 0.2) < 0.2)
+
+
+@pytest.mark.parametrize("p", [2, 6])
+@pytest.mark.parametrize("pair", [(0.2, 0.2), (1.2, 1.2), (0.2, 1.2)])
+def test_estimate_d_matches_multistart_oracle(p, pair):
+    """The single gradient search finds the multistart simplex minimum or better."""
+    d = np.resize(pair, p)
+    config = EstimationConfig()
+    for seed in (1, 2, 3):
+        spec = ArfimaSpec(d=d, omega=omega_from_rho(0.4, p), n_samples=512, seed=seed)
+        panel = simulate_arfima(spec)
+        j0, j1 = resolve_scales(512, WSPEC, config, p)
+        scal = scalogram(dwt_pyramid(panel, WSPEC, j1), j0, j1)
+        d_hat, value, diag = estimate_d(scal, config, WSPEC)
+        d_ref, value_ref = multistart_nelder_mead(scal, config.resolved_box(WSPEC))
+        assert diag["converged"] is True
+        assert value <= value_ref + 1e-9
+        assert_allclose(d_hat, d_ref, atol=1e-4)
+
+
+@pytest.mark.parametrize("p", [1, 2, 6])
+def test_objective_gradient_central_differences(p):
+    rng = np.random.default_rng(202 + p)
+    scal = random_scalogram(rng, p=p, j1=6, base=400)
+    h = 1e-6
+    for _ in range(4):
+        d = rng.uniform(-0.3, 1.3, size=p)
+        value, grad = _objective_and_gradient(scal, d)
+        assert value == pytest.approx(objective_R(scal, d), abs=1e-12)
+        fd = [(objective_R(scal, d + h * e) - objective_R(scal, d - h * e)) / (2 * h)
+              for e in np.eye(p)]
+        assert_allclose(grad, fd, rtol=1e-6, atol=1e-7)
+
+
+@pytest.mark.parametrize("second", [lambda x: x, lambda x: 2.0 * x + 1.0],
+                         ids=["identical", "collinear"])
+def test_degenerate_panel_never_converges_to_infinite_objective(second):
+    x = np.random.default_rng(61).standard_normal(512)
+    est = estimate_panel(np.column_stack([x, second(x)]), WSPEC, EstimationConfig())
+    assert math.isfinite(est.objective_value) or est.diagnostics["converged"] is False
 
 
 def test_rate_rule_j0():
@@ -439,7 +465,5 @@ def test_config_validation():
         EstimationConfig(j0=0)
     with pytest.raises(ConfigError):
         EstimationConfig(j0=3, j1=3)
-    with pytest.raises(ConfigError):
-        EstimationConfig(multistart=0)
     with pytest.raises(ConfigError):
         EstimationConfig(box_low=5.0).resolved_box(WSPEC)

@@ -133,6 +133,27 @@ def test_scenario_validation():
         Scenario(d=[0.2, 0.2], omega=np.eye(3))
     with pytest.raises(ScenarioError):
         Scenario(d=[0.2], omega=np.eye(1), replications=0)
+    with pytest.raises(ScenarioError):
+        Scenario(d=[np.nan, 0.2], omega=np.eye(2))
+    with pytest.raises(ScenarioError):
+        Scenario(d=[0.5, 0.2], omega=np.eye(2))
+    with pytest.raises(ScenarioError):
+        Scenario(d=[4.2], omega=np.eye(1), vanishing_moments=4)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (True, True), (False, False), ("false", False), ("No", False), (" off ", False),
+    ("true", True), ("yes", True), ("ON", True),
+])
+def test_univariate_flag_parsed_strictly(value, expected):
+    sc = parse_scenario_mapping({"d": [0.2], "univariate": value})
+    assert sc.include_univariate is expected
+
+
+@pytest.mark.parametrize("value", ["maybe", "", 1, 0, None, [True]])
+def test_univariate_flag_rejects_non_booleans(value):
+    with pytest.raises(ScenarioError):
+        parse_scenario_mapping({"d": [0.2], "univariate": value})
 
 
 def test_parse_scenario_mapping():
