@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from .errors import ConfigError, DomainError, LikelihoodError, ScaleRangeError
+from .errors import ConfigError, LikelihoodError, ScaleRangeError
 from .wavelets import (
     WaveletPyramid,
     WaveletSpec,
     coefficient_counts,
     dwt_pyramid,
+    in_k_domain,
     max_feasible_level,
     spectral_k,
 )
@@ -268,49 +269,35 @@ def estimate_omega(
     d_hat = np.atleast_1d(np.asarray(d_hat, dtype=np.float64))
     p = d_hat.size
     g_matrix = g_hat(scal, d_hat)
+    rows, cols = np.triu_indices(p)
+    upper = rows < cols
+    cosine = np.cos(np.pi * (d_hat[rows] - d_hat[cols]) / 2.0)
+    delta = d_hat[rows] + d_hat[cols]
+    # the cosine vanishes where d_l - d_m is congruent to 1 mod 2
+    defined = ~(np.abs(cosine) < 1e-12) & in_k_domain(delta, spec)
+    k_norm = spectral_k(delta[defined], spec) / (2.0 * math.pi)
+    r, c = rows[defined], cols[defined]
     omega = np.full((p, p), np.nan)
-    warnings: dict[str, list] = {
-        "degenerate_pairs": [],
-        "undefined_pairs": [],
-        "invalid_channels": [],
-        "out_of_range_correlation": [],
-    }
-
-    k_cache: dict[float, float] = {}
-
-    def k_norm(delta: float) -> float:
-        if delta not in k_cache:
-            k_cache[delta] = spectral_k(delta, spec) / (2.0 * math.pi)
-        return k_cache[delta]
-
-    for ell in range(p):
-        for m in range(ell, p):
-            cosine = math.cos(math.pi * (d_hat[ell] - d_hat[m]) / 2.0)
-            if m > ell and abs(cosine) < DEGENERACY_THRESHOLD:
-                warnings["degenerate_pairs"].append((ell, m))
-            if abs(cosine) < 1e-12:  # d_l - d_m congruent to 1 mod 2
-                warnings["undefined_pairs"].append((ell, m))
-                continue
-            try:
-                denom = cosine * k_norm(float(d_hat[ell] + d_hat[m]))
-            except DomainError:
-                warnings["undefined_pairs"].append((ell, m))
-                continue
-            omega[ell, m] = omega[m, ell] = g_matrix[ell, m] / denom
+    omega[r, c] = omega[c, r] = g_matrix[r, c] / (cosine[defined] * k_norm)
 
     diag = np.diagonal(omega).copy()
-    for ell in range(p):
-        if not diag[ell] > 0:
-            warnings["invalid_channels"].append(ell)
-            diag[ell] = np.nan
+    invalid = ~(diag > 0)
+    diag[invalid] = np.nan
     scale = np.sqrt(diag)
     with np.errstate(invalid="ignore", divide="ignore"):
         correlation = omega / np.outer(scale, scale)
-    for ell in range(p):
-        for m in range(ell + 1, p):
-            c = correlation[ell, m]
-            if np.isfinite(c) and abs(c) > 1.05:
-                warnings["out_of_range_correlation"].append((ell, m))
+    corr = correlation[rows, cols]
+    out_of_range = upper & np.isfinite(corr) & (np.abs(corr) > 1.05)
+
+    def pairs(mask: np.ndarray) -> list[tuple[int, int]]:
+        return list(zip(rows[mask].tolist(), cols[mask].tolist()))
+
+    warnings = {
+        "degenerate_pairs": pairs(upper & (np.abs(cosine) < DEGENERACY_THRESHOLD)),
+        "undefined_pairs": pairs(~defined),
+        "invalid_channels": np.flatnonzero(invalid).tolist(),
+        "out_of_range_correlation": pairs(out_of_range),
+    }
     return omega, correlation, g_matrix, warnings
 
 

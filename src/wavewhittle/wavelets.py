@@ -126,16 +126,14 @@ class WaveletSpec:
 
     ``cascade_depth`` controls the truncation of the infinite product used
     to evaluate ``|psi_hat|^2`` (error decays geometrically; 16 gives better
-    than 1e-8 pointwise for M <= 8).  ``quad_rtol`` and ``quad_max_octaves``
-    bound the adaptive quadrature of the spectral integrals: the integration
-    range is extended octave by octave up to ``pi * 2**quad_max_octaves``
-    until the running total is stable to ``quad_rtol``.
+    than 1e-8 pointwise for M <= 8).  The spectral integrals sample
+    ``|psi_hat|^2`` once per (M, cascade_depth) on about
+    ``16 * 2**(cascade_depth - 4)`` nodes, so each extra level doubles their
+    set-up time and memory.
     """
 
     vanishing_moments: int = 4
     cascade_depth: int = 16
-    quad_rtol: float = 1e-10
-    quad_max_octaves: int = 40
     boundary: str = "valid"
 
     def __post_init__(self):
@@ -291,128 +289,163 @@ def dwt_pyramid(panel: np.ndarray, spec: WaveletSpec, j_max: int | None = None) 
     return WaveletPyramid(details=details, counts=counts, n_samples=n_samples, spec=spec)
 
 
-def _transfer_sq(coeffs: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """|(1/sqrt2) sum_n c_n e^{-i w n}|^2, vectorized over omega."""
-    phases = np.exp(-1j * np.multiply.outer(omega, np.arange(coeffs.size)))
-    return np.abs(phases @ coeffs) ** 2 / 2.0
-
-
 def psi_hat_sq(lam, spec: WaveletSpec):
     """Squared modulus of the wavelet Fourier transform at frequency lam.
 
     Evaluated through the truncated cascade product
-    ``|m_g(lam/2)|^2 * prod_{k=2..depth} |m_h(lam/2^k)|^2``.  Accepts scalars
-    or arrays; defined for every finite frequency.
+    ``|m_g(lam/2)|^2 * prod_{k=2..depth} |m_h(lam/2^k)|^2`` with the
+    closed-form squared gains of the Daubechies halfband polynomial
+    ``P(y) = sum_{k<M} C(M-1+k, k) y^k``: ``|m_h(w)|^2 = cos^2M(w/2)
+    P(sin^2(w/2))`` and ``|m_g(w)|^2 = sin^2M(w/2) P(cos^2(w/2))``, so
+    ``psi_hat_sq(0) == 0`` exactly.  Accepts scalars or arrays; defined for
+    every finite frequency.
     """
-    h, g = spec.filters()
-    w = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    out = _transfer_sq(g, w / 2.0)
-    for k in range(2, spec.cascade_depth + 1):
-        out *= _transfer_sq(h, w / 2.0**k)
+    m = spec.vanishing_moments
+    coeffs = [math.comb(m - 1 + k, k) for k in range(m)]
+
+    def halfband(y: np.ndarray) -> np.ndarray:
+        acc = 0.0
+        for c in reversed(coeffs):  # Horner's rule
+            acc = acc * y + c
+        return acc
+
+    w = np.atleast_1d(np.asarray(lam, dtype=np.float64)) / 4.0
+    # the M-th powers of every factor are taken once, on their product
+    vanishing = np.sin(w) ** 2
+    out = halfband(np.cos(w) ** 2)
+    for _ in range(2, spec.cascade_depth + 1):
+        w = w / 2.0
+        vanishing = vanishing * np.cos(w) ** 2
+        out = out * halfband(np.sin(w) ** 2)
+    out = vanishing**m * out
     if np.isscalar(lam) or np.asarray(lam).ndim == 0:
         return float(out[0])
     return out
 
 
-def _check_delta(delta: float, spec: WaveletSpec) -> None:
-    if not (-spec.alpha < delta < spec.vanishing_moments):
+def in_k_domain(delta, spec: WaveletSpec) -> np.ndarray:
+    """Elementwise test of the convergence domain -alpha < delta < M of K and K_j."""
+    delta = np.asarray(delta, dtype=np.float64)
+    return (-spec.alpha < delta) & (delta < spec.vanishing_moments)
+
+
+def _check_delta(delta, spec: WaveletSpec) -> None:
+    inside = in_k_domain(delta, spec)
+    if not inside.all():
+        bad = np.asarray(delta, dtype=np.float64)[~inside]
         raise DomainError(
-            f"exponent {delta} outside convergence domain "
+            f"exponent {bad[0]} outside convergence domain "
             f"({-spec.alpha}, {spec.vanishing_moments}) for M={spec.vanishing_moments}"
         )
 
 
-@lru_cache(maxsize=4)
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
-# Cached |psi_hat|^2 samples on Gauss-Legendre nodes, band by band.  Band t
-# covers [pi*2^t, pi*2^(t+1)]; nonnegative bands are subdivided into pi-wide
-# panels so the cascade product (which oscillates on a fixed ~2*pi frequency
-# scale) is resolved everywhere.  Values depend only on (M, cascade_depth).
-_PSI_BANDS: dict[tuple[int, int], dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+#: The band sums of the spectral integrals stop once two bands in a row add
+#: less than QUAD_RTOL of the running total.
+QUAD_RTOL = 1e-10
+#: Highest octave t of the upward band sweep, before the cascade-depth cap.
+QUAD_MAX_OCTAVES = 40
+#: Taylor terms of the per-band moment expansion of |lam|^-delta: within a
+#: band |ln lam - c_t| <= ln2/2 and |delta| < M <= 10, so the series is cut
+#: below 1e-18 of the band's |psi_hat|^2 mass.
+TAYLOR_TERMS = 32
 _BAND_NODES = 16
 _BAND_CAP_LO = -60
 
 
-def _psi_band(spec: WaveletSpec, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    key = (spec.vanishing_moments, spec.cascade_depth)
-    bands = _PSI_BANDS.setdefault(key, {})
-    if t not in bands:
-        x, w = _gauss_rule(_BAND_NODES)
+@dataclass(frozen=True)
+class _PsiBands:
+    """|psi_hat|^2 quadrature on dyadic bands, and its moments in ln(lam).
+
+    Band t covers [pi*2^t, pi*2^(t+1)]; the order is t = 0..cap (``n_up``
+    bands) and then t = -1, -2, ....  Nonnegative bands are subdivided into
+    pi-wide panels so the cascade product (which oscillates on a fixed
+    ~2*pi frequency scale) is resolved everywhere.
+    """
+
+    lam: np.ndarray  # Gauss-Legendre nodes, band after band
+    wpsi: np.ndarray  # node weight times |psi_hat(lam)|^2
+    starts: np.ndarray  # index of each band's first node
+    centers: np.ndarray  # c_t = ln(pi * 2^(t + 1/2))
+    moments: np.ndarray  # (TAYLOR_TERMS, bands): sum wpsi (ln lam - c_t)^k / k!
+    n_up: int  # number of bands t >= 0
+
+
+@lru_cache(maxsize=None)
+def _psi_bands(vanishing_moments: int, cascade_depth: int) -> _PsiBands:
+    # beyond ~2^cascade_depth the truncated cascade product stops decaying,
+    # so bands must stay well below that
+    cap = min(QUAD_MAX_OCTAVES, cascade_depth - 5)
+    order = np.array(list(range(cap + 1)) + list(range(-1, _BAND_CAP_LO, -1)))
+    x, w = np.polynomial.legendre.leggauss(_BAND_NODES)
+    lam, wts = [], []
+    for t in order.tolist():
         lo = math.pi * 2.0**t
         n_sub = 1 << max(t, 0)
         edges = lo + (lo / n_sub) * np.arange(n_sub + 1)
         mids = 0.5 * (edges[1:] + edges[:-1])
         halves = 0.5 * np.diff(edges)
-        lam = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-        wts = (halves[:, None] * w[None, :]).ravel()
-        psi = np.empty_like(lam)
-        for start in range(0, lam.size, 1 << 16):
-            stop = start + (1 << 16)
-            psi[start:stop] = psi_hat_sq(lam[start:stop], spec)
-        bands[t] = (lam, wts, psi)
-    return bands[t]
+        lam.append((mids[:, None] + halves[:, None] * x[None, :]).ravel())
+        wts.append((halves[:, None] * w[None, :]).ravel())
+    sizes = [a.size for a in lam]
+    starts = np.cumsum([0] + sizes[:-1])
+    lam = np.concatenate(lam)
+    spec = WaveletSpec(vanishing_moments=vanishing_moments, cascade_depth=cascade_depth)
+    wpsi = np.concatenate(wts) * psi_hat_sq(lam, spec)
+    centers = np.log(math.pi * 2.0 ** (order + 0.5))
+    u = np.log(lam) - np.repeat(centers, sizes)
+    moments = np.empty((TAYLOR_TERMS, order.size))
+    term = wpsi
+    for k in range(TAYLOR_TERMS):
+        moments[k] = np.add.reduceat(term, starts)
+        term = term * u / (k + 1)
+    return _PsiBands(lam, wpsi, starts, centers, moments, cap + 1)
 
 
-def _spectral_integral(weight, spec: WaveletSpec) -> float:
-    """2 * int_0^inf weight(lam) |psi_hat(lam)|^2 dlam over dyadic bands.
+def _band_total(parts: np.ndarray, n_up: int) -> np.ndarray:
+    """2 * (sum of the band contributions the stopping rule keeps), row by row.
 
-    ``weight`` must be the restriction to lam > 0 of an even function,
-    vectorized over arrays.  Bands are accumulated upwards from [pi, 2pi]
-    and downwards towards 0 until their contributions fall below quad_rtol
-    of the running total; the high tail beyond the band cap is completed by
-    geometric extrapolation of the last band ratios (justified by the (W2)
-    power decay).
+    ``parts`` is (n, bands) in the ``_PsiBands`` order.  Bands are added
+    upwards from [pi, 2pi], then downwards towards 0, each sweep until two
+    bands in a row fall below QUAD_RTOL of the running total.  An upward
+    sweep that reaches the cap is completed by geometric extrapolation of
+    its last two bands (justified by the (W2) power decay).
     """
+    rows = np.arange(parts.shape[0])
 
-    def band_value(t: int) -> float:
-        lam, wts, psi = _psi_band(spec, t)
-        return float(wts @ (weight(lam) * psi))
+    def sweep(total: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        running = np.cumsum(np.column_stack([total, seg]), axis=1)[:, 1:]
+        quiet = np.abs(seg) < QUAD_RTOL * np.maximum(np.abs(running), 1e-300)
+        stop = quiet[:, 1:] & quiet[:, :-1]
+        stopped = stop.any(axis=1)
+        last = np.where(stopped, stop.argmax(axis=1) + 1, seg.shape[1] - 1)
+        return running[rows, last], stopped
 
-    total = 0.0
-    quiet = 0
-    # beyond ~2^cascade_depth the truncated cascade product stops decaying,
-    # so bands must stay well below that; the remainder is completed
-    # geometrically from the (W2) power decay of the band contributions.
-    cap = min(spec.quad_max_octaves, spec.cascade_depth - 5)
-    prev = 0.0
-    for t in range(0, cap + 1):
-        part = band_value(t)
-        total += part
-        if abs(part) < spec.quad_rtol * max(abs(total), 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                prev = 0.0
-                break
-        else:
-            quiet = 0
-        if t == cap and prev != 0.0 and 0.0 < abs(part) < 0.95 * abs(prev):
-            ratio = part / prev
-            total += part * ratio / (1.0 - ratio)
-        prev = part
-    quiet = 0
-    for t in range(-1, _BAND_CAP_LO, -1):
-        part = band_value(t)
-        total += part
-        if abs(part) < spec.quad_rtol * max(abs(total), 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
+    total, stopped = sweep(np.zeros(parts.shape[0]), parts[:, :n_up])
+    prev, last = parts[:, n_up - 2], parts[:, n_up - 1]
+    tail = ~stopped & (prev != 0.0) & (0.0 < np.abs(last)) & (np.abs(last) < 0.95 * np.abs(prev))
+    ratio = np.where(tail, last, 0.0) / np.where(tail, prev, 1.0)
+    total = total + last * ratio / (1.0 - ratio)
+    total, _ = sweep(total, parts[:, n_up:])
     return 2.0 * total
 
 
-def spectral_k(delta: float, spec: WaveletSpec) -> float:
+def spectral_k(delta, spec: WaveletSpec):
     """Scale-free integral K(delta) = int |lam|^-delta |psi_hat(lam)|^2 dlam.
 
     Finite and positive for delta in (-alpha, M); K(0) equals 2*pi by
-    Parseval.  Raises DomainError outside the convergence domain.
+    Parseval.  A scalar delta gives a float, an array of exponents an array
+    of the same shape, evaluated in one pass: each band contributes
+    ``exp(-delta c_t) sum_k (-delta)^k mu_{t,k}`` from its cached moments.
+    Raises DomainError when any exponent is outside the convergence domain.
     """
     _check_delta(delta, spec)
-    return _spectral_integral(lambda lam: lam ** (-delta), spec)
+    d = np.asarray(delta, dtype=np.float64)
+    bands = _psi_bands(spec.vanishing_moments, spec.cascade_depth)
+    x = -d.reshape(-1, 1)
+    powers = np.ones((x.shape[0], TAYLOR_TERMS))  # (-delta)^k
+    powers[:, 1:] = np.cumprod(np.repeat(x, TAYLOR_TERMS - 1, axis=1), axis=1)
+    total = _band_total(np.exp(x * bands.centers) * (powers @ bands.moments), bands.n_up)
+    return float(total[0]) if d.ndim == 0 else total.reshape(d.shape)
 
 
 def spectral_k_j(j: int, d_l: float, d_m: float, spec: WaveletSpec) -> float:
@@ -426,8 +459,7 @@ def spectral_k_j(j: int, d_l: float, d_m: float, spec: WaveletSpec) -> float:
     delta = d_l + d_m
     _check_delta(delta, spec)
     half_diff = 0.5 * (d_l - d_m) / 2.0**j
-
-    def weight(lam: np.ndarray) -> np.ndarray:
-        return lam ** (-delta) * np.cos(half_diff * lam)
-
-    return _spectral_integral(weight, spec)
+    bands = _psi_bands(spec.vanishing_moments, spec.cascade_depth)
+    weighted = bands.wpsi * bands.lam ** (-delta) * np.cos(half_diff * bands.lam)
+    parts = np.add.reduceat(weighted, bands.starts)
+    return float(_band_total(parts[None, :], bands.n_up)[0])

@@ -1,10 +1,29 @@
 """Shared test oracles, independent of the library's vectorized code paths."""
 
+import math
+from functools import lru_cache
+
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from wavewhittle.estimator import Scalogram, _log_regression_init, objective_R, scalogram
-from wavewhittle.wavelets import WaveletPyramid, WaveletSpec, daubechies_filters
+from wavewhittle.errors import DomainError
+from wavewhittle.estimator import (
+    DEGENERACY_THRESHOLD,
+    Scalogram,
+    _log_regression_init,
+    g_hat,
+    objective_R,
+    scalogram,
+)
+from wavewhittle.wavelets import (
+    QUAD_MAX_OCTAVES,
+    QUAD_RTOL,
+    WaveletPyramid,
+    WaveletSpec,
+    daubechies_filters,
+    psi_hat_sq,
+    spectral_k,
+)
 
 
 def brute_force_pyramid(x, m, j_max):
@@ -75,3 +94,92 @@ def multistart_nelder_mead(scal: Scalogram, box):
         if best is None or res.fun < best.fun:
             best = res
     return np.asarray(best.x), float(best.fun)
+
+
+@lru_cache(maxsize=None)
+def _direct_band(m, depth, t):
+    """Gauss-Legendre nodes, weights and |psi_hat|^2 on band [pi 2^t, pi 2^(t+1)],
+    split into pi-wide panels for t >= 0."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    lo = math.pi * 2.0**t
+    n_sub = 1 << max(t, 0)
+    edges = lo + (lo / n_sub) * np.arange(n_sub + 1)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    halves = 0.5 * np.diff(edges)
+    lam = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
+    wts = (halves[:, None] * w[None, :]).ravel()
+    spec = WaveletSpec(vanishing_moments=m, cascade_depth=depth)
+    return lam, wts, psi_hat_sq(lam, spec)
+
+
+def direct_spectral_k(delta, spec):
+    """Reference K(delta): per-node band sums of w * lam^-delta * |psi_hat|^2,
+    one band at a time, under the same stopping rule and geometric tail."""
+
+    def band_value(t):
+        lam, wts, psi = _direct_band(spec.vanishing_moments, spec.cascade_depth, t)
+        return float(wts @ (lam ** (-delta) * psi))
+
+    total = 0.0
+    quiet = 0
+    cap = min(QUAD_MAX_OCTAVES, spec.cascade_depth - 5)
+    prev = 0.0
+    for t in range(0, cap + 1):
+        part = band_value(t)
+        total += part
+        if abs(part) < QUAD_RTOL * max(abs(total), 1e-300):
+            quiet += 1
+            if quiet >= 2:
+                break
+        else:
+            quiet = 0
+        if t == cap and prev != 0.0 and 0.0 < abs(part) < 0.95 * abs(prev):
+            ratio = part / prev
+            total += part * ratio / (1.0 - ratio)
+        prev = part
+    quiet = 0
+    for t in range(-1, -60, -1):
+        part = band_value(t)
+        total += part
+        if abs(part) < QUAD_RTOL * max(abs(total), 1e-300):
+            quiet += 1
+            if quiet >= 2:
+                break
+        else:
+            quiet = 0
+    return 2.0 * total
+
+
+def per_pair_omega(scal, d_hat, spec):
+    """Reference long-run covariance: one scalar spectral_k call per pair
+    (l, m), l <= m, in row-major order; returns (omega, warnings)."""
+    p = len(d_hat)
+    g_matrix = g_hat(scal, d_hat)
+    omega = np.full((p, p), np.nan)
+    warnings = {"degenerate_pairs": [], "undefined_pairs": [],
+                "invalid_channels": [], "out_of_range_correlation": []}
+    for ell in range(p):
+        for m in range(ell, p):
+            cosine = math.cos(math.pi * (d_hat[ell] - d_hat[m]) / 2.0)
+            if m > ell and abs(cosine) < DEGENERACY_THRESHOLD:
+                warnings["degenerate_pairs"].append((ell, m))
+            if abs(cosine) < 1e-12:
+                warnings["undefined_pairs"].append((ell, m))
+                continue
+            try:
+                k_norm = spectral_k(float(d_hat[ell] + d_hat[m]), spec) / (2.0 * math.pi)
+            except DomainError:
+                warnings["undefined_pairs"].append((ell, m))
+                continue
+            omega[ell, m] = omega[m, ell] = g_matrix[ell, m] / (cosine * k_norm)
+    diag = np.diagonal(omega).copy()
+    for ell in range(p):
+        if not diag[ell] > 0:
+            warnings["invalid_channels"].append(ell)
+            diag[ell] = np.nan
+    for ell in range(p):
+        for m in range(ell + 1, p):
+            c = omega[ell, m] / math.sqrt(diag[ell] * diag[m])
+            if np.isfinite(c) and abs(c) > 1.05:
+                warnings["out_of_range_correlation"].append((ell, m))
+    return omega, warnings

@@ -33,7 +33,7 @@ from wavewhittle.estimator import (
 from wavewhittle.montecarlo import omega_from_rho
 from wavewhittle.wavelets import WaveletSpec, dwt_pyramid, spectral_k
 
-from helpers import make_pyramid, multistart_nelder_mead, random_scalogram
+from helpers import make_pyramid, multistart_nelder_mead, per_pair_omega, random_scalogram
 
 WSPEC = WaveletSpec(vanishing_moments=4)
 LOG2 = math.log(2.0)
@@ -354,6 +354,37 @@ def test_estimate_omega_degeneracy_warning():
     omega, corr, _, warnings = estimate_omega(scal, np.array([0.2, 1.2]), WSPEC, config)
     assert (0, 1) in warnings["undefined_pairs"]
     assert not np.isfinite(omega[0, 1])
+
+
+def test_estimate_omega_k_domain_pairs_undefined():
+    # M=4: d_l + d_m must lie below 4, so the pairs among channels 0 and 1
+    # leave the K domain while their cosines stay far from zero
+    scal = random_scalogram(np.random.default_rng(31), p=3, base=400)
+    omega, corr, _, warnings = estimate_omega(scal, np.array([2.05, 2.0, 0.2]), WSPEC)
+    assert warnings["undefined_pairs"] == [(0, 0), (0, 1), (1, 1)]
+    assert warnings["invalid_channels"] == [0, 1]
+    assert not warnings["degenerate_pairs"]
+    for ell, m in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        assert np.isnan(omega[ell, m])
+    assert np.all(np.isfinite(omega[2])) and np.all(np.isfinite(omega[:, 2]))
+    assert np.isnan(corr[0, 2]) and corr[2, 2] == pytest.approx(1.0)
+
+
+def test_estimate_omega_matches_per_pair_formula_wide():
+    rng = np.random.default_rng(32)
+    scal = random_scalogram(rng, p=20, base=4000, j1=8)
+    d_hat = rng.uniform(-0.5, 1.8, 20)
+    d_hat[3] = d_hat[5] + 1.0  # vanishing cosine
+    d_hat[7], d_hat[8] = 2.1, 2.05  # pairs outside the K domain
+    d_hat[9] = d_hat[10] + 0.95  # degenerate but defined
+    omega, _, _, warnings = estimate_omega(scal, d_hat, WSPEC)
+    ref_omega, ref_warnings = per_pair_omega(scal, d_hat, WSPEC)
+    assert warnings == ref_warnings
+    assert all(ref_warnings.values())  # every warning list is exercised
+    assert ref_warnings["invalid_channels"] == [7, 8]
+    assert np.array_equal(np.isnan(omega), np.isnan(ref_omega))
+    finite = np.isfinite(ref_omega)
+    assert_allclose(omega[finite], ref_omega[finite], rtol=1e-12)
 
 
 def test_estimate_omega_zero_channel_flagged():

@@ -4,7 +4,8 @@ Oracles are kept independent of the library code paths: filters are checked
 against closed forms and moment conditions, the pyramid against plain-loop
 convolution and decimation, |psi_hat|^2 against a rendered wavelet, and K
 against a brute-force trapezoid integral at higher resolution and longer
-tail.
+tail, and against the direct per-node band quadrature that the moment
+expansion replaces.
 """
 
 import math
@@ -26,6 +27,8 @@ from wavewhittle.wavelets import (
     spectral_k,
     spectral_k_j,
 )
+
+from helpers import direct_spectral_k
 
 SQRT2 = math.sqrt(2.0)
 
@@ -348,6 +351,31 @@ def test_k_domain_errors(delta):
     spec = WaveletSpec(vanishing_moments=4)
     with pytest.raises(DomainError):
         spectral_k(delta, spec)
+    with pytest.raises(DomainError):
+        spectral_k(np.array([0.0, delta, 0.4]), spec)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_k_moments_match_direct_quadrature(m):
+    spec = WaveletSpec(vanishing_moments=m)
+    lo, hi = -spec.alpha + 1e-3, m - 1e-3
+    grid = np.concatenate([[lo, hi, 0.0], np.linspace(lo, hi, 23)])
+    values = spectral_k(grid, spec)
+    assert values.shape == grid.shape
+    oracle = np.array([direct_spectral_k(float(delta), spec) for delta in grid])
+    assert_allclose(values, oracle, rtol=1e-12)
+    assert_allclose(spectral_k(grid.reshape(2, 13), spec), values.reshape(2, 13), rtol=1e-14)
+    scalar = spectral_k(0.25, spec)
+    assert type(scalar) is float
+    assert scalar == pytest.approx(direct_spectral_k(0.25, spec), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_k_parseval_every_order(m):
+    # for Haar the band sum converges like 2^-t, so the cascade truncation at
+    # depth 16 still shows in the top bands: 6.8e-6 absolute
+    tol = 1e-5 if m == 1 else 1e-9
+    assert abs(spectral_k(0.0, WaveletSpec(vanishing_moments=m)) - 2 * math.pi) < tol
 
 
 def test_k_j_equal_memory_reduces_to_k():
@@ -386,6 +414,8 @@ def test_wavelet_spec_validation():
         WaveletSpec(vanishing_moments=4, boundary="mirror")
     with pytest.raises(UnsupportedOrderError):
         WaveletSpec(vanishing_moments=12)
+    with pytest.raises(TypeError):  # quadrature settings are module constants
+        WaveletSpec(vanishing_moments=4, quad_max_octaves=0)
     spec = WaveletSpec(vanishing_moments=4)
     assert spec.support_length == 7
     assert spec.alpha == pytest.approx(1.9125)
