@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .arfima import (
     ArfimaSpec,
-    HolderParams,
     correlation_from_cov,
     frac_diff_coeffs,
     model_wavelet_cov,

@@ -4,7 +4,9 @@ The simulator draws Gaussian innovations with covariance ``omega`` (for this
 model the innovation covariance and the long-run covariance coincide, as the
 short-memory spectral factor is identically one), applies the truncated
 MA(inf) expansion of ``(1-L)^-d`` channel by channel, and integrates
-(cumulative sums) for nonstationary memory parameters ``d >= 1/2``.
+(cumulative sums) for nonstationary memory parameters ``d >= 1/2``.  Every
+output sample is a complete truncated sum over its own innovations, so no
+burn-in is needed.
 """
 
 from __future__ import annotations
@@ -13,33 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy.fft import next_fast_len
 
-from .errors import CovarianceError, VanishingMomentError
+from .errors import ConfigError, CovarianceError, VanishingMomentError
 from .wavelets import WaveletSpec, spectral_k, spectral_k_j
-
-
-@dataclass(frozen=True)
-class HolderParams:
-    """Smoothness class (beta, L) of the short-memory spectral factor.
-
-    For ARFIMA(0, d, 0) the factor is identically one, so beta is effectively
-    2 with any L.  Feeds the W5 admissibility bound on memory parameters and
-    the optimal-rate choice of the finest scale.
-    """
-
-    beta: float = 2.0
-    bound: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.beta <= 2.0:
-            raise ValueError("beta must lie in (0, 2]")
-        if not self.bound > 0.0:
-            raise ValueError("the Holder constant must be positive")
-
-    def memory_lower_bound(self, spec: WaveletSpec) -> float:
-        """W5 admissibility: memory parameters must exceed (1 + beta)/2 - alpha."""
-        return (1.0 + self.beta) / 2.0 - spec.alpha
 
 
 def frac_diff_coeffs(d: float, count: int) -> np.ndarray:
@@ -65,7 +44,7 @@ def split_memory(d: float) -> tuple[float, int]:
     """
     if d < 0.5:
         if d <= -0.5:
-            raise ValueError(f"memory parameter {d} below the stationary range")
+            raise ConfigError(f"memory parameter {d} below the stationary range")
         return float(d), 0
     order = math.ceil(d - 0.5)
     d_s = d - order
@@ -73,7 +52,7 @@ def split_memory(d: float) -> tuple[float, int]:
         order += 1
         d_s -= 1.0
     if abs(d_s) >= 0.5 - 1e-12:
-        raise ValueError(f"memory parameter {d} sits on the d_s = +-1/2 boundary")
+        raise ConfigError(f"memory parameter {d} sits on the d_s = +-1/2 boundary")
     return float(d_s), int(order)
 
 
@@ -102,40 +81,38 @@ def correlation_from_cov(omega: np.ndarray) -> np.ndarray:
 class ArfimaSpec:
     """Configuration of one ARFIMA(0, d, 0) draw.
 
-    ``truncation`` is the MA(inf) cutoff (default 10*N); ``burn_in`` extra
-    leading outputs are generated and discarded.  ``moment_cap`` optionally
-    enforces d < M for a wavelet analysis planned downstream.  ``ar``
-    optionally adds per-channel AR(1) contamination to the stationary part
-    (robustness experiments; off by default).
+    ``truncation`` is the MA(inf) cutoff (default 10*N).  ``seed`` is a
+    nonnegative integer or a SeedSequence.  ``moment_cap`` optionally
+    enforces d < M for a wavelet analysis planned downstream.  Invalid
+    settings raise ConfigError (a ValueError), CovarianceError or
+    VanishingMomentError.
     """
 
     d: np.ndarray
     omega: np.ndarray
     n_samples: int
     truncation: int | None = None
-    burn_in: int = 0
     seed: int | np.random.SeedSequence = 0
     moment_cap: int | None = None
-    ar: np.ndarray | None = None
 
     def __post_init__(self):
         self.d = np.atleast_1d(np.asarray(self.d, dtype=np.float64))
         self.omega = np.asarray(self.omega, dtype=np.float64)
         if not np.all(np.isfinite(self.d)):
-            raise ValueError("memory parameters must be finite")
+            raise ConfigError("memory parameters must be finite")
         if self.omega.shape != (self.d.size, self.d.size):
             raise CovarianceError(
                 f"omega shape {self.omega.shape} does not match {self.d.size} channels"
             )
         validate_long_run_cov(self.omega)
         if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
+            raise ConfigError("n_samples must be positive")
         if self.truncation is None:
             self.truncation = 10 * self.n_samples
         if self.truncation < self.n_samples:
-            raise ValueError("truncation must be at least n_samples")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
+            raise ConfigError("truncation must be at least n_samples")
+        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.moment_cap is not None and np.any(self.d >= self.moment_cap):
             raise VanishingMomentError(
                 f"memory parameters {self.d} must stay below the vanishing-moment cap "
@@ -158,20 +135,24 @@ def simulate_arfima(spec: ArfimaSpec) -> np.ndarray:
     """
     chol = validate_long_run_cov(spec.omega)
     p = spec.n_channels
-    n_out = spec.n_samples + spec.burn_in
     trunc = int(spec.truncation)
+    n = spec.n_samples
 
     rng = np.random.default_rng(spec.seed)
-    innov = rng.standard_normal((trunc + n_out - 1, p)) @ chol.T
+    innov = rng.standard_normal((trunc + n - 1, p)) @ chol.T
 
-    panel = np.empty((spec.n_samples, p))
+    # "valid" FFT convolutions in shared buffers: fresh ones fragment the heap
+    nfft = next_fast_len(innov.shape[0] + trunc - 1, True)
+    spectrum, transfer = np.empty((2, nfft // 2 + 1), dtype=np.complex128)
+    full = np.empty(nfft)
+    panel = np.empty((n, p))
     for ell in range(p):
         d_s, order = split_memory(float(spec.d[ell]))
-        weights = frac_diff_coeffs(d_s, trunc)
-        series = fftconvolve(innov[:, ell], weights, mode="valid")
-        if spec.ar is not None and spec.ar[ell] != 0.0:
-            series = lfilter([1.0], [1.0, -float(spec.ar[ell])], series)
-        series = series[spec.burn_in :]
+        np.fft.rfft(innov[:, ell], nfft, out=spectrum)
+        np.fft.rfft(frac_diff_coeffs(d_s, trunc), nfft, out=transfer)
+        np.multiply(spectrum, transfer, out=spectrum)
+        np.fft.irfft(spectrum, nfft, out=full)
+        series = full[trunc - 1 : trunc - 1 + n]
         for _ in range(order):
             series = np.cumsum(series)
         panel[:, ell] = series

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -171,7 +172,7 @@ def cmd_estimate(args) -> int:
     names, panel = read_panel(args.input)
     if args.demean:
         panel = panel - panel.mean(axis=0, keepdims=True)
-    spec = WaveletSpec(vanishing_moments=args.M, boundary=args.boundary)
+    spec = WaveletSpec(vanishing_moments=args.M)
     config = EstimationConfig(j0=args.j0, j1=args.j1)
     result = estimate_panel(panel, spec, config)
 
@@ -187,7 +188,6 @@ def cmd_estimate(args) -> int:
             "j1": args.j1,
             "effective_j0": result.j0,
             "effective_j1": result.j1,
-            "boundary": args.boundary,
             "demean": bool(args.demean),
             "n_samples": int(panel.shape[0]),
             "channels": names,
@@ -228,7 +228,6 @@ def cmd_simulate(args) -> int:
         omega=omega,
         n_samples=args.N,
         truncation=args.truncation,
-        burn_in=args.burn_in,
         seed=args.seed,
         moment_cap=args.M,
     )
@@ -241,7 +240,6 @@ def cmd_simulate(args) -> int:
         "N": args.N,
         "M": args.M,
         "truncation": spec.truncation,
-        "burn_in": args.burn_in,
         "seed": args.seed,
     }
     if args.output:
@@ -254,11 +252,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_mc(args) -> int:
     scenario = load_scenario(args.scenario)
+    # replace() runs the Scenario checks again on each override
     if args.reps is not None:
-        scenario.replications = args.reps
-        scenario.__post_init__()
+        scenario = dataclasses.replace(scenario, replications=args.reps)
     if args.seed is not None:
-        scenario.seed = args.seed
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     report = run_scenario(scenario, workers=args.workers)
     if args.output:
         report.write_json(args.output + ".json")
@@ -291,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--M", type=int, default=4, help="vanishing moments (default 4)")
     est.add_argument("--j0", type=int, default=1, help="finest scale (default 1)")
     est.add_argument("--j1", type=int, default=None, help="coarsest scale (default: deepest feasible)")
-    est.add_argument("--boundary", default="valid",
-                     choices=("valid", "symmetric", "zero", "constant", "periodic"))
     est.add_argument("--demean", action="store_true", help="remove per-channel means first")
     est.set_defaults(func=cmd_estimate)
 
@@ -304,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--M", type=int, default=None,
                      help="reject d >= M (vanishing-moment cap check)")
     sim.add_argument("--truncation", type=int, default=None, help="MA truncation (default 10N)")
-    sim.add_argument("--burn-in", type=int, default=0)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--output", help="CSV output path (default stdout)")
     sim.set_defaults(func=cmd_simulate)

@@ -46,8 +46,8 @@ class LikelihoodError(WavewhittleError):
     """Likelihood cannot be evaluated (singular covariance argument)."""
 
 
-class ConfigError(WavewhittleError):
-    """Invalid estimation or scenario configuration."""
+class ConfigError(WavewhittleError, ValueError):
+    """Invalid estimation, simulation or scenario configuration."""
 
 
 class PanelFormatError(WavewhittleError):

@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,8 +44,6 @@ class Scenario:
     j0: int = 1
     j1: int | None = None
     truncation: int | None = None
-    burn_in: int = 0
-    boundary: str = "valid"
     include_univariate: bool = True
     label: str = ""
 
@@ -53,7 +51,8 @@ class Scenario:
         self.d = np.atleast_1d(np.asarray(self.d, dtype=np.float64))
         self.omega = np.asarray(self.omega, dtype=np.float64)
         try:
-            self.arfima_spec(0)
+            # the root seed obeys the same rule as the seed of a single draw
+            self.arfima_spec(self.seed)
         except (WavewhittleError, ValueError) as exc:
             raise ScenarioError(str(exc)) from exc
         if self.replications < 1:
@@ -64,7 +63,7 @@ class Scenario:
         return self.d.size
 
     def wavelet_spec(self) -> WaveletSpec:
-        return WaveletSpec(vanishing_moments=self.vanishing_moments, boundary=self.boundary)
+        return WaveletSpec(vanishing_moments=self.vanishing_moments)
 
     def estimation_config(self) -> EstimationConfig:
         return EstimationConfig(j0=self.j0, j1=self.j1)
@@ -75,7 +74,6 @@ class Scenario:
             omega=self.omega,
             n_samples=self.n_samples,
             truncation=self.truncation,
-            burn_in=self.burn_in,
             seed=seed,
             moment_cap=self.vanishing_moments,
         )
@@ -92,8 +90,6 @@ class Scenario:
             "j0": self.j0,
             "j1": self.j1,
             "truncation": self.truncation,
-            "burn_in": self.burn_in,
-            "boundary": self.boundary,
             "include_univariate": self.include_univariate,
         }
 
@@ -284,18 +280,10 @@ def rate_check(scenario: Scenario, n_values, workers: int = 1) -> dict:
     seeds = np.random.SeedSequence(scenario.seed).spawn(len(n_values))
     rows = []
     for n, seed in zip(n_values, seeds):
-        sub = Scenario(
-            d=scenario.d.copy(),
-            omega=scenario.omega.copy(),
+        sub = replace(
+            scenario,
             n_samples=n,
-            replications=scenario.replications,
             seed=int(seed.generate_state(1, dtype=np.uint64)[0]),
-            vanishing_moments=scenario.vanishing_moments,
-            j0=scenario.j0,
-            j1=scenario.j1,
-            truncation=scenario.truncation,
-            burn_in=scenario.burn_in,
-            boundary=scenario.boundary,
             include_univariate=False,
             label=f"{scenario.label}[N={n}]",
         )
@@ -335,7 +323,7 @@ def parse_scenario_mapping(data: dict) -> Scenario:
     """Build a Scenario from the documented key set (d, rho/omega, N, ...)."""
     known = {
         "label", "d", "rho", "omega", "n", "m", "j0", "j1", "reps",
-        "seed", "truncation", "burn_in", "univariate", "boundary",
+        "seed", "truncation", "univariate",
     }
     mapping = {str(k).lower(): v for k, v in data.items()}
     unknown = set(mapping) - known
@@ -368,8 +356,6 @@ def parse_scenario_mapping(data: dict) -> Scenario:
             j0=int(mapping.get("j0", 1)),
             j1=None if mapping.get("j1") is None else int(mapping["j1"]),
             truncation=None if mapping.get("truncation") is None else int(mapping["truncation"]),
-            burn_in=int(mapping.get("burn_in", 0)),
-            boundary=str(mapping.get("boundary", "valid")),
             include_univariate=univariate,
             label=str(mapping.get("label", "")),
         )

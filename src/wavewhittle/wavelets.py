@@ -13,17 +13,12 @@ Conventions used throughout:
   coefficient ``k`` at scale ``j`` depends on samples in a window of length
   ``(2**j - 1)*(2M - 1) + 1`` starting at ``2**j * k``.  Windows never reach
   left of the first sample.
-* The default boundary mode ``"valid"`` retains only coefficients computed
-  entirely from observed samples: every level keeps
-  ``floor((S_j - T + 1) / 2)`` coefficients from its ``S_j``-long input,
-  ``T = 2M - 1`` being the wavelet support length.  At the finest scale this
-  equals ``floor((N - T + 1) / 2)``; deeper levels shrink slightly faster
-  than ``2**-j (N - T + 1)`` because boundary-crossing coefficients are
-  discarded again at every level.
-* The padded modes ("symmetric", "zero", "constant", "periodic") extend each
-  level on the right instead and retain ``n_j = floor(2**-j (N - T + 1))``
-  coefficients, so a few right-edge coefficients at coarse scales involve
-  the extension.
+* Only coefficients computed entirely from observed samples are kept:
+  every level keeps ``floor((S_j - T + 1) / 2)`` coefficients from its
+  ``S_j``-long input, ``T = 2M - 1`` being the wavelet support length.  At
+  the finest scale this equals ``floor((N - T + 1) / 2)``; deeper levels
+  shrink slightly faster than ``2**-j (N - T + 1)`` because
+  boundary-crossing coefficients are discarded again at every level.
 """
 
 from __future__ import annotations
@@ -54,9 +49,6 @@ DAUBECHIES_ALPHA = {
     9: 3.1676,
     10: 3.4057,
 }
-
-_BOUNDARY_MODES = ("valid", "symmetric", "zero", "constant", "periodic")
-
 
 @lru_cache(maxsize=None)
 def daubechies_filters(vanishing_moments: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +126,6 @@ class WaveletSpec:
 
     vanishing_moments: int = 4
     cascade_depth: int = 16
-    boundary: str = "valid"
 
     def __post_init__(self):
         m = self.vanishing_moments
@@ -144,8 +135,6 @@ class WaveletSpec:
             )
         if self.cascade_depth < 8:
             raise ValueError("cascade_depth must be at least 8")
-        if self.boundary not in _BOUNDARY_MODES:
-            raise ValueError(f"boundary must be one of {_BOUNDARY_MODES}")
 
     @property
     def support_length(self) -> int:
@@ -164,37 +153,22 @@ class WaveletSpec:
 def coefficient_counts(n_samples: int, spec: WaveletSpec, j_max: int) -> np.ndarray:
     """Retained coefficient counts n_j for j = 1..j_max (0 once a level empties).
 
-    In "valid" mode each level keeps floor((S - T + 1)/2) coefficients from
-    its S-long input (fully-supported only); padded modes keep
-    floor(2**-j (N - T + 1)).
+    Each level keeps the floor((S - T + 1)/2) fully-supported coefficients of
+    its S-long input.
     """
-    t_support = spec.support_length
-    if spec.boundary == "valid":
-        counts = []
-        s = n_samples
-        for _ in range(j_max):
-            s = max((s - t_support + 1) >> 1, 0) if s >= t_support - 1 else 0
-            counts.append(s)
-        return np.array(counts, dtype=np.int64)
-    base = max(n_samples - t_support + 1, 0)
-    return np.array([base >> j for j in range(1, j_max + 1)], dtype=np.int64)
+    counts = []
+    s = n_samples
+    for _ in range(j_max):
+        s = max((s - spec.support_length + 1) >> 1, 0)
+        counts.append(s)
+    return np.array(counts, dtype=np.int64)
 
 
 def max_feasible_level(n_samples: int, spec: WaveletSpec) -> int:
     """Deepest level j with n_j >= 1 (0 when even level 1 is empty)."""
-    if spec.boundary == "valid":
-        t_support = spec.support_length
-        s = n_samples
-        level = 0
-        while True:
-            s = (s - t_support + 1) >> 1 if s >= t_support + 1 else 0
-            if s < 1:
-                return level
-            level += 1
-    base = n_samples - spec.support_length + 1
-    if base < 2:
-        return 0
-    return int(base).bit_length() - 1
+    # counts at least halve per level, so no level below bit_length(N) is kept
+    depth = max(n_samples, 0).bit_length()
+    return int(np.count_nonzero(coefficient_counts(n_samples, spec, depth)))
 
 
 @dataclass
@@ -224,26 +198,11 @@ class WaveletPyramid:
         return self.details[j - 1]
 
 
-_PAD_KW = {
-    "zero": {"mode": "constant"},
-    "symmetric": {"mode": "symmetric"},
-    "constant": {"mode": "edge"},
-    "periodic": {"mode": "wrap"},
-}
-
-
-def _extend(a: np.ndarray, pad: int, mode: str) -> np.ndarray:
-    if pad <= 0:
-        return a
-    return np.pad(a, ((0, pad), (0, 0)), **_PAD_KW[mode])
-
-
 def dwt_pyramid(panel: np.ndarray, spec: WaveletSpec, j_max: int | None = None) -> WaveletPyramid:
     """Compute the multichannel detail pyramid of an (N,) or (N, p) panel.
 
-    Retains ``coefficient_counts(N, spec, j_max)`` coefficients per channel
-    and scale: the fully-supported ones in "valid" mode,
-    ``floor(2**-j (N - T + 1))`` in the padded modes.  Raises
+    Retains the ``coefficient_counts(N, spec, j_max)`` fully-supported
+    coefficients per channel and scale.  Raises
     InsufficientDataError (carrying the largest feasible level) when the
     series is too short for ``j_max``.
     """
@@ -273,19 +232,11 @@ def dwt_pyramid(panel: np.ndarray, spec: WaveletSpec, j_max: int | None = None) 
     details: list[np.ndarray] = []
     approx = x
     for j in range(1, j_max + 1):
-        n_j = int(counts[j - 1])
-        s = approx.shape[0]
-        if spec.boundary == "valid":
-            n_keep = n_j
-            windows = sliding_window_view(approx, taps, axis=0)[::2]  # (k, p, taps)
-        else:
-            n_keep = max(n_j, (s - 1) // 2 + 1)  # approx support carried forward
-            pad = 2 * (n_keep - 1) + taps - s
-            ext = _extend(approx, pad, spec.boundary)
-            windows = sliding_window_view(ext, taps, axis=0)[::2]
-        details.append(np.tensordot(windows[:n_j], g, axes=([2], [0])))
+        # the n_j windows lying entirely inside the level: (n_j, p, taps)
+        windows = sliding_window_view(approx, taps, axis=0)[::2]
+        details.append(np.tensordot(windows, g, axes=([2], [0])))
         if j < j_max:
-            approx = np.tensordot(windows[:n_keep], h, axes=([2], [0]))
+            approx = np.tensordot(windows, h, axes=([2], [0]))
     return WaveletPyramid(details=details, counts=counts, n_samples=n_samples, spec=spec)
 
 

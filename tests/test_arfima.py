@@ -16,7 +16,7 @@ from wavewhittle.arfima import (
     split_memory,
     validate_long_run_cov,
 )
-from wavewhittle.errors import CovarianceError, VanishingMomentError
+from wavewhittle.errors import ConfigError, CovarianceError, VanishingMomentError
 from wavewhittle.estimator import scalogram
 from wavewhittle.wavelets import WaveletSpec, dwt_pyramid, spectral_k, spectral_k_j
 
@@ -90,6 +90,19 @@ def test_simulation_deterministic():
     assert not np.array_equal(simulate_arfima(spec), simulate_arfima(other))
 
 
+def test_simulation_matches_direct_ma_sum():
+    # sample t is sum_k psi_k eps_{t + trunc - 1 - k} over the seed's innovations
+    omega = np.array([[1.0, 0.3], [0.3, 2.0]])
+    spec = ArfimaSpec(d=[-0.3, 0.4], omega=omega, n_samples=37, truncation=61, seed=4)
+    rng = np.random.default_rng(4)
+    innov = rng.standard_normal((61 + 37 - 1, 2)) @ np.linalg.cholesky(omega).T
+    expected = np.column_stack([
+        np.convolve(innov[:, ell], frac_diff_coeffs(d, 61), mode="valid")
+        for ell, d in enumerate((-0.3, 0.4))
+    ])
+    assert_allclose(simulate_arfima(spec), expected, rtol=0, atol=1e-12)
+
+
 def test_white_noise_sample_covariance():
     spec = ArfimaSpec(d=[0.0, 0.0], omega=np.eye(2), n_samples=4096, seed=3)
     x = simulate_arfima(spec)
@@ -160,23 +173,13 @@ def test_simulation_validation_errors():
         ArfimaSpec(d=[0.5], omega=np.eye(1), n_samples=64)
     with pytest.raises(ValueError):
         ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=64, truncation=10)
-
-
-def test_ar_contamination_changes_fine_scales_only_mildly():
-    clean = ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=512, seed=10)
-    noisy = ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=512, seed=10, ar=np.array([0.5]))
-    x = simulate_arfima(clean)[:, 0]
-    y = simulate_arfima(noisy)[:, 0]
-    assert not np.allclose(x, y)
-    assert np.isfinite(y).all()
-
-
-def test_burn_in_shifts_series():
-    base = ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=100, burn_in=0, seed=2, truncation=1000)
-    burned = ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=60, burn_in=40, seed=2, truncation=1000)
-    x = simulate_arfima(base)[:, 0]
-    y = simulate_arfima(burned)[:, 0]
-    assert_allclose(y, x[40:], atol=1e-12)
+    with pytest.raises(ConfigError):
+        ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=64, seed=-1)
+    # each output is a complete truncated MA sum: no burn-in, no AR contamination
+    with pytest.raises(TypeError):
+        ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=64, burn_in=5)
+    with pytest.raises(TypeError):
+        ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=64, ar=np.array([0.5]))
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +240,3 @@ def test_correlation_from_cov():
     corr = correlation_from_cov(omega)
     assert_allclose(np.diag(corr), [1.0, 1.0])
     assert corr[0, 1] == pytest.approx(0.5)
-
-
-def test_holder_params_bounds():
-    from wavewhittle.arfima import HolderParams
-    from wavewhittle.wavelets import WaveletSpec
-
-    hp = HolderParams()  # beta = 2 for the short-memory-free model
-    assert hp.memory_lower_bound(WaveletSpec(vanishing_moments=4)) == pytest.approx(1.5 - 1.9125)
-    with pytest.raises(ValueError):
-        HolderParams(beta=0.0)
-    with pytest.raises(ValueError):
-        HolderParams(beta=2.5)
-    with pytest.raises(ValueError):
-        HolderParams(bound=-1.0)

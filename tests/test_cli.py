@@ -179,8 +179,10 @@ def test_mc_reps_one_gives_zero_std(tmp_path):
 
 def test_mc_malformed_scenario(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("d = 0.2\nmystery = 1\n")
-    assert run_cli("mc", "--scenario", str(bad)) == 2
+    # unknown keys, the removed boundary and burn_in options among them
+    for key in ("mystery = 1", "boundary = valid", "burn_in = 5"):
+        bad.write_text(f"d = 0.2\n{key}\n")
+        assert run_cli("mc", "--scenario", str(bad)) == 2
 
 
 @pytest.mark.parametrize("d", ["nan, 0.2", "0.5, 0.2"])
@@ -188,6 +190,33 @@ def test_mc_invalid_memory_exits_2(tmp_path, d):
     bad = tmp_path / "bad.cfg"
     bad.write_text(f"d = {d}\nrho = 0.4\nreps = 2\n")
     assert run_cli("mc", "--scenario", str(bad)) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--d", "0.2", "--N", "16", "--seed", "-1"],
+    ["simulate", "--d", "0.5", "--N", "16"],
+    ["simulate", "--d", "0.2", "--N", "0"],
+    ["simulate", "--d", "0.2", "--N", "16", "--truncation", "8"],
+    ["mc", "--scenario", "{negative_seed}"],
+    ["mc", "--scenario", "scenarios/table1_row3.cfg", "--seed", "-5"],
+])
+def test_bad_simulation_inputs_exit_2(tmp_path, capsys, argv):
+    scenario = tmp_path / "negative_seed.cfg"
+    scenario.write_text("d = 0.2\nreps = 2\nseed = -1\n")
+    argv = [arg.format(negative_seed=scenario) for arg in argv]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--input", "panel.csv", "--boundary", "valid"],
+    ["simulate", "--d", "0.2", "--N", "16", "--burn-in", "5"],
+])
+def test_removed_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
 
 
 def test_estimate_has_no_seed_flag(tmp_path, capsys):

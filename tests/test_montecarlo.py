@@ -139,6 +139,8 @@ def test_scenario_validation():
         Scenario(d=[0.5, 0.2], omega=np.eye(2))
     with pytest.raises(ScenarioError):
         Scenario(d=[4.2], omega=np.eye(1), vanishing_moments=4)
+    with pytest.raises(ScenarioError):
+        Scenario(d=[0.2], omega=np.eye(1), seed=-1)
 
 
 @pytest.mark.parametrize("value, expected", [

@@ -14,9 +14,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import brute_force_pyramid
+
 from wavewhittle.errors import DomainError, InsufficientDataError, UnsupportedOrderError
 from wavewhittle.wavelets import (
     DAUBECHIES_ALPHA,
+    MAX_ORDER,
     WaveletSpec,
     coefficient_counts,
     daubechies_filters,
@@ -100,35 +103,6 @@ def test_alpha_table_increasing():
 # pyramid
 
 
-def brute_force_pyramid(x, m, j_max):
-    """Plain-loop valid convolution and decimation, level by level."""
-    h, g = daubechies_filters(m)
-    taps = 2 * m
-    details = []
-    a = [list(col) for col in np.atleast_2d(np.asarray(x, float).T)]
-    for _ in range(j_max):
-        new_details = []
-        new_approx = []
-        for col in a:
-            s = len(col)
-            nk = (s - taps) // 2 + 1
-            det = []
-            app = []
-            for k in range(max(nk, 0)):
-                acc_d = 0.0
-                acc_a = 0.0
-                for t in range(taps):
-                    acc_d += g[t] * col[2 * k + t]
-                    acc_a += h[t] * col[2 * k + t]
-                det.append(acc_d)
-                app.append(acc_a)
-            new_details.append(det)
-            new_approx.append(app)
-        details.append(np.array(new_details).T)
-        a = new_approx
-    return details
-
-
 def test_count_law_finest_scale_matches_formula():
     # 512 samples, M=4 (support 7): floor(506/2) = 253 at the finest scale
     spec = WaveletSpec(vanishing_moments=4)
@@ -149,13 +123,18 @@ def test_count_law_recursion():
             s = c
 
 
-def test_padded_mode_count_law():
-    spec = WaveletSpec(vanishing_moments=4, boundary="symmetric")
-    for n in (64, 200, 512):
-        counts = coefficient_counts(n, spec, 9)
-        base = n - spec.support_length + 1
-        for j, c in enumerate(counts, start=1):
-            assert c == max(0, base // 2**j)
+def test_max_feasible_level_by_definition():
+    # L is the deepest level that holds a coefficient; asking for L + 1 fails
+    x = np.zeros((600, 1))
+    for m in range(1, MAX_ORDER + 1):
+        spec = WaveletSpec(vanishing_moments=m)
+        for n in range(1, 601):
+            level = max_feasible_level(n, spec)
+            if level >= 1:
+                assert dwt_pyramid(x[:n], spec, level).level(level).shape[0] >= 1
+            with pytest.raises(InsufficientDataError) as exc:
+                dwt_pyramid(x[:n], spec, level + 1)
+            assert exc.value.largest_feasible == level
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
@@ -410,12 +389,12 @@ def test_k_j_reference_value_against_oracle():
 def test_wavelet_spec_validation():
     with pytest.raises(ValueError):
         WaveletSpec(vanishing_moments=4, cascade_depth=4)
-    with pytest.raises(ValueError):
-        WaveletSpec(vanishing_moments=4, boundary="mirror")
     with pytest.raises(UnsupportedOrderError):
         WaveletSpec(vanishing_moments=12)
     with pytest.raises(TypeError):  # quadrature settings are module constants
         WaveletSpec(vanishing_moments=4, quad_max_octaves=0)
+    with pytest.raises(TypeError):  # only fully-supported coefficients are kept
+        WaveletSpec(vanishing_moments=4, boundary="valid")
     spec = WaveletSpec(vanishing_moments=4)
     assert spec.support_length == 7
     assert spec.alpha == pytest.approx(1.9125)
