@@ -98,6 +98,8 @@ class ArfimaSpec:
     def __post_init__(self):
         self.d = np.atleast_1d(np.asarray(self.d, dtype=np.float64))
         self.omega = np.asarray(self.omega, dtype=np.float64)
+        if self.d.size == 0:
+            raise ConfigError("at least one memory parameter is needed")
         if not np.all(np.isfinite(self.d)):
             raise ConfigError("memory parameters must be finite")
         if self.omega.shape != (self.d.size, self.d.size):

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -66,45 +67,77 @@ def atomic_write_text(path, text: str) -> None:
 def read_panel(path) -> tuple[list[str], np.ndarray]:
     """Read a CSV sample panel; returns (channel names, (N, p) array).
 
-    Raises PanelFormatError with 1-based line/column on any malformed,
-    missing or non-finite cell.  The header row is mandatory.
+    The header row is mandatory.  Any file ``csv.reader`` reads is accepted,
+    quoted cells included.  Raises PanelFormatError with the 1-based line and
+    column of the first malformed, missing or non-finite cell.
+
+    The body is parsed in one ``np.loadtxt`` call.  When the header is quoted
+    or has a blank name, or that call fails, or its result has no rows, the
+    wrong width or a non-finite value, the file is read again row by row:
+    that scan locates the error, or reads cells ``loadtxt`` does not (quoted
+    cells, ``1_0``).  Both paths accept the same files with the same values.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise PanelFormatError(f"cannot open panel file: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError("empty panel file (header row is mandatory)", line=1)
-        names = [name.strip() for name in header]
-        if not names or any(not name for name in names):
-            raise PanelFormatError("blank channel name in header", line=1)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
+        header = fh.readline()
+        # a quoted header may span lines, which only the scan follows
+        names = [] if '"' in header else [n.strip() for n in next(csv.reader([header]), [])]
+        if names and all(names):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # empty body
+                    panel = np.loadtxt(
+                        fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2
+                    )
+            except ValueError:
+                pass
+            else:
+                if (
+                    panel.shape[0] >= 1
+                    and panel.shape[1] == len(names)
+                    and np.isfinite(panel).all()
+                ):
+                    return names, panel
+        fh.seek(0)
+        return _scan_panel(fh)
+
+
+def _scan_panel(fh) -> tuple[list[str], np.ndarray]:
+    """Row-by-row ``csv.reader`` parse that raises at the first bad cell."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PanelFormatError("empty panel file (header row is mandatory)", line=1)
+    names = [name.strip() for name in header]
+    if not names or any(not name for name in names):
+        raise PanelFormatError("blank channel name in header", line=1)
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(names):
+            raise PanelFormatError(
+                f"expected {len(names)} columns, got {len(row)}", line=lineno, column=len(row)
+            )
+        values = []
+        for colno, cell in enumerate(row, start=1):
+            cell = cell.strip()
+            if not cell:
+                raise PanelFormatError("missing value", line=lineno, column=colno)
+            try:
+                value = float(cell)
+            except ValueError:
                 raise PanelFormatError(
-                    f"expected {len(names)} columns, got {len(row)}", line=lineno, column=len(row)
-                )
-            values = []
-            for colno, cell in enumerate(row, start=1):
-                cell = cell.strip()
-                if not cell:
-                    raise PanelFormatError("missing value", line=lineno, column=colno)
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise PanelFormatError(
-                        f"not a number: {cell!r}", line=lineno, column=colno
-                    ) from None
-                if not math.isfinite(value):
-                    raise PanelFormatError("non-finite value", line=lineno, column=colno)
-                values.append(value)
-            rows.append(values)
+                    f"not a number: {cell!r}", line=lineno, column=colno
+                ) from None
+            if not math.isfinite(value):
+                raise PanelFormatError("non-finite value", line=lineno, column=colno)
+            values.append(value)
+        rows.append(values)
     if not rows:
         raise PanelFormatError("panel has a header but no data rows", line=2)
     return names, np.asarray(rows, dtype=np.float64)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -349,18 +350,31 @@ def parse_scenario_mapping(data: dict) -> Scenario:
         return Scenario(
             d=d,
             omega=omega,
-            n_samples=int(mapping.get("n", 512)),
-            replications=int(mapping.get("reps", 200)),
-            seed=int(mapping.get("seed", 0)),
-            vanishing_moments=int(mapping.get("m", 4)),
-            j0=int(mapping.get("j0", 1)),
-            j1=None if mapping.get("j1") is None else int(mapping["j1"]),
-            truncation=None if mapping.get("truncation") is None else int(mapping["truncation"]),
+            n_samples=_integer_value(mapping, "n", 512),
+            replications=_integer_value(mapping, "reps", 200),
+            seed=_integer_value(mapping, "seed", 0),
+            vanishing_moments=_integer_value(mapping, "m", 4),
+            j0=_integer_value(mapping, "j0", 1),
+            j1=_integer_value(mapping, "j1", None),
+            truncation=_integer_value(mapping, "truncation", None),
             include_univariate=univariate,
             label=str(mapping.get("label", "")),
         )
     except (WavewhittleError, ValueError, TypeError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
+
+
+def _integer_value(mapping: dict, key: str, default):
+    """The integer under ``key``; a fraction, a boolean or text is an error, not truncated."""
+    value = mapping.get(key, default)
+    if value is None and default is None:
+        return None
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ScenarioError(f"scenario key {key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_scenario(path) -> Scenario:

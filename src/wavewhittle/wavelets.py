@@ -121,7 +121,11 @@ class WaveletSpec:
     than 1e-8 pointwise for M <= 8).  The spectral integrals sample
     ``|psi_hat|^2`` once per (M, cascade_depth) on about
     ``16 * 2**(cascade_depth - 4)`` nodes, so each extra level doubles their
-    set-up time and memory.
+    set-up time and memory.  At the default depth 16, ``spectral_k`` is
+    accurate to 1e-11 relative or better for M >= 2, but only to about 1e-6
+    for M = 1 (Haar): ``K(0)`` reads 2 pi + 6.8e-6, because the slow
+    ``lam**-2`` decay of Haar leaves about 1e-3 of the integral above the
+    band cap, which only a geometric tail accounts for.
     """
 
     vanishing_moments: int = 4

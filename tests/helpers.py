@@ -1,12 +1,13 @@
 """Shared test oracles, independent of the library's vectorized code paths."""
 
+import csv
 import math
 from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from wavewhittle.errors import DomainError
+from wavewhittle.errors import DomainError, PanelFormatError
 from wavewhittle.estimator import (
     DEGENERACY_THRESHOLD,
     Scalogram,
@@ -183,3 +184,51 @@ def per_pair_omega(scal, d_hat, spec):
             if np.isfinite(c) and abs(c) > 1.05:
                 warnings["out_of_range_correlation"].append((ell, m))
     return omega, warnings
+
+
+# The row-by-row read_panel that the one-call loadtxt parse must match.
+def scan_panel_oracle(path) -> tuple[list[str], np.ndarray]:
+    """Read a CSV sample panel; returns (channel names, (N, p) array).
+
+    Raises PanelFormatError with 1-based line/column on any malformed,
+    missing or non-finite cell.  The header row is mandatory.
+    """
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise PanelFormatError(f"cannot open panel file: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise PanelFormatError("empty panel file (header row is mandatory)", line=1)
+        names = [name.strip() for name in header]
+        if not names or any(not name for name in names):
+            raise PanelFormatError("blank channel name in header", line=1)
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise PanelFormatError(
+                    f"expected {len(names)} columns, got {len(row)}", line=lineno, column=len(row)
+                )
+            values = []
+            for colno, cell in enumerate(row, start=1):
+                cell = cell.strip()
+                if not cell:
+                    raise PanelFormatError("missing value", line=lineno, column=colno)
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise PanelFormatError(
+                        f"not a number: {cell!r}", line=lineno, column=colno
+                    ) from None
+                if not math.isfinite(value):
+                    raise PanelFormatError("non-finite value", line=lineno, column=colno)
+                values.append(value)
+            rows.append(values)
+    if not rows:
+        raise PanelFormatError("panel has a header but no data rows", line=2)
+    return names, np.asarray(rows, dtype=np.float64)

@@ -4,12 +4,18 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import wavewhittle.cli as cli
+from helpers import scan_panel_oracle
 from wavewhittle.cli import main, read_panel, write_panel
+from wavewhittle.errors import PanelFormatError
 from wavewhittle.estimator import EstimationConfig, estimate_panel
 from wavewhittle.wavelets import WaveletSpec
 
@@ -199,6 +205,7 @@ def test_mc_invalid_memory_exits_2(tmp_path, d):
     ["simulate", "--d", "0.2", "--N", "16", "--truncation", "8"],
     ["mc", "--scenario", "{negative_seed}"],
     ["mc", "--scenario", "scenarios/table1_row3.cfg", "--seed", "-5"],
+    ["simulate", "--d", "", "--N", "8"],
 ])
 def test_bad_simulation_inputs_exit_2(tmp_path, capsys, argv):
     scenario = tmp_path / "negative_seed.cfg"
@@ -251,3 +258,164 @@ def test_simulate_stdout(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "ch1"
     assert len(lines) == 17
+
+
+def _read_outcome(reader, path):
+    """What a panel reader makes of a file: the exact arrays or the exact error."""
+    try:
+        names, panel = reader(path)
+    except PanelFormatError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+    except Exception as exc:  # e.g. csv.Error, raised by both readers alike
+        return ("raised", type(exc).__name__, str(exc))
+    return ("ok", names, panel.shape, panel.tobytes())
+
+
+def _assert_reads_like_scan(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _read_outcome(read_panel, path)
+    assert got == _read_outcome(scan_panel_oracle, path)
+
+
+PANEL_CORPUS = {
+    "crlf": "a,b\r\n1.5,2\r\n3,4\r\n",
+    "bare_cr": "a,b\r1.5,2\r3,4\r",
+    "blank_lines": "a,b\n\n1,2\n\n\n3,4\n\n",
+    "whitespace_line": "a,b\n1,2\n   \n3,4\n",
+    "whitespace_line_one_column": "a\n1\n \t \n3\n",
+    "form_feed_line": "a,b\n1,2\n\x0c\n3,4\n",
+    "form_feed_inside_row": "a,b\n1,2\x0c3,4\n",
+    "padded_cells": "a,b\n  1.5 , 2  \n\t3\t,\t4\n",
+    "nan": "a,b\n1,nan\n",
+    "inf": "a,b\n1,2\ninf,2\n",
+    "infinity": "a,b\n-Infinity,2\n",
+    "overflow": "a,b\n1e400,2\n",
+    "underflow": "a,b\n1e-400,2\n",
+    "empty_cell": "a,b\n1,\n",
+    "trailing_comma": "a,b\n1,2,\n",
+    "ragged": "a,b,c\n1,2,3\n4,5\n",
+    "too_many_columns": "a,b\n1,2\n3,4,5\n",
+    "wrong_width_throughout": "a,b\n1,2,3\n4,5,6\n",
+    "hex": "a,b\n0x10,2\n",
+    "fortran_exponent": "a,b\n1d5,2\n",
+    "comment": "a,b\n1,2\n# note\n3,4\n",
+    "comment_in_cell": "a,b\n1,2 # note\n",
+    "unicode_minus": "a,b\n\u22121,2\n",
+    "nul": "a,b\n1,\x002\n",
+    "quoted_cells": 'a,b\n"1.5","2"\n3,"4"\n',
+    "quoted_comma": 'a,b\n"1,5",2\n',
+    "underscore_digits": "a,b\n1_0,2\n",
+    "arabic_digits": "a,b\n\u0661\u0662,2\n",
+    "seventeen_digits": "a,b\n0.10000000000000000555,-1.2345678901234567e-300\n",
+    "header_only": "a,b\n",
+    "header_only_no_newline": "a,b",
+    "header_only_one_column": "x\n",
+    "empty_file": "",
+    "blank_header_name": "a,,b\n1,2,3\n",
+    "quoted_multiline_header": 'a,"b\nc"\n1,2\n3,4\n',
+    "no_trailing_newline": "a,b\n1,2\n3,4",
+    "single_column": "x\n1\n2\n3\n",
+    "single_row": "a,b,c\n1,2,3\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PANEL_CORPUS))
+def test_read_panel_matches_scan_on_corpus(tmp_path, name):
+    path = tmp_path / "panel.csv"
+    path.write_text(PANEL_CORPUS[name], encoding="utf-8", newline="")
+    _assert_reads_like_scan(path)
+
+
+CELLS = [
+    "0", "1.5", "-2", "+7", "1e5", "1E-3", ".5", "1.", "-0", "0.1000000000000000055511151231257827",
+    " 3.25", "3.25 ", "\t4\t", "\xa02", "2\x0b", "", "  ", "nan", "inf", "-Infinity", "1e400",
+    "0x10", "1d5", "1_0", '"1.0"', '"2,5"', "#3", "\u22121", "\u0661", "\x00", "oops", "1 2",
+]
+LINE_ENDS = ["\n", "\r\n", "\r", "\n\n", "\n \n", "\n\x0c\n", "\x0c", "\x1c", "\x85", ",\n"]
+HEADERS = ["a", "a,b", "a,b,c", "a, b ", '"a",b', 'a,"b\nc"', "a,,b", ""]
+
+
+@st.composite
+def panel_texts(draw):
+    """Header and rows from the alphabets above; half of them well-formed throughout."""
+    clean = draw(st.booleans())
+    if clean:
+        headers, cells, ends = HEADERS[:4], CELLS[:15], LINE_ENDS[:4]
+    else:
+        headers, cells, ends = HEADERS, CELLS, LINE_ENDS
+    header = draw(st.sampled_from(headers))
+    width = header.count(",") + 1
+    row = st.lists(st.sampled_from(cells), min_size=width, max_size=width)
+    if not clean:
+        row = st.one_of(row, st.lists(st.sampled_from(cells), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(row, st.sampled_from(ends)), min_size=int(clean), max_size=6))
+    end = draw(st.sampled_from(ends))
+    return header + end + "".join(",".join(cells) + sep for cells, sep in rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=panel_texts())
+def test_read_panel_matches_scan_property(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "property_panel.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    _assert_reads_like_scan(path)
+
+
+def test_plain_panel_skips_the_scan(tmp_path, monkeypatch):
+    panel_path = tmp_path / "panel.csv"
+    write_panel(panel_path, np.random.default_rng(3).standard_normal((64, 3)))
+    expected = scan_panel_oracle(panel_path)
+
+    def no_scan(fh):
+        raise AssertionError("a plain panel should be read in one parse")
+
+    monkeypatch.setattr(cli, "_scan_panel", no_scan)
+    names, panel = read_panel(panel_path)
+    assert names == expected[0]
+    assert panel.tobytes() == expected[1].tobytes()
+
+
+def test_bad_cell_deep_in_wide_panel_is_located(tmp_path, capsys):
+    values = np.random.default_rng(17).standard_normal((4096, 20))
+    lines = [",".join(f"ch{c + 1}" for c in range(20))]
+    lines += [",".join(repr(float(v)) for v in row) for row in values]
+    cells = lines[3000].split(",")
+    cells[16] = "oops"  # data row 3000, column 17
+    lines[3000] = ",".join(cells)
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PanelFormatError) as exc:
+        read_panel(path)
+    assert (exc.value.line, exc.value.column) == (3001, 17)
+    assert run_cli("estimate", "--input", str(path)) == 2
+    assert "line 3001, column 17" in capsys.readouterr().err
+
+
+def test_header_only_panel_has_no_data_rows(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("ch1,ch2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt's empty-input UserWarning would raise here
+        with pytest.raises(PanelFormatError, match="no data rows") as exc:
+            read_panel(path)
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("key, value", [
+    ("N", 300.9), ("reps", 2.7), ("seed", 1.5), ("M", 3.5), ("j0", 1.5), ("j1", 5.2),
+    ("truncation", 5000.5), ("reps", True),
+])
+def test_mc_rejects_non_integer_scenario_values(tmp_path, capsys, fmt, key, value):
+    if fmt == "json":
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"d": [0.2], "reps": 2, key: value}))
+    else:
+        path = tmp_path / "bad.cfg"
+        text = "true" if value is True else repr(value)
+        path.write_text(f"d = 0.2\nreps = 2\n{key} = {text}\n")
+    assert run_cli("mc", "--scenario", str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"'{key.lower()}' must be an integer" in err[0]
+
