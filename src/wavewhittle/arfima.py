@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .errors import ConfigError, CovarianceError, VanishingMomentError
 from .wavelets import WaveletSpec, spectral_k, spectral_k_j
@@ -34,6 +33,20 @@ def frac_diff_coeffs(d: float, count: int) -> np.ndarray:
         raise ValueError(f"stationary branch needs |d| < 1/2, got d={d}")
     j = np.arange(1, count)
     return np.concatenate(([1.0], np.cumprod((j - 1 + d) / j)))
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 5-smooth number 2^a 3^b 5^c >= n, a fast real FFT length."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def split_memory(d: float) -> tuple[float, int]:
@@ -144,7 +157,7 @@ def simulate_arfima(spec: ArfimaSpec) -> np.ndarray:
     innov = rng.standard_normal((trunc + n - 1, p)) @ chol.T
 
     # "valid" FFT convolutions in shared buffers: fresh ones fragment the heap
-    nfft = next_fast_len(innov.shape[0] + trunc - 1, True)
+    nfft = next_fast_len(innov.shape[0] + trunc - 1)
     spectrum, transfer = np.empty((2, nfft // 2 + 1), dtype=np.complex128)
     full = np.empty(nfft)
     panel = np.empty((n, p))

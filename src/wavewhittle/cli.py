@@ -109,6 +109,13 @@ def _scan_panel(fh) -> tuple[list[str], np.ndarray]:
     """Row-by-row ``csv.reader`` parse that raises at the first bad cell."""
     reader = csv.reader(fh)
     try:
+        return _scan_rows(reader)
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise PanelFormatError(f"unreadable CSV: {exc}", line=reader.line_num) from None
+
+
+def _scan_rows(reader) -> tuple[list[str], np.ndarray]:
+    try:
         header = next(reader)
     except StopIteration:
         raise PanelFormatError("empty panel file (header row is mandatory)", line=1)
@@ -251,7 +258,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    d = np.asarray(args.d, dtype=np.float64)
+    d = np.asarray(_csv_floats(args.d), dtype=np.float64)
     if args.omega_file:
         omega = _read_omega_file(args.omega_file)
     else:
@@ -300,10 +307,14 @@ def cmd_mc(args) -> int:
 
 
 def _csv_floats(text: str) -> list[float]:
+    """Parse a comma-separated list of numbers; an empty item is an error."""
+    items = text.split(",")
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+        if all(v.strip() for v in items):
+            return [float(v) for v in items]
+    except ValueError:
+        pass
+    raise ConfigError(f"expected comma-separated numbers, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(func=cmd_estimate)
 
     sim = sub.add_parser("simulate", help="simulate a fractional panel to CSV")
-    sim.add_argument("--d", type=_csv_floats, required=True, help="memory parameters, e.g. 0.2,0.2")
+    sim.add_argument("--d", required=True, help="memory parameters, e.g. 0.2,0.2")
     sim.add_argument("--rho", type=float, default=None, help="constant cross-correlation")
     sim.add_argument("--omega-file", help="CSV matrix with the long-run covariance")
     sim.add_argument("--N", type=int, required=True, help="number of time points")

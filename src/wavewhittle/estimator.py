@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .errors import ConfigError, LikelihoodError, ScaleRangeError
 from .wavelets import (
@@ -27,10 +26,18 @@ from .wavelets import (
 LOG2 = math.log(2.0)
 # Pairs with |cos(pi (d_l - d_m) / 2)| below this are flagged as degenerate.
 DEGENERACY_THRESHOLD = 0.1
-# L-BFGS-B stopping tolerances.  Tighter values (ftol 1e-15, gtol 1e-9) make
-# the line search stop abnormally on some panels, which reads as non-convergence.
-SOLVER_FTOL = 1e-12
-SOLVER_GTOL = 1e-7
+# The search box for d is (BOX_LOW, M].
+BOX_LOW = -2.0
+# Projected Newton: iteration cap, and the stopping rule.  A fit has converged
+# once its projected step is at most STEP_TOL in every coordinate, or when no
+# step lowers R and the projected gradient is at most GRAD_TOL.  A 1e-9 step
+# tolerance stalls on the ~6e-9 round-off floor of the gradient.
+NEWTON_MAX_ITERATIONS = 50
+STEP_TOL = 1e-8
+GRAD_TOL = 1e-7
+# Backtracking accepts a step once R falls by this fraction of the decrease
+# the gradient predicts.
+ARMIJO = 1e-4
 
 
 @dataclass
@@ -59,15 +66,6 @@ class Scalogram:
         """Count-weighted mean scale <J> = (1/n) sum_j j n_j."""
         js = np.arange(self.j0, self.j1 + 1)
         return float((js * self.counts).sum() / self.counts.sum())
-
-    def channel(self, ell: int) -> "Scalogram":
-        """Single-channel view, for univariate estimation of channel ell."""
-        return Scalogram(
-            matrices=self.matrices[:, ell : ell + 1, ell : ell + 1],
-            counts=self.counts,
-            j0=self.j0,
-            j1=self.j1,
-        )
 
 
 def scalogram(pyramid: WaveletPyramid, j0: int, j1: int) -> Scalogram:
@@ -148,38 +146,41 @@ def _profile_logdet(g_bar: np.ndarray) -> float:
     return float(logdet)
 
 
-def _objective_and_gradient(scal: Scalogram, d: np.ndarray) -> tuple[float, np.ndarray]:
-    """R(d) and its gradient dR/dd_l = -2 log(2) [G_bar^-1 H]_ll.
+def _objective_derivatives(scal: Scalogram, d: np.ndarray):
+    """R(d), its gradient and its Hessian.
 
-    H = (1/n) sum_j (j - <J>) Lam^-1 I(j) Lam^-1 is the scale-weighted
-    companion of G_bar.  At an infeasible point (singular G_bar) the value is
-    +inf and the gradient zero.
+    With c_j = j - <J>, the weighted sums G_bar, H and Q of
+    Lam^-1 I(j) Lam^-1 take the weights 1, c_j and c_j^2.  With A = G_bar^-1
+    and B = H A:
+        dR/dd_k = -2 log(2) B_kk
+        d2R/dd_k dd_q = 2 log(2)^2 [A_kq Q_kq + delta_kq (AQ)_kk
+                                    - B_kq B_qk - A_kq (HAH)_kq].
+    At an infeasible point (singular G_bar) the value is +inf and the
+    gradient and Hessian are zero.
     """
     center = scal.mean_scale
-    js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)
-    g_bar, h = _g_weighted(scal, d, center, np.stack([np.ones_like(js), js - center]))
+    c = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64) - center
+    g_bar, h, q = _g_weighted(scal, d, center, np.stack([np.ones_like(c), c, c * c]))
+    p = d.size
     logdet = _profile_logdet(g_bar)
     if not math.isfinite(logdet):
-        return math.inf, np.zeros_like(d)
-    grad = -2.0 * LOG2 * np.diagonal(np.linalg.solve(g_bar, h))
-    return logdet + scal.n_channels - 1.0, grad
+        return math.inf, np.zeros(p), np.zeros((p, p))
+    a = np.linalg.inv(g_bar)
+    b = h @ a
+    aq = a * q
+    hess = aq + np.diag(aq.sum(axis=1)) - b * b.T - a * (b @ h)
+    return logdet + p - 1.0, -2.0 * LOG2 * np.diagonal(b), 2.0 * LOG2**2 * hess
 
 
 @dataclass
 class EstimationConfig:
-    """Scale range, search box and iteration cap for the Whittle minimization.
+    """Scale range for the Whittle minimization.
 
     ``j1 = None`` uses the deepest scale with at least p coefficients.
-    The search box defaults to (-2, M]; its upper end is resolved against
-    the wavelet spec at estimation time when left as None.  A fit that hits
-    ``max_iterations`` (None: the solver's own cap) reports non-convergence.
     """
 
     j0: int = 1
     j1: int | None = None
-    box_low: float = -2.0
-    box_high: float | None = None
-    max_iterations: int | None = None
 
     def __post_init__(self):
         if self.j0 < 1:
@@ -187,11 +188,10 @@ class EstimationConfig:
         if self.j1 is not None and self.j1 <= self.j0:
             raise ConfigError("j1 must exceed j0")
 
-    def resolved_box(self, spec: WaveletSpec) -> tuple[float, float]:
-        high = self.box_high if self.box_high is not None else float(spec.vanishing_moments)
-        if not high > self.box_low:
-            raise ConfigError("search box is empty")
-        return self.box_low, high
+
+def search_box(spec: WaveletSpec) -> tuple[float, float]:
+    """The box (BOX_LOW, M] that d is searched in."""
+    return BOX_LOW, float(spec.vanishing_moments)
 
 
 def rate_rule_j0(n_samples: int, beta: float) -> int:
@@ -221,37 +221,93 @@ def _log_regression_init(scal: Scalogram, box: tuple[float, float]) -> np.ndarra
 def estimate_d(scal: Scalogram, config: EstimationConfig, spec: WaveletSpec):
     """Minimize R(d) over the search box; returns (d_hat, R(d_hat), diagnostics).
 
-    One bounded L-BFGS-B search on the analytic gradient, started from the
-    per-channel log-regression of the scalogram diagonals; deterministic.
-    A fit whose final objective is not finite is reported as not converged.
+    One damped projected Newton search (see ``_projected_newton``) started
+    from the per-channel log-regression of the scalogram diagonals;
+    deterministic.  ``config`` is not read: its scale range is already that
+    of ``scal``.
     """
     p = scal.n_channels
     if scal.n_coefficients < p:
         raise ConfigError(
             f"only {scal.n_coefficients} coefficients for {p} channels; estimation refused"
         )
+    return _projected_newton(scal, spec)
+
+
+def _projected_newton(scal: Scalogram, spec: WaveletSpec):
+    """Damped projected Newton search for the minimum of R on the box
+    (Bertsekas 1982, SIAM J. Control Optim. 20).
+
+    Coordinates at a bound whose gradient points out of the box are held
+    there; the others take the Newton step of their Hessian block.  When that
+    block is not positive definite, or no step along the Newton direction
+    lowers R enough, the search takes a backtracked gradient step instead.
+    A fit that hits the iteration cap, starts at a singular G_bar or can lower
+    R no further with a projected gradient above GRAD_TOL is reported as not
+    converged.
+    """
     if scal.j1 == scal.j0:
         raise ConfigError("single-scale objective is flat in d; need j0 < j1")
-    lo, hi = config.resolved_box(spec)
-    options = {"ftol": SOLVER_FTOL, "gtol": SOLVER_GTOL}
-    if config.max_iterations is not None:
-        options["maxiter"] = config.max_iterations
-    res = minimize(
-        lambda d: _objective_and_gradient(scal, d),
-        _log_regression_init(scal, (lo, hi)),
-        method="L-BFGS-B",
-        jac=True,
-        bounds=Bounds(np.full(p, lo), np.full(p, hi)),
-        options=options,
-    )
-    value = float(res.fun)
+    lo, hi = search_box(spec)
+    x = _log_regression_init(scal, (lo, hi))
+    value, grad, hess = _objective_derivatives(scal, x)
+    evaluations, iterations, converged = 1, 0, False
+    while math.isfinite(value) and iterations < NEWTON_MAX_ITERATIONS:
+        iterations += 1
+        free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+        block = hess[np.ix_(free, free)]
+        directions = []
+        try:
+            np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            newton = -grad
+            newton[free] = -np.linalg.solve(block, grad[free])
+            trial = np.clip(x + newton, lo, hi)
+            if np.max(np.abs(trial - x)) <= STEP_TOL:
+                x = trial
+                value, grad, hess = _objective_derivatives(scal, x)
+                evaluations += 1
+                converged = math.isfinite(value)
+                break
+            directions.append(newton)
+        directions.append(-grad)
+        for direction in directions:
+            accepted, count = _backtrack(scal, x, value, grad, direction, (lo, hi))
+            evaluations += count
+            if accepted is not None:
+                x, value, grad, hess = accepted
+                break
+        else:
+            converged = np.max(np.abs(x - np.clip(x - grad, lo, hi))) <= GRAD_TOL
+            break
     diagnostics = {
-        "method": "l-bfgs-b",
-        "converged": bool(res.success) and math.isfinite(value),
-        "function_evaluations": int(res.nfev),
-        "iterations": int(res.nit),
+        "method": "newton",
+        "converged": bool(converged),
+        "function_evaluations": evaluations,
+        "iterations": iterations,
     }
-    return np.asarray(res.x, dtype=np.float64), value, diagnostics
+    return x, value, diagnostics
+
+
+def _backtrack(scal: Scalogram, x, value, grad, direction, box):
+    """Halve the step along ``direction``, projected on the box, until R falls
+    by ARMIJO times the decrease its gradient predicts.
+
+    Returns ((d, R, gradient, Hessian) at the accepted point, evaluation
+    count), or (None, count) once the step is at most STEP_TOL.
+    """
+    alpha, evaluations = 1.0, 0
+    while True:
+        trial = np.clip(x + alpha * direction, *box)
+        if np.max(np.abs(trial - x)) <= STEP_TOL:
+            return None, evaluations
+        trial_value, trial_grad, trial_hess = _objective_derivatives(scal, trial)
+        evaluations += 1
+        if trial_value < value and trial_value <= value + ARMIJO * grad @ (trial - x):
+            return (trial, trial_value, trial_grad, trial_hess), evaluations
+        alpha *= 0.5
 
 
 def estimate_omega(
@@ -373,17 +429,23 @@ def estimate_panel(panel: np.ndarray, spec: WaveletSpec, config: EstimationConfi
 def estimate_univariate_each(
     panel: np.ndarray, spec: WaveletSpec, config: EstimationConfig
 ) -> tuple[np.ndarray, list[dict]]:
-    """Estimate d channel by channel with p = 1 runs of the same pipeline."""
+    """Estimate d channel by channel: the p univariate criteria in one fit.
+
+    With its off-diagonals zeroed, the scalogram's R is the sum of the p
+    univariate criteria and its Hessian is diagonal, so one Newton search
+    fits every channel.  The scale range is resolved as for p = 1.  Returns
+    the estimates and one diagnostics dict per channel, each describing that
+    joint fit: one channel with a singular criterion (e.g. all zero) marks
+    every channel not converged.
+    """
     x = np.asarray(panel, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     j0, j1 = resolve_scales(x.shape[0], spec, config, 1)
-    pyramid = dwt_pyramid(x, spec, j1)
-    scal = scalogram(pyramid, j0, j1)
-    d_hats = np.empty(x.shape[1])
-    diags = []
-    for ell in range(x.shape[1]):
-        d_ell, _, diag = estimate_d(scal.channel(ell), config, spec)
-        d_hats[ell] = d_ell[0]
-        diags.append(diag)
-    return d_hats, diags
+    scal = scalogram(dwt_pyramid(x, spec, j1), j0, j1)
+    variances = np.diagonal(scal.matrices, axis1=1, axis2=2)
+    diagonal = Scalogram(
+        matrices=variances[:, :, None] * np.eye(x.shape[1]), counts=scal.counts, j0=j0, j1=j1
+    )
+    d_hats, _, diagnostics = _projected_newton(diagonal, spec)
+    return d_hats, [dict(diagnostics) for _ in range(x.shape[1])]

@@ -12,6 +12,7 @@ from wavewhittle.estimator import (
     DEGENERACY_THRESHOLD,
     Scalogram,
     _log_regression_init,
+    _objective_derivatives,
     g_hat,
     objective_R,
     scalogram,
@@ -95,6 +96,22 @@ def multistart_nelder_mead(scal: Scalogram, box):
         if best is None or res.fun < best.fun:
             best = res
     return np.asarray(best.x), float(best.fun)
+
+
+def lbfgsb_search(scal: Scalogram, box):
+    """Reference minimizer of R(d): one bounded L-BFGS-B search on the analytic
+    gradient from the log-regression start; returns (d, R(d))."""
+    lo, hi = box
+    p = scal.n_channels
+    res = minimize(
+        lambda d: _objective_derivatives(scal, d)[:2],
+        _log_regression_init(scal, box),
+        method="L-BFGS-B",
+        jac=True,
+        bounds=Bounds(np.full(p, lo), np.full(p, hi)),
+        options={"ftol": 1e-12, "gtol": 1e-7},
+    )
+    return np.asarray(res.x), float(res.fun)
 
 
 @lru_cache(maxsize=None)

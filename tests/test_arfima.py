@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.special import gammaln, gammasgn
 
 from wavewhittle.arfima import (
@@ -12,6 +13,7 @@ from wavewhittle.arfima import (
     correlation_from_cov,
     frac_diff_coeffs,
     model_wavelet_cov,
+    next_fast_len,
     simulate_arfima,
     split_memory,
     validate_long_run_cov,
@@ -81,6 +83,12 @@ def test_validate_long_run_cov():
         validate_long_run_cov(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
     with pytest.raises(CovarianceError):
         validate_long_run_cov(np.eye(3)[:2])
+
+
+def test_next_fast_len_matches_scipy():
+    # the simulator's FFT length, and so its draws, match scipy's real-FFT choice
+    ns = list(range(1, 20001)) + [21 * 65536 - 2, 21 * 512 - 2]
+    assert [next_fast_len(n) for n in ns] == [scipy_next_fast_len(n, True) for n in ns]
 
 
 def test_simulation_deterministic():

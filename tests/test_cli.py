@@ -143,6 +143,18 @@ def test_estimate_reports_parse_position(tmp_path, capsys):
     assert "line 3" in err and "column 1" in err
 
 
+def test_oversized_cell_is_positioned(tmp_path, capsys):
+    # longer than csv.field_size_limit(), and not a number for loadtxt either
+    bad = tmp_path / "long.csv"
+    bad.write_text("ch1,ch2\n1.0,2.0\n3.0," + "1" * 140_000 + "x\n")
+    with pytest.raises(PanelFormatError) as exc:
+        read_panel(bad)
+    assert exc.value.line == 3
+    assert run_cli("estimate", "--input", str(bad)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "field larger than field limit" in err[0] and "line 3" in err[0]
+
+
 def test_estimate_demean_flag(tmp_path):
     panel_path = tmp_path / "panel.csv"
     run_cli("simulate", "--d", "0.2,0.2", "--rho", "0.4", "--N", "400",
@@ -206,6 +218,7 @@ def test_mc_invalid_memory_exits_2(tmp_path, d):
     ["mc", "--scenario", "{negative_seed}"],
     ["mc", "--scenario", "scenarios/table1_row3.cfg", "--seed", "-5"],
     ["simulate", "--d", "", "--N", "8"],
+    ["simulate", "--d", "0.2,,0.3,", "--N", "3"],
 ])
 def test_bad_simulation_inputs_exit_2(tmp_path, capsys, argv):
     scenario = tmp_path / "negative_seed.cfg"
@@ -250,6 +263,14 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "wavewhittle" in proc.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, wavewhittle, wavewhittle.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_simulate_stdout(capsys):

@@ -3,8 +3,8 @@
 The cross-checks deliberately recompute the criterion through independent
 routes: the scalogram against double loops, the likelihood against the
 per-coefficient quadratic-form sum, the reduced objective against its
-explicit composition, and the objective gradient against an analytic trace
-formula.
+explicit composition, and the objective's gradient and Hessian against
+central differences.
 """
 
 import math
@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wavewhittle import estimator
 from wavewhittle.arfima import ArfimaSpec, simulate_arfima
 from wavewhittle.errors import ConfigError, LikelihoodError, ScaleRangeError
 from wavewhittle.estimator import (
     EstimationConfig,
     Scalogram,
-    _objective_and_gradient,
+    _objective_derivatives,
     estimate_d,
     estimate_omega,
     estimate_panel,
@@ -28,12 +29,19 @@ from wavewhittle.estimator import (
     rate_rule_j0,
     resolve_scales,
     scalogram,
+    search_box,
     whittle_likelihood,
 )
 from wavewhittle.montecarlo import omega_from_rho
 from wavewhittle.wavelets import WaveletSpec, dwt_pyramid, spectral_k
 
-from helpers import make_pyramid, multistart_nelder_mead, per_pair_omega, random_scalogram
+from helpers import (
+    lbfgsb_search,
+    make_pyramid,
+    multistart_nelder_mead,
+    per_pair_omega,
+    random_scalogram,
+)
 
 WSPEC = WaveletSpec(vanishing_moments=4)
 LOG2 = math.log(2.0)
@@ -234,7 +242,7 @@ def test_objective_gradient_against_analytic_trace():
     for _ in range(4):
         d = rng.uniform(-0.2, 0.8, size=2)
         grad = analytic_grad(d)
-        assert_allclose(_objective_and_gradient(scal, d)[1], grad, rtol=1e-10, atol=1e-12)
+        assert_allclose(_objective_derivatives(scal, d)[1], grad, rtol=1e-10, atol=1e-12)
         h = 1e-5
         for a in range(2):
             dp = d.copy(); dp[a] += h
@@ -271,7 +279,7 @@ def test_estimate_d_recovery_single_replication():
     d_hat, value, diag = estimate_d(scal, config, WSPEC)
     assert np.all(np.abs(d_hat - 0.2) < 0.15)
     assert value == pytest.approx(objective_R(scal, d_hat), abs=1e-12)
-    assert diag["method"] == "l-bfgs-b" and diag["converged"] is True
+    assert diag["method"] == "newton" and diag["converged"] is True
 
 
 def test_estimate_d_deterministic():
@@ -297,11 +305,11 @@ def test_estimate_d_refuses_fewer_coefficients_than_channels():
         estimate_d(scal, EstimationConfig(), WSPEC)
 
 
-def test_estimate_d_nonconvergence_flagged():
+def test_estimate_d_nonconvergence_flagged(monkeypatch):
+    monkeypatch.setattr(estimator, "NEWTON_MAX_ITERATIONS", 2)
     scal = simulated_scalogram(seed=10)
-    config = EstimationConfig(j0=1, j1=6, max_iterations=2)
-    d_hat, _, diag = estimate_d(scal, config, WSPEC)
-    assert diag["converged"] is False
+    d_hat, _, diag = estimate_d(scal, EstimationConfig(j0=1, j1=6), WSPEC)
+    assert diag["converged"] is False and diag["iterations"] == 2
     assert np.all(np.isfinite(d_hat))
 
 
@@ -417,13 +425,56 @@ def test_resolve_scales_default_depth_depends_on_channels():
 
 
 def test_univariate_each_matches_single_channel_run():
-    spec = ArfimaSpec(d=[0.2, 0.4], omega=np.eye(2), n_samples=512, seed=31)
+    spec = ArfimaSpec(d=[0.2, 0.4, 1.2], omega=omega_from_rho(0.4, 3), n_samples=512, seed=31)
     panel = simulate_arfima(spec)
     config = EstimationConfig(j0=1, j1=6)
     d_each, diags = estimate_univariate_each(panel, WSPEC, config)
-    single = estimate_panel(panel[:, 0], WSPEC, config)
-    assert d_each[0] == pytest.approx(single.d_hat[0], abs=1e-10)
-    assert len(diags) == 2
+    assert len(diags) == 3 and all(diag["converged"] for diag in diags)
+    for ell in range(3):
+        single = estimate_panel(panel[:, ell], WSPEC, config)
+        assert single.diagnostics["converged"] is True
+        assert d_each[ell] == pytest.approx(single.d_hat[0], abs=1e-10)
+
+
+def test_univariate_each_is_one_fit(monkeypatch):
+    calls = []
+    solver = estimator._projected_newton
+
+    def counted(scal, spec):
+        calls.append(scal.n_channels)
+        return solver(scal, spec)
+
+    monkeypatch.setattr(estimator, "_projected_newton", counted)
+    panel = simulate_arfima(ArfimaSpec(d=np.full(5, 0.3), omega=np.eye(5), n_samples=512, seed=3))
+    estimate_univariate_each(panel, WSPEC, EstimationConfig())
+    assert calls == [5]
+
+
+def test_univariate_each_zero_channel_not_converged():
+    # a zero channel makes its criterion, and so the joint one, singular; the
+    # multivariate fit of the same panel is not finite either
+    x = simulate_arfima(ArfimaSpec(d=[0.2, 0.3], omega=np.eye(2), n_samples=512, seed=5))
+    x[:, 1] = 0.0
+    _, diags = estimate_univariate_each(x, WSPEC, EstimationConfig())
+    assert [diag["converged"] for diag in diags] == [False, False]
+    est = estimate_panel(x, WSPEC, EstimationConfig())
+    assert est.diagnostics["converged"] is False
+    assert not math.isfinite(est.objective_value)
+
+
+def test_univariate_each_allows_fewer_coefficients_than_channels():
+    # the joint fit of the diagonal is p univariate fits, so the rank
+    # condition of estimate_d on the full p x p sums does not apply
+    p = 50
+    panel = simulate_arfima(ArfimaSpec(d=np.full(p, 0.2), omega=np.eye(p), n_samples=64, seed=8))
+    config = EstimationConfig()
+    j0, j1 = resolve_scales(64, WSPEC, config, 1)
+    scal = scalogram(dwt_pyramid(panel, WSPEC, j1), j0, j1)
+    assert scal.n_coefficients < p
+    with pytest.raises(ConfigError):
+        estimate_d(scal, config, WSPEC)
+    d_each, diags = estimate_univariate_each(panel, WSPEC, config)
+    assert np.all(np.isfinite(d_each)) and diags[0]["converged"] is True
 
 
 def test_p1_reduction_objective():
@@ -446,7 +497,7 @@ def test_estimate_d_recovery_five_channels():
 @pytest.mark.parametrize("p", [2, 6])
 @pytest.mark.parametrize("pair", [(0.2, 0.2), (1.2, 1.2), (0.2, 1.2)])
 def test_estimate_d_matches_multistart_oracle(p, pair):
-    """The single gradient search finds the multistart simplex minimum or better."""
+    """The Newton search finds the multistart simplex and the L-BFGS-B minima or better."""
     d = np.resize(pair, p)
     config = EstimationConfig()
     for seed in (1, 2, 3):
@@ -455,24 +506,34 @@ def test_estimate_d_matches_multistart_oracle(p, pair):
         j0, j1 = resolve_scales(512, WSPEC, config, p)
         scal = scalogram(dwt_pyramid(panel, WSPEC, j1), j0, j1)
         d_hat, value, diag = estimate_d(scal, config, WSPEC)
-        d_ref, value_ref = multistart_nelder_mead(scal, config.resolved_box(WSPEC))
+        d_ref, value_ref = multistart_nelder_mead(scal, search_box(WSPEC))
+        d_lbfgsb, value_lbfgsb = lbfgsb_search(scal, search_box(WSPEC))
         assert diag["converged"] is True
         assert value <= value_ref + 1e-9
+        assert value <= value_lbfgsb + 1e-9
         assert_allclose(d_hat, d_ref, atol=1e-4)
+        assert_allclose(d_hat, d_lbfgsb, atol=1e-6)
 
 
-@pytest.mark.parametrize("p", [1, 2, 6])
+@pytest.mark.parametrize("p", [1, 2, 6, 20])
 def test_objective_gradient_central_differences(p):
     rng = np.random.default_rng(202 + p)
     scal = random_scalogram(rng, p=p, j1=6, base=400)
     h = 1e-6
     for _ in range(4):
         d = rng.uniform(-0.3, 1.3, size=p)
-        value, grad = _objective_and_gradient(scal, d)
+        value, grad, hess = _objective_derivatives(scal, d)
         assert value == pytest.approx(objective_R(scal, d), abs=1e-12)
         fd = [(objective_R(scal, d + h * e) - objective_R(scal, d - h * e)) / (2 * h)
               for e in np.eye(p)]
         assert_allclose(grad, fd, rtol=1e-6, atol=1e-7)
+        # the Hessian against central differences of the gradient
+        fd_hess = np.array([
+            _objective_derivatives(scal, d + h * e)[1] - _objective_derivatives(scal, d - h * e)[1]
+            for e in np.eye(p)
+        ]) / (2 * h)
+        assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12)
+        assert_allclose(hess, fd_hess, rtol=1e-8, atol=1e-8 * np.abs(hess).max())
 
 
 @pytest.mark.parametrize("second", [lambda x: x, lambda x: 2.0 * x + 1.0],
@@ -496,5 +557,3 @@ def test_config_validation():
         EstimationConfig(j0=0)
     with pytest.raises(ConfigError):
         EstimationConfig(j0=3, j1=3)
-    with pytest.raises(ConfigError):
-        EstimationConfig(box_low=5.0).resolved_box(WSPEC)
