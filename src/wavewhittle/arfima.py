@@ -7,10 +7,18 @@ MA(inf) expansion of ``(1-L)^-d`` channel by channel, and integrates
 (cumulative sums) for nonstationary memory parameters ``d >= 1/2``.  Every
 output sample is a complete truncated sum over its own innovations, so no
 burn-in is needed.
+
+The filter runs as a circular FFT convolution of length
+``next_fast_len(truncation + N - 1)``, the number of innovations: the N
+outputs kept are exactly the ones that length leaves unwrapped.  The filter's
+transfer depends only on (d_s, truncation, FFT length), so the last
+``TRANSFER_CACHE_SIZE`` transfers are kept, read-only; each holds about
+8 * (truncation + N) bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +26,10 @@ import numpy as np
 
 from .errors import ConfigError, CovarianceError, VanishingMomentError
 from .wavelets import WaveletSpec, spectral_k, spectral_k_j
+
+# Filter transfers simulate_arfima keeps, one per (d_s, truncation, FFT
+# length): every replication of a Monte-Carlo scenario reuses the same keys.
+TRANSFER_CACHE_SIZE = 8
 
 
 def frac_diff_coeffs(d: float, count: int) -> np.ndarray:
@@ -47,6 +59,14 @@ def next_fast_len(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
+
+
+@functools.lru_cache(maxsize=TRANSFER_CACHE_SIZE)
+def _transfer(d_s: float, trunc: int, nfft: int) -> np.ndarray:
+    """Read-only rfft of the truncated MA(inf) filter, zero-padded to nfft."""
+    transfer = np.fft.rfft(frac_diff_coeffs(d_s, trunc), nfft)
+    transfer.flags.writeable = False
+    return transfer
 
 
 def split_memory(d: float) -> tuple[float, int]:
@@ -146,7 +166,10 @@ def simulate_arfima(spec: ArfimaSpec) -> np.ndarray:
 
     Deterministic given the seed.  Stationary channels are truncated MA(inf)
     filters of correlated Gaussian innovations; channels with d >= 1/2 are
-    simulated at exponent d - ceil(d - 1/2) and cumulatively summed.
+    simulated at exponent d - ceil(d - 1/2) and cumulatively summed.  Each
+    channel costs one rfft and one irfft of length
+    next_fast_len(truncation + N - 1); the filter transfer comes from a
+    module cache (see the module docstring).
     """
     chol = validate_long_run_cov(spec.omega)
     p = spec.n_channels
@@ -156,16 +179,16 @@ def simulate_arfima(spec: ArfimaSpec) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
     innov = rng.standard_normal((trunc + n - 1, p)) @ chol.T
 
-    # "valid" FFT convolutions in shared buffers: fresh ones fragment the heap
-    nfft = next_fast_len(innov.shape[0] + trunc - 1)
-    spectrum, transfer = np.empty((2, nfft // 2 + 1), dtype=np.complex128)
+    # "valid" convolutions as circular ones: a length >= len(innov) wraps only
+    # outputs before trunc - 1.  Shared buffers: fresh ones fragment the heap.
+    nfft = next_fast_len(innov.shape[0])
+    spectrum = np.empty(nfft // 2 + 1, dtype=np.complex128)
     full = np.empty(nfft)
     panel = np.empty((n, p))
     for ell in range(p):
         d_s, order = split_memory(float(spec.d[ell]))
         np.fft.rfft(innov[:, ell], nfft, out=spectrum)
-        np.fft.rfft(frac_diff_coeffs(d_s, trunc), nfft, out=transfer)
-        np.multiply(spectrum, transfer, out=spectrum)
+        np.multiply(spectrum, _transfer(d_s, trunc, nfft), out=spectrum)
         np.fft.irfft(spectrum, nfft, out=full)
         series = full[trunc - 1 : trunc - 1 + n]
         for _ in range(order):

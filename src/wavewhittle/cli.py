@@ -240,7 +240,7 @@ def cmd_estimate(args) -> int:
         "omega": _matrix_list(result.omega),
         "correlation": _matrix_list(result.correlation),
         "counts": result.counts.tolist(),
-        "warnings": {k: list(map(list, v)) if isinstance(v, list) else v for k, v in warnings.items()},
+        "warnings": warnings,  # pairs are tuples, which json writes as 2-lists
         "diagnostics": result.diagnostics,
     }
     payload = json.dumps(report, indent=2) + "\n"
@@ -358,6 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _position(exc: PanelFormatError) -> str:
+    """The message suffix " (line L, column C)", leaving out a part that is 0."""
+    parts = [f"{name} {n}" for name, n in (("line", exc.line), ("column", exc.column)) if n]
+    return f" ({', '.join(parts)})" if parts else ""
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -366,7 +372,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except PanelFormatError as exc:
-        sys.stderr.write(f"error: {exc} (line {exc.line}, column {exc.column})\n")
+        sys.stderr.write(f"error: {exc}{_position(exc)}\n")
         return EXIT_PARSE
     except (ScenarioError, ConfigError, UnsupportedOrderError, VanishingMomentError) as exc:
         sys.stderr.write(f"error: {exc}\n")

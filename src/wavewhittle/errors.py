@@ -51,7 +51,10 @@ class ConfigError(WavewhittleError, ValueError):
 
 
 class PanelFormatError(WavewhittleError):
-    """CSV panel cannot be parsed; carries 1-based line/column positions."""
+    """CSV panel cannot be parsed; carries 1-based line/column positions.
+
+    A position of 0 means the error has none (a whole file, a whole row).
+    """
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
         super().__init__(message)

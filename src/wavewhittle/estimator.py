@@ -26,6 +26,10 @@ from .wavelets import (
 LOG2 = math.log(2.0)
 # Pairs with |cos(pi (d_l - d_m) / 2)| below this are flagged as degenerate.
 DEGENERACY_THRESHOLD = 0.1
+# A channel whose wavelet coefficients have an RMS at most this times its own
+# largest |x| is flagged as zero: a constant, or a polynomial the wavelet
+# annihilates, leaves ~1e-16 to 2e-14 of rounding for M = 1..10.
+ZERO_CHANNEL_RTOL = 1e-12
 # The search box for d is (BOX_LOW, M].
 BOX_LOW = -2.0
 # Projected Newton: iteration cap, and the stopping rule.  A fit has converged
@@ -400,8 +404,19 @@ def resolve_scales(
     return config.j0, j1
 
 
+def _zero_channels(panel: np.ndarray, scal: Scalogram) -> list[int]:
+    """Channels whose wavelet coefficients are rounding-level relative to
+    their own amplitude (see ZERO_CHANNEL_RTOL); rescaling never changes
+    the verdict."""
+    rms = np.sqrt(np.diagonal(scal.matrices.sum(axis=0)) / scal.n_coefficients)
+    return np.flatnonzero(rms <= ZERO_CHANNEL_RTOL * np.max(np.abs(panel), axis=0)).tolist()
+
+
 def estimate_panel(panel: np.ndarray, spec: WaveletSpec, config: EstimationConfig) -> MwwEstimate:
-    """Full estimation pipeline on an (N, p) sample panel."""
+    """Full estimation pipeline on an (N, p) sample panel.
+
+    ``warnings`` holds the lists of ``estimate_omega`` plus ``zero_channels``.
+    """
     x = np.asarray(panel, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
@@ -410,6 +425,7 @@ def estimate_panel(panel: np.ndarray, spec: WaveletSpec, config: EstimationConfi
     scal = scalogram(pyramid, j0, j1)
     d_hat, value, diagnostics = estimate_d(scal, config, spec)
     omega, correlation, g_matrix, warnings = estimate_omega(scal, d_hat, spec)
+    warnings["zero_channels"] = _zero_channels(x, scal)
     if config.j1 is not None and j1 != config.j1:
         diagnostics["requested_j1"] = config.j1
     return MwwEstimate(

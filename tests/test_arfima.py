@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.special import gammaln, gammasgn
 
+from wavewhittle import arfima
 from wavewhittle.arfima import (
     ArfimaSpec,
     correlation_from_cov,
@@ -86,8 +87,9 @@ def test_validate_long_run_cov():
 
 
 def test_next_fast_len_matches_scipy():
-    # the simulator's FFT length, and so its draws, match scipy's real-FFT choice
-    ns = list(range(1, 20001)) + [21 * 65536 - 2, 21 * 512 - 2]
+    # the simulator's FFT length, next_fast_len(truncation + N - 1) with the
+    # default truncation 10 N, matches scipy's real-FFT choice
+    ns = list(range(1, 20001)) + [11 * 65536 - 1, 11 * 512 - 1]
     assert [next_fast_len(n) for n in ns] == [scipy_next_fast_len(n, True) for n in ns]
 
 
@@ -98,17 +100,49 @@ def test_simulation_deterministic():
     assert not np.array_equal(simulate_arfima(spec), simulate_arfima(other))
 
 
-def test_simulation_matches_direct_ma_sum():
+def assert_matches_direct_ma_sum(spec):
     # sample t is sum_k psi_k eps_{t + trunc - 1 - k} over the seed's innovations
-    omega = np.array([[1.0, 0.3], [0.3, 2.0]])
-    spec = ArfimaSpec(d=[-0.3, 0.4], omega=omega, n_samples=37, truncation=61, seed=4)
-    rng = np.random.default_rng(4)
-    innov = rng.standard_normal((61 + 37 - 1, 2)) @ np.linalg.cholesky(omega).T
+    trunc, n = spec.truncation, spec.n_samples
+    chol = np.linalg.cholesky(spec.omega)
+    innov = np.random.default_rng(spec.seed).standard_normal((trunc + n - 1, spec.n_channels))
+    innov = innov @ chol.T
     expected = np.column_stack([
-        np.convolve(innov[:, ell], frac_diff_coeffs(d, 61), mode="valid")
-        for ell, d in enumerate((-0.3, 0.4))
+        np.convolve(innov[:, ell], frac_diff_coeffs(d, trunc), mode="valid")
+        for ell, d in enumerate(spec.d)
     ])
     assert_allclose(simulate_arfima(spec), expected, rtol=0, atol=1e-12)
+
+
+def test_simulation_matches_direct_ma_sum():
+    omega = np.array([[1.0, 0.3], [0.3, 2.0]])
+    assert_matches_direct_ma_sum(
+        ArfimaSpec(d=[-0.3, 0.4], omega=omega, n_samples=37, truncation=61, seed=4)
+    )
+
+
+@pytest.mark.parametrize("trunc, n", [(1000, 25), (40, 40)])
+def test_simulation_valid_outputs_without_slack(trunc, n):
+    # the circular convolution wraps only discarded outputs, also with no
+    # slack: trunc + n - 1 = 1024 is 5-smooth, so the FFT length is exactly
+    # the number of innovations; truncation == n is the shortest filter allowed
+    assert next_fast_len(1000 + 25 - 1) == 1000 + 25 - 1
+    assert_matches_direct_ma_sum(
+        ArfimaSpec(d=[0.45, -0.2], omega=np.eye(2), n_samples=n, truncation=trunc, seed=9)
+    )
+
+
+def test_transfer_cache_is_read_only_and_exact():
+    spec = ArfimaSpec(d=[0.2, 1.3], omega=np.eye(2), n_samples=300, seed=5)
+    first = simulate_arfima(spec)
+    assert simulate_arfima(spec).tobytes() == first.tobytes()
+    arfima._transfer.cache_clear()
+    assert simulate_arfima(spec).tobytes() == first.tobytes()
+    nfft = next_fast_len(spec.truncation + 300 - 1)
+    cached = arfima._transfer(0.2, spec.truncation, nfft)
+    assert arfima._transfer.cache_info().hits >= 1
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0] = 0.0
 
 
 def test_white_noise_sample_covariance():

@@ -101,6 +101,30 @@ def test_estimate_degenerate_panel_reports_strict_json(tmp_path):
     assert report["diagnostics"]["converged"] is False
 
 
+def test_estimate_reports_invalid_channels(tmp_path):
+    # double-differenced white noise: d_hat is far below the K domain, so
+    # the Omega diagonal is undefined and both channels are invalid
+    x = np.diff(np.random.default_rng(0).standard_normal((4097, 2)), n=2, axis=0)
+    panel_path = tmp_path / "dd.csv"
+    report_path = tmp_path / "dd.json"
+    write_panel(panel_path, x)
+    assert run_cli("estimate", "--input", str(panel_path), "--output", str(report_path)) == 0
+    report = json.loads(report_path.read_text())
+    assert report["warnings"]["invalid_channels"] == [0, 1]
+    assert report["warnings"]["undefined_pairs"] == [[0, 0], [0, 1], [1, 1]]
+    assert report["warnings"]["zero_channels"] == []
+
+
+def test_estimate_reports_zero_channels(tmp_path, capsys):
+    x = np.random.default_rng(62).standard_normal((512, 3))
+    x[:, 1] = 3.0
+    x[:, 2] *= 1e-12
+    panel_path = tmp_path / "zero.csv"
+    write_panel(panel_path, x)
+    assert run_cli("estimate", "--input", str(panel_path)) == 0
+    assert json.loads(capsys.readouterr().out)["warnings"]["zero_channels"] == [1]
+
+
 def test_estimate_csv_format(tmp_path):
     panel_path = tmp_path / "panel.csv"
     out = tmp_path / "report.csv"
@@ -152,7 +176,9 @@ def test_oversized_cell_is_positioned(tmp_path, capsys):
     assert exc.value.line == 3
     assert run_cli("estimate", "--input", str(bad)) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "field larger than field limit" in err[0] and "line 3" in err[0]
+    # the error has a line but no column, so only the line is printed
+    assert len(err) == 1 and "field larger than field limit" in err[0]
+    assert err[0].endswith("(131072) (line 3)")
 
 
 def test_estimate_demean_flag(tmp_path):
@@ -421,6 +447,20 @@ def test_header_only_panel_has_no_data_rows(tmp_path):
         with pytest.raises(PanelFormatError, match="no data rows") as exc:
             read_panel(path)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ch1,ch2\n", "error: panel has a header but no data rows (line 2)"),
+    (None, "error: cannot open panel file: "),
+])
+def test_error_shows_only_existing_positions(tmp_path, capsys, text, message):
+    path = tmp_path / "panel.csv"
+    if text is not None:
+        path.write_text(text)
+    assert run_cli("estimate", "--input", str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert "line 0" not in err[0] and "column" not in err[0]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -407,6 +407,20 @@ def test_estimate_omega_zero_channel_flagged():
     assert not np.isfinite(corr[0, 1])
 
 
+def test_constant_channel_is_flagged_zero():
+    # a constant channel still gets a finite d_hat and converges; only the
+    # warning tells it apart
+    x = np.random.default_rng(63).standard_normal((512, 2))
+    x[:, 1] = 3.0
+    est = estimate_panel(x, WSPEC, EstimationConfig())
+    assert est.warnings["zero_channels"] == [1]
+    assert est.diagnostics["converged"] is True
+    assert est.warnings == estimate_panel(x * 1e-12, WSPEC, EstimationConfig()).warnings
+    tiny = x.copy()
+    tiny[:, 1] = 1e-12 * np.random.default_rng(64).standard_normal(512)
+    assert estimate_panel(tiny, WSPEC, EstimationConfig()).warnings["zero_channels"] == []
+
+
 def test_estimate_panel_clamps_requested_depth():
     config = EstimationConfig(j0=1, j1=9)
     spec = ArfimaSpec(d=[0.2, 0.2], omega=np.eye(2), n_samples=512, seed=2)
