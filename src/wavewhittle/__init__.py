@@ -61,5 +61,4 @@ from .wavelets import (
     psi_hat_sq,
     qmf,
     spectral_k,
-    spectral_k_j,
 )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CovarianceError, VanishingMomentError
-from .wavelets import WaveletSpec, spectral_k, spectral_k_j
+from .wavelets import WaveletSpec, spectral_k
 
 # Filter transfers simulate_arfima keeps, one per (d_s, truncation, FFT
 # length): every replication of a Monte-Carlo scenario reuses the same keys.
@@ -204,23 +204,17 @@ def model_wavelet_cov(
     d: np.ndarray,
     omega: np.ndarray,
     spec: WaveletSpec,
-    order: str = "first",
 ) -> float:
     """Model-implied covariance of scale-j wavelet coefficients of channels (ell, m).
 
-    First order: omega[l,m] * 2^(j(d_l+d_m)) * cos(pi(d_l-d_m)/2) * K(d_l+d_m) / 2pi.
-    Second order replaces K by the scale-dependent K_j.  The 1/2pi matches
-    the spectral normalization f(0+) ~ Omega/2pi of the model, under which
-    unit white noise has unit wavelet variance.
+    omega[l,m] * 2^(j(d_l+d_m)) * cos(pi(d_l-d_m)/2) * K(d_l+d_m) / 2pi, the
+    first-order approximation the estimator inverts.  The 1/2pi matches the
+    spectral normalization f(0+) ~ Omega/2pi of the model, under which unit
+    white noise has unit wavelet variance.
     """
     d = np.atleast_1d(np.asarray(d, dtype=np.float64))
     omega = np.asarray(omega, dtype=np.float64)
     delta = float(d[ell] + d[m])
-    if order == "first":
-        k_val = spectral_k(delta, spec)
-    elif order == "second":
-        k_val = spectral_k_j(j, float(d[ell]), float(d[m]), spec)
-    else:
-        raise ValueError("order must be 'first' or 'second'")
     phase = math.cos(math.pi * (float(d[ell]) - float(d[m])) / 2.0)
+    k_val = spectral_k(delta, spec)
     return float(omega[ell, m]) * 2.0 ** (j * delta) * phase * k_val / (2.0 * math.pi)

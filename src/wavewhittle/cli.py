@@ -217,7 +217,7 @@ def cmd_estimate(args) -> int:
     result = estimate_panel(panel, spec, config)
 
     warnings = dict(result.warnings)
-    warnings["non_convergence"] = not result.diagnostics.get("converged", True)
+    warnings["non_convergence"] = not result.diagnostics["converged"]
     report = {
         "config": {
             "command": "estimate",

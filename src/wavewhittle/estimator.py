@@ -8,7 +8,7 @@ p = 1 reduces to the univariate wavelet Whittle estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -412,21 +412,28 @@ def _zero_channels(panel: np.ndarray, scal: Scalogram) -> list[int]:
     return np.flatnonzero(rms <= ZERO_CHANNEL_RTOL * np.max(np.abs(panel), axis=0)).tolist()
 
 
+def _panel_scalogram(
+    panel: np.ndarray, spec: WaveletSpec, config: EstimationConfig, joint: bool
+) -> tuple[np.ndarray, Scalogram]:
+    """The panel as an (N, p) float array and its scalogram on the resolved
+    scale range, resolved for a p-channel fit when ``joint``, else for p = 1."""
+    x = np.asarray(panel, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    j0, j1 = resolve_scales(x.shape[0], spec, config, x.shape[1] if joint else 1)
+    return x, scalogram(dwt_pyramid(x, spec, j1), j0, j1)
+
+
 def estimate_panel(panel: np.ndarray, spec: WaveletSpec, config: EstimationConfig) -> MwwEstimate:
     """Full estimation pipeline on an (N, p) sample panel.
 
     ``warnings`` holds the lists of ``estimate_omega`` plus ``zero_channels``.
     """
-    x = np.asarray(panel, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    j0, j1 = resolve_scales(x.shape[0], spec, config, x.shape[1])
-    pyramid = dwt_pyramid(x, spec, j1)
-    scal = scalogram(pyramid, j0, j1)
+    x, scal = _panel_scalogram(panel, spec, config, joint=True)
     d_hat, value, diagnostics = estimate_d(scal, config, spec)
     omega, correlation, g_matrix, warnings = estimate_omega(scal, d_hat, spec)
     warnings["zero_channels"] = _zero_channels(x, scal)
-    if config.j1 is not None and j1 != config.j1:
+    if config.j1 is not None and scal.j1 != config.j1:
         diagnostics["requested_j1"] = config.j1
     return MwwEstimate(
         d_hat=d_hat,
@@ -434,8 +441,8 @@ def estimate_panel(panel: np.ndarray, spec: WaveletSpec, config: EstimationConfi
         omega=omega,
         correlation=correlation,
         objective_value=value,
-        j0=j0,
-        j1=j1,
+        j0=scal.j0,
+        j1=scal.j1,
         counts=scal.counts,
         diagnostics=diagnostics,
         warnings=warnings,
@@ -454,14 +461,8 @@ def estimate_univariate_each(
     joint fit: one channel with a singular criterion (e.g. all zero) marks
     every channel not converged.
     """
-    x = np.asarray(panel, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    j0, j1 = resolve_scales(x.shape[0], spec, config, 1)
-    scal = scalogram(dwt_pyramid(x, spec, j1), j0, j1)
+    _, scal = _panel_scalogram(panel, spec, config, joint=False)
     variances = np.diagonal(scal.matrices, axis1=1, axis2=2)
-    diagonal = Scalogram(
-        matrices=variances[:, :, None] * np.eye(x.shape[1]), counts=scal.counts, j0=j0, j1=j1
-    )
+    diagonal = replace(scal, matrices=variances[:, :, None] * np.eye(scal.n_channels))
     d_hats, _, diagnostics = _projected_newton(diagonal, spec)
-    return d_hats, [dict(diagnostics) for _ in range(x.shape[1])]
+    return d_hats, [dict(diagnostics) for _ in range(scal.n_channels)]

@@ -85,13 +85,13 @@ class Scenario:
             "d": self.d.tolist(),
             "omega": self.omega.tolist(),
             "N": self.n_samples,
-            "replications": self.replications,
+            "reps": self.replications,
             "seed": self.seed,
             "M": self.vanishing_moments,
             "j0": self.j0,
             "j1": self.j1,
             "truncation": self.truncation,
-            "include_univariate": self.include_univariate,
+            "univariate": self.include_univariate,
         }
 
 
@@ -152,7 +152,7 @@ def _run_replication(scenario: Scenario, seed) -> dict:
         "d": est.d_hat,
         "omega": est.omega,
         "correlation": est.correlation,
-        "converged": est.diagnostics.get("converged", True),
+        "converged": est.diagnostics["converged"],
     }
     if scenario.include_univariate:
         out["d_univariate"], _ = estimate_univariate_each(panel, spec, config)
@@ -171,6 +171,12 @@ def _moment_stats(values: np.ndarray, truth: float) -> tuple[float, float, float
     bias = float(values.mean() - truth)
     std = float(values.std())
     return bias, std, math.hypot(bias, std)
+
+
+def _record(quantity: str, truth: float, values: np.ndarray) -> dict:
+    bias, std, rmse = _moment_stats(values, truth)
+    return {"quantity": quantity, "truth": float(truth), "bias": bias, "std": std,
+            "rmse": rmse, "ratio_mu": None}
 
 
 def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -> MCReport:
@@ -202,49 +208,24 @@ def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -
     truth_corr = correlation_from_cov(scenario.omega)
 
     records = []
-    ratio_values = {}
     if scenario.include_univariate:
         d_uni = np.array([r["d_univariate"] for r in kept])
-        for ell in range(p):
-            _, _, rmse_u = _moment_stats(d_uni[:, ell], scenario.d[ell])
-            ratio_values[ell] = rmse_u
     for ell in range(p):
-        bias, std, rmse = _moment_stats(d_hat[:, ell], scenario.d[ell])
-        rec = {
-            "quantity": f"d_{ell + 1}",
-            "truth": float(scenario.d[ell]),
-            "bias": bias,
-            "std": std,
-            "rmse": rmse,
-            "ratio_mu": None,
-        }
-        if ell in ratio_values:
-            if ratio_values[ell] == 0.0:
+        rec = _record(f"d_{ell + 1}", scenario.d[ell], d_hat[:, ell])
+        if scenario.include_univariate:
+            _, _, rmse_u = _moment_stats(d_uni[:, ell], scenario.d[ell])
+            if rmse_u == 0.0:
                 raise ScenarioError("univariate RMSE is zero; ratio M/U undefined")
-            rec["ratio_mu"] = rmse / ratio_values[ell]
+            rec["ratio_mu"] = rec["rmse"] / rmse_u
         records.append(rec)
     for ell in range(p):
         for m in range(ell, p):
-            bias, std, rmse = _moment_stats(omega_hat[:, ell, m], scenario.omega[ell, m])
-            records.append({
-                "quantity": f"omega_{ell + 1}_{m + 1}",
-                "truth": float(scenario.omega[ell, m]),
-                "bias": bias,
-                "std": std,
-                "rmse": rmse,
-                "ratio_mu": None,
-            })
+            records.append(_record(f"omega_{ell + 1}_{m + 1}", scenario.omega[ell, m],
+                                   omega_hat[:, ell, m]))
     for ell in range(p):
         for m in range(ell + 1, p):
-            bias, std, rmse = _moment_stats(corr_hat[:, ell, m], truth_corr[ell, m])
-            records.append({
-                "quantity": f"corr_{ell + 1}_{m + 1}",
-                "truth": float(truth_corr[ell, m]),
-                "bias": bias,
-                "std": std,
-                "rmse": rmse,
-                "ratio_mu": None,
-            })
+            records.append(_record(f"corr_{ell + 1}_{m + 1}", truth_corr[ell, m],
+                                   corr_hat[:, ell, m]))
 
     raw = None
     if keep_raw:

@@ -1,4 +1,4 @@
-"""Daubechies filters, multichannel detail pyramids and wavelet spectral integrals.
+"""Daubechies filters, multichannel detail pyramids and the wavelet spectral integral K.
 
 Conventions used throughout:
 
@@ -19,6 +19,9 @@ Conventions used throughout:
   the finest scale this equals ``floor((N - T + 1) / 2)``; deeper levels
   shrink slightly faster than ``2**-j (N - T + 1)`` because
   boundary-crossing coefficients are discarded again at every level.
+* ``K(delta) = int |lam|^-delta |psi_hat(lam)|^2 dlam`` is the only spectral
+  integral the estimator needs: the long-run covariance divides the profile
+  covariance by ``cos(pi(d_l - d_m)/2) K(d_l + d_m) / 2pi``.
 """
 
 from __future__ import annotations
@@ -34,9 +37,16 @@ from .errors import DomainError, InsufficientDataError, UnsupportedOrderError
 
 MAX_ORDER = 10
 
+#: Factors of the truncated cascade product in ``psi_hat_sq`` (read at call
+#: time).  The pointwise error decays geometrically with the depth: 16 gives
+#: better than 1e-8 for M <= 8.  The K band cache stops at octave
+#: ``CASCADE_DEPTH - 5``, well below the ~2^CASCADE_DEPTH frequency where the
+#: truncated product stops decaying.
+CASCADE_DEPTH = 16
+
 #: Fourier decay exponents of the Daubechies family: |psi_hat(lam)| decays at
 #: least like (1 + |lam|)**-alpha.  Standard tabulated values; used to validate
-#: the convergence domain of the spectral integrals K and K_j.
+#: the convergence domain of the spectral integral K.
 DAUBECHIES_ALPHA = {
     1: 1.0000,
     2: 1.3390,
@@ -114,22 +124,13 @@ def qmf(h: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """Daubechies analysis configuration.
+    """Daubechies analysis configuration: the number M of vanishing moments.
 
-    ``cascade_depth`` controls the truncation of the infinite product used
-    to evaluate ``|psi_hat|^2`` (error decays geometrically; 16 gives better
-    than 1e-8 pointwise for M <= 8).  The spectral integrals sample
-    ``|psi_hat|^2`` once per (M, cascade_depth) on about
-    ``16 * 2**(cascade_depth - 4)`` nodes, so each extra level doubles their
-    set-up time and memory.  At the default depth 16, ``spectral_k`` is
-    accurate to 1e-11 relative or better for M >= 2, but only to about 1e-6
-    for M = 1 (Haar): ``K(0)`` reads 2 pi + 6.8e-6, because the slow
-    ``lam**-2`` decay of Haar leaves about 1e-3 of the integral above the
-    band cap, which only a geometric tail accounts for.
+    The wavelet spectral integral K is evaluated from a band cache sampled
+    once per M at the module-level ``CASCADE_DEPTH`` (see ``spectral_k``).
     """
 
     vanishing_moments: int = 4
-    cascade_depth: int = 16
 
     def __post_init__(self):
         m = self.vanishing_moments
@@ -137,8 +138,6 @@ class WaveletSpec:
             raise UnsupportedOrderError(
                 f"vanishing moments must be an integer in [1, {MAX_ORDER}], got {m!r}"
             )
-        if self.cascade_depth < 8:
-            raise ValueError("cascade_depth must be at least 8")
 
     @property
     def support_length(self) -> int:
@@ -248,7 +247,7 @@ def psi_hat_sq(lam, spec: WaveletSpec):
     """Squared modulus of the wavelet Fourier transform at frequency lam.
 
     Evaluated through the truncated cascade product
-    ``|m_g(lam/2)|^2 * prod_{k=2..depth} |m_h(lam/2^k)|^2`` with the
+    ``|m_g(lam/2)|^2 * prod_{k=2..CASCADE_DEPTH} |m_h(lam/2^k)|^2`` with the
     closed-form squared gains of the Daubechies halfband polynomial
     ``P(y) = sum_{k<M} C(M-1+k, k) y^k``: ``|m_h(w)|^2 = cos^2M(w/2)
     P(sin^2(w/2))`` and ``|m_g(w)|^2 = sin^2M(w/2) P(cos^2(w/2))``, so
@@ -268,7 +267,7 @@ def psi_hat_sq(lam, spec: WaveletSpec):
     # the M-th powers of every factor are taken once, on their product
     vanishing = np.sin(w) ** 2
     out = halfband(np.cos(w) ** 2)
-    for _ in range(2, spec.cascade_depth + 1):
+    for _ in range(2, CASCADE_DEPTH + 1):
         w = w / 2.0
         vanishing = vanishing * np.cos(w) ** 2
         out = out * halfband(np.sin(w) ** 2)
@@ -279,7 +278,7 @@ def psi_hat_sq(lam, spec: WaveletSpec):
 
 
 def in_k_domain(delta, spec: WaveletSpec) -> np.ndarray:
-    """Elementwise test of the convergence domain -alpha < delta < M of K and K_j."""
+    """Elementwise test of the convergence domain -alpha < delta < M of K."""
     delta = np.asarray(delta, dtype=np.float64)
     return (-spec.alpha < delta) & (delta < spec.vanishing_moments)
 
@@ -294,11 +293,6 @@ def _check_delta(delta, spec: WaveletSpec) -> None:
         )
 
 
-#: The band sums of the spectral integrals stop once two bands in a row add
-#: less than QUAD_RTOL of the running total.
-QUAD_RTOL = 1e-10
-#: Highest octave t of the upward band sweep, before the cascade-depth cap.
-QUAD_MAX_OCTAVES = 40
 #: Taylor terms of the per-band moment expansion of |lam|^-delta: within a
 #: band |ln lam - c_t| <= ln2/2 and |delta| < M <= 10, so the series is cut
 #: below 1e-18 of the band's |psi_hat|^2 mass.
@@ -309,27 +303,25 @@ _BAND_CAP_LO = -60
 
 @dataclass(frozen=True)
 class _PsiBands:
-    """|psi_hat|^2 quadrature on dyadic bands, and its moments in ln(lam).
+    """Moments in ln(lam) of the |psi_hat|^2 quadrature on dyadic bands.
 
     Band t covers [pi*2^t, pi*2^(t+1)]; the order is t = 0..cap (``n_up``
-    bands) and then t = -1, -2, ....  Nonnegative bands are subdivided into
-    pi-wide panels so the cascade product (which oscillates on a fixed
-    ~2*pi frequency scale) is resolved everywhere.
+    bands) and then t = -1, ..., -59.  Each band is integrated with
+    16-node Gauss-Legendre panels, pi wide for t >= 0 so the cascade product
+    (which oscillates on a fixed ~2*pi frequency scale) is resolved
+    everywhere; only the per-band moments of those nodes are kept.
     """
 
-    lam: np.ndarray  # Gauss-Legendre nodes, band after band
-    wpsi: np.ndarray  # node weight times |psi_hat(lam)|^2
-    starts: np.ndarray  # index of each band's first node
     centers: np.ndarray  # c_t = ln(pi * 2^(t + 1/2))
-    moments: np.ndarray  # (TAYLOR_TERMS, bands): sum wpsi (ln lam - c_t)^k / k!
+    moments: np.ndarray  # (TAYLOR_TERMS, bands): sum w psi_hat^2 (ln lam - c_t)^k / k!
     n_up: int  # number of bands t >= 0
 
 
 @lru_cache(maxsize=None)
-def _psi_bands(vanishing_moments: int, cascade_depth: int) -> _PsiBands:
-    # beyond ~2^cascade_depth the truncated cascade product stops decaying,
+def _psi_bands(vanishing_moments: int) -> _PsiBands:
+    # beyond ~2^CASCADE_DEPTH the truncated cascade product stops decaying,
     # so bands must stay well below that
-    cap = min(QUAD_MAX_OCTAVES, cascade_depth - 5)
+    cap = CASCADE_DEPTH - 5
     order = np.array(list(range(cap + 1)) + list(range(-1, _BAND_CAP_LO, -1)))
     x, w = np.polynomial.legendre.leggauss(_BAND_NODES)
     lam, wts = [], []
@@ -344,44 +336,14 @@ def _psi_bands(vanishing_moments: int, cascade_depth: int) -> _PsiBands:
     sizes = [a.size for a in lam]
     starts = np.cumsum([0] + sizes[:-1])
     lam = np.concatenate(lam)
-    spec = WaveletSpec(vanishing_moments=vanishing_moments, cascade_depth=cascade_depth)
-    wpsi = np.concatenate(wts) * psi_hat_sq(lam, spec)
+    term = np.concatenate(wts) * psi_hat_sq(lam, WaveletSpec(vanishing_moments))
     centers = np.log(math.pi * 2.0 ** (order + 0.5))
     u = np.log(lam) - np.repeat(centers, sizes)
     moments = np.empty((TAYLOR_TERMS, order.size))
-    term = wpsi
     for k in range(TAYLOR_TERMS):
         moments[k] = np.add.reduceat(term, starts)
         term = term * u / (k + 1)
-    return _PsiBands(lam, wpsi, starts, centers, moments, cap + 1)
-
-
-def _band_total(parts: np.ndarray, n_up: int) -> np.ndarray:
-    """2 * (sum of the band contributions the stopping rule keeps), row by row.
-
-    ``parts`` is (n, bands) in the ``_PsiBands`` order.  Bands are added
-    upwards from [pi, 2pi], then downwards towards 0, each sweep until two
-    bands in a row fall below QUAD_RTOL of the running total.  An upward
-    sweep that reaches the cap is completed by geometric extrapolation of
-    its last two bands (justified by the (W2) power decay).
-    """
-    rows = np.arange(parts.shape[0])
-
-    def sweep(total: np.ndarray, seg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        running = np.cumsum(np.column_stack([total, seg]), axis=1)[:, 1:]
-        quiet = np.abs(seg) < QUAD_RTOL * np.maximum(np.abs(running), 1e-300)
-        stop = quiet[:, 1:] & quiet[:, :-1]
-        stopped = stop.any(axis=1)
-        last = np.where(stopped, stop.argmax(axis=1) + 1, seg.shape[1] - 1)
-        return running[rows, last], stopped
-
-    total, stopped = sweep(np.zeros(parts.shape[0]), parts[:, :n_up])
-    prev, last = parts[:, n_up - 2], parts[:, n_up - 1]
-    tail = ~stopped & (prev != 0.0) & (0.0 < np.abs(last)) & (np.abs(last) < 0.95 * np.abs(prev))
-    ratio = np.where(tail, last, 0.0) / np.where(tail, prev, 1.0)
-    total = total + last * ratio / (1.0 - ratio)
-    total, _ = sweep(total, parts[:, n_up:])
-    return 2.0 * total
+    return _PsiBands(centers, moments, cap + 1)
 
 
 def spectral_k(delta, spec: WaveletSpec):
@@ -391,30 +353,20 @@ def spectral_k(delta, spec: WaveletSpec):
     Parseval.  A scalar delta gives a float, an array of exponents an array
     of the same shape, evaluated in one pass: each band contributes
     ``exp(-delta c_t) sum_k (-delta)^k mu_{t,k}`` from its cached moments.
-    Raises DomainError when any exponent is outside the convergence domain.
+    K is twice the sum of every band plus a geometric tail for the bands
+    above the cap, extrapolated from the top two upward bands (justified by
+    the (W2) power decay).  Raises DomainError when any exponent is outside
+    the convergence domain.
     """
     _check_delta(delta, spec)
     d = np.asarray(delta, dtype=np.float64)
-    bands = _psi_bands(spec.vanishing_moments, spec.cascade_depth)
+    bands = _psi_bands(spec.vanishing_moments)
     x = -d.reshape(-1, 1)
     powers = np.ones((x.shape[0], TAYLOR_TERMS))  # (-delta)^k
     powers[:, 1:] = np.cumprod(np.repeat(x, TAYLOR_TERMS - 1, axis=1), axis=1)
-    total = _band_total(np.exp(x * bands.centers) * (powers @ bands.moments), bands.n_up)
+    parts = np.exp(x * bands.centers) * (powers @ bands.moments)
+    prev, last = parts[:, bands.n_up - 2], parts[:, bands.n_up - 1]
+    tail = (prev != 0.0) & (0.0 < np.abs(last)) & (np.abs(last) < 0.95 * np.abs(prev))
+    ratio = np.where(tail, last, 0.0) / np.where(tail, prev, 1.0)
+    total = 2.0 * (parts.sum(axis=1) + last * ratio / (1.0 - ratio))
     return float(total[0]) if d.ndim == 0 else total.reshape(d.shape)
-
-
-def spectral_k_j(j: int, d_l: float, d_m: float, spec: WaveletSpec) -> float:
-    """Second-order variant K_j with the within-scale cosine modulation.
-
-    ``int |lam|^-(d_l+d_m) cos(2^-j lam (d_l-d_m)/2) |psi_hat|^2 dlam``;
-    converges to K(d_l + d_m) as j grows and equals it when d_l == d_m.
-    """
-    if j < 0:
-        raise ValueError("scale index j must be nonnegative")
-    delta = d_l + d_m
-    _check_delta(delta, spec)
-    half_diff = 0.5 * (d_l - d_m) / 2.0**j
-    bands = _psi_bands(spec.vanishing_moments, spec.cascade_depth)
-    weighted = bands.wpsi * bands.lam ** (-delta) * np.cos(half_diff * bands.lam)
-    parts = np.add.reduceat(weighted, bands.starts)
-    return float(_band_total(parts[None, :], bands.n_up)[0])

@@ -18,8 +18,7 @@ from wavewhittle.estimator import (
     scalogram,
 )
 from wavewhittle.wavelets import (
-    QUAD_MAX_OCTAVES,
-    QUAD_RTOL,
+    CASCADE_DEPTH,
     WaveletPyramid,
     WaveletSpec,
     daubechies_filters,
@@ -115,7 +114,7 @@ def lbfgsb_search(scal: Scalogram, box):
 
 
 @lru_cache(maxsize=None)
-def _direct_band(m, depth, t):
+def _direct_band(m, t):
     """Gauss-Legendre nodes, weights and |psi_hat|^2 on band [pi 2^t, pi 2^(t+1)],
     split into pi-wide panels for t >= 0."""
     x, w = np.polynomial.legendre.leggauss(16)
@@ -126,46 +125,26 @@ def _direct_band(m, depth, t):
     halves = 0.5 * np.diff(edges)
     lam = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
     wts = (halves[:, None] * w[None, :]).ravel()
-    spec = WaveletSpec(vanishing_moments=m, cascade_depth=depth)
-    return lam, wts, psi_hat_sq(lam, spec)
+    return lam, wts, psi_hat_sq(lam, WaveletSpec(vanishing_moments=m))
 
 
 def direct_spectral_k(delta, spec):
     """Reference K(delta): per-node band sums of w * lam^-delta * |psi_hat|^2,
-    one band at a time, under the same stopping rule and geometric tail."""
+    one band at a time over every band t = cap..-59 (cap = CASCADE_DEPTH - 5),
+    plus the geometric tail of the top two upward bands."""
 
     def band_value(t):
-        lam, wts, psi = _direct_band(spec.vanishing_moments, spec.cascade_depth, t)
+        lam, wts, psi = _direct_band(spec.vanishing_moments, t)
         return float(wts @ (lam ** (-delta) * psi))
 
-    total = 0.0
-    quiet = 0
-    cap = min(QUAD_MAX_OCTAVES, spec.cascade_depth - 5)
-    prev = 0.0
-    for t in range(0, cap + 1):
-        part = band_value(t)
-        total += part
-        if abs(part) < QUAD_RTOL * max(abs(total), 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-        if t == cap and prev != 0.0 and 0.0 < abs(part) < 0.95 * abs(prev):
-            ratio = part / prev
-            total += part * ratio / (1.0 - ratio)
-        prev = part
-    quiet = 0
-    for t in range(-1, -60, -1):
-        part = band_value(t)
-        total += part
-        if abs(part) < QUAD_RTOL * max(abs(total), 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-    return 2.0 * total
+    cap = CASCADE_DEPTH - 5
+    parts = [band_value(t) for t in range(cap, -60, -1)]
+    last, prev = parts[0], parts[1]
+    tail = 0.0
+    if prev != 0.0 and 0.0 < abs(last) < 0.95 * abs(prev):
+        ratio = last / prev
+        tail = last * ratio / (1.0 - ratio)
+    return 2.0 * (math.fsum(parts) + tail)
 
 
 def per_pair_omega(scal, d_hat, spec):

@@ -162,7 +162,7 @@ def test_criterion_5_approximation_quality():
     rel_errors = []
     for j in range(1, 5):
         mc = sums[j - 1] / reps
-        model = model_wavelet_cov(j, 0, 1, d, omega, WSPEC, "first")
+        model = model_wavelet_cov(j, 0, 1, d, omega, WSPEC)
         rel_errors.append(abs(mc - model) / abs(model))
     monotone = all(b < a for a, b in zip(rel_errors, rel_errors[1:]))
     ok = rel_errors[-1] <= 0.10 and monotone

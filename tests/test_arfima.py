@@ -21,7 +21,7 @@ from wavewhittle.arfima import (
 )
 from wavewhittle.errors import ConfigError, CovarianceError, VanishingMomentError
 from wavewhittle.estimator import scalogram
-from wavewhittle.wavelets import WaveletSpec, dwt_pyramid, spectral_k, spectral_k_j
+from wavewhittle.wavelets import WaveletSpec, dwt_pyramid, spectral_k
 
 
 def gamma_ratio_weights(d, count):
@@ -234,6 +234,8 @@ def test_model_cov_equal_memory_closed_form():
     d = np.array([0.3, 0.3])
     expected = 0.4 * 2.0 ** (3 * 0.6) * spectral_k(0.6, wspec) / (2 * math.pi)
     assert model_wavelet_cov(3, 0, 1, d, omega, wspec) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(TypeError):  # the first-order form is the only one
+        model_wavelet_cov(3, 0, 1, d, omega, wspec, order="first")
 
 
 def test_model_cov_phase_degeneracy_is_null():
@@ -242,18 +244,6 @@ def test_model_cov_phase_degeneracy_is_null():
     d = np.array([0.2, 1.2])  # difference exactly 1 -> cos(pi/2) = 0
     for j in (1, 3, 5):
         assert abs(model_wavelet_cov(j, 0, 1, d, omega, wspec)) < 1e-12
-
-
-def test_model_cov_second_order_uses_k_j():
-    wspec = WaveletSpec(vanishing_moments=4)
-    omega = np.array([[1.0, 0.4], [0.4, 1.0]])
-    d = np.array([0.2, 0.4])
-    first = model_wavelet_cov(3, 0, 1, d, omega, wspec, "first")
-    second = model_wavelet_cov(3, 0, 1, d, omega, wspec, "second")
-    ratio = spectral_k_j(3, 0.2, 0.4, wspec) / spectral_k(0.6, wspec)
-    assert second / first == pytest.approx(ratio, rel=1e-12)
-    with pytest.raises(ValueError):
-        model_wavelet_cov(3, 0, 1, d, omega, wspec, "third")
 
 
 @pytest.mark.slow

@@ -213,6 +213,27 @@ def test_mc_subcommand_deterministic(tmp_path):
     assert (tmp_path / "out1.csv").read_text() == (tmp_path / "out2.csv").read_text()
 
 
+@pytest.mark.parametrize("scenario, extra", [
+    ("scenarios/table1_row3.cfg", ["--reps", "4"]),
+    ("d = 0.3\nN = 300\nreps = 3\nseed = 5\nM = 2\ntruncation = 3000\n"
+     "univariate = false\nlabel = echo", []),
+], ids=["table1_row3", "univariate_off"])
+def test_mc_scenario_echo_reruns(tmp_path, scenario, extra):
+    if scenario.endswith(".cfg"):
+        source = scenario
+    else:
+        source = tmp_path / "source.cfg"
+        source.write_text(scenario)
+    assert run_cli("mc", "--scenario", str(source), *extra, "--output", str(tmp_path / "a")) == 0
+    first = json.loads((tmp_path / "a.json").read_text())
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(first["scenario"]))
+    assert run_cli("mc", "--scenario", str(echo), "--output", str(tmp_path / "b")) == 0
+    second = json.loads((tmp_path / "b.json").read_text())
+    assert second["scenario"] == first["scenario"]
+    assert second["records"] == first["records"]
+
+
 def test_mc_reps_one_gives_zero_std(tmp_path):
     base = tmp_path / "one"
     assert run_cli("mc", "--scenario", "scenarios/table1_row3.cfg", "--reps", "1",
