@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .arfima import (
     ArfimaSpec,
     correlation_from_cov,
-    frac_diff_coeffs,
     model_wavelet_cov,
     simulate_arfima,
 )

@@ -1,19 +1,29 @@
 """Multivariate ARFIMA(0, d, 0) simulation and model wavelet covariances.
 
-The simulator draws Gaussian innovations with covariance ``omega`` (for this
-model the innovation covariance and the long-run covariance coincide, as the
-short-memory spectral factor is identically one), applies the truncated
-MA(inf) expansion of ``(1-L)^-d`` channel by channel, and integrates
-(cumulative sums) for nonstationary memory parameters ``d >= 1/2``.  Every
-output sample is a complete truncated sum over its own innovations, so no
-burn-in is needed.
+The simulator draws exact Gaussian samples by circulant embedding
+(Helgason, Pipiras & Abry 2011, Signal Processing 91).  The stationary part
+X_l = (1-L)^-d_l eps_l, with Cov(eps) = omega (for this model the innovation
+covariance and the long-run covariance coincide), has the closed-form
+cross-autocovariance (Sela & Hurvich 2009, JTSA 30)
 
-The filter runs as a circular FFT convolution of length
-``next_fast_len(truncation + N - 1)``, the number of innovations: the N
-outputs kept are exactly the ones that length leaves unwrapped.  The filter's
-transfer depends only on (d_s, truncation, FFT length), so the last
-``TRANSFER_CACHE_SIZE`` transfers are kept, read-only; each holds about
-8 * (truncation + N) bytes.
+    gamma_lm(h) = E[X_l(t+h) X_m(t)]
+                = omega_lm Gamma(1-d_l-d_m) / (Gamma(d_l) Gamma(1-d_l))
+                  * Gamma(h+d_l) / Gamma(h+1-d_m),   h >= 0,
+
+and gamma_lm(-h) = gamma_ml(h).  Wrapped into a circulant of length 2N, it
+has an (N+1, p, p) Hermitian spectrum; its batched Cholesky factor turns the
+rfft of 2N white-noise samples per channel into an exact draw whose first N
+samples have exactly these covariances.  Channels with d >= 1/2 are
+integrated (cumulative sums) from their stationary exponent.
+
+The factor depends only on (stationary exponents, omega, N), and every
+replication of a Monte-Carlo scenario shares those, so the last
+FACTOR_CACHE_SIZE factors are kept, read-only.  Each holds
+(N+1) * p^2 * 16 bytes (4.2 MB at N = 65536, p = 2).  A spectrum that is not
+positive definite at some frequency has no such factor: the draw raises
+CovarianceError and is never clipped.  For one channel with |d| < 1/2 the
+embedding is always nonnegative (Craigmile 2003, JTSA 24); for several
+channels it is not (d = (0, 0.49), rho = 0.99, N = 512 fails).
 """
 
 from __future__ import annotations
@@ -27,46 +37,9 @@ import numpy as np
 from .errors import ConfigError, CovarianceError, VanishingMomentError
 from .wavelets import WaveletSpec, spectral_k
 
-# Filter transfers simulate_arfima keeps, one per (d_s, truncation, FFT
-# length): every replication of a Monte-Carlo scenario reuses the same keys.
-TRANSFER_CACHE_SIZE = 8
-
-
-def frac_diff_coeffs(d: float, count: int) -> np.ndarray:
-    """MA(inf) weights psi_0..psi_{count-1} of the filter (1-L)^-d.
-
-    psi_0 = 1 and psi_j = psi_{j-1} * (j - 1 + d) / j, equivalently
-    Gamma(j + d) / (Gamma(j + 1) Gamma(d)); the weights decay like
-    j**(d-1).  Requires |d| < 1/2 (the stationary branch) and count >= 1.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if abs(d) >= 0.5:
-        raise ValueError(f"stationary branch needs |d| < 1/2, got d={d}")
-    j = np.arange(1, count)
-    return np.concatenate(([1.0], np.cumprod((j - 1 + d) / j)))
-
-
-def next_fast_len(n: int) -> int:
-    """Smallest 5-smooth number 2^a 3^b 5^c >= n, a fast real FFT length."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the smallest power of two times p35 that reaches n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-@functools.lru_cache(maxsize=TRANSFER_CACHE_SIZE)
-def _transfer(d_s: float, trunc: int, nfft: int) -> np.ndarray:
-    """Read-only rfft of the truncated MA(inf) filter, zero-padded to nfft."""
-    transfer = np.fft.rfft(frac_diff_coeffs(d_s, trunc), nfft)
-    transfer.flags.writeable = False
-    return transfer
+# Embedding factors simulate_arfima keeps, one per (stationary exponents,
+# omega, N): every replication of a Monte-Carlo scenario reuses the same key.
+FACTOR_CACHE_SIZE = 8
 
 
 def split_memory(d: float) -> tuple[float, int]:
@@ -114,17 +87,15 @@ def correlation_from_cov(omega: np.ndarray) -> np.ndarray:
 class ArfimaSpec:
     """Configuration of one ARFIMA(0, d, 0) draw.
 
-    ``truncation`` is the MA(inf) cutoff (default 10*N).  ``seed`` is a
-    nonnegative integer or a SeedSequence.  ``moment_cap`` optionally
-    enforces d < M for a wavelet analysis planned downstream.  Invalid
-    settings raise ConfigError (a ValueError), CovarianceError or
+    ``seed`` is a nonnegative integer or a SeedSequence.  ``moment_cap``
+    optionally enforces d < M for a wavelet analysis planned downstream.
+    Invalid settings raise ConfigError (a ValueError), CovarianceError or
     VanishingMomentError.
     """
 
     d: np.ndarray
     omega: np.ndarray
     n_samples: int
-    truncation: int | None = None
     seed: int | np.random.SeedSequence = 0
     moment_cap: int | None = None
 
@@ -142,10 +113,6 @@ class ArfimaSpec:
         validate_long_run_cov(self.omega)
         if self.n_samples < 1:
             raise ConfigError("n_samples must be positive")
-        if self.truncation is None:
-            self.truncation = 10 * self.n_samples
-        if self.truncation < self.n_samples:
-            raise ConfigError("truncation must be at least n_samples")
         if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.moment_cap is not None and np.any(self.d >= self.moment_cap):
@@ -161,37 +128,97 @@ class ArfimaSpec:
         return self.d.size
 
 
-def simulate_arfima(spec: ArfimaSpec) -> np.ndarray:
-    """Draw an (N, p) panel from the ARFIMA(0, d, 0) model.
+def _cross_autocovariance(d_l: float, d_m: float, omega_lm: float, n: int) -> np.ndarray:
+    """gamma_lm(h) = E[X_l(t+h) X_m(t)] at lags h = 0..n (module docstring).
 
-    Deterministic given the seed.  Stationary channels are truncated MA(inf)
-    filters of correlated Gaussian innovations; channels with d >= 1/2 are
-    simulated at exponent d - ceil(d - 1/2) and cumulatively summed.  Each
-    channel costs one rfft and one irfft of length
-    next_fast_len(truncation + N - 1); the filter transfer comes from a
-    module cache (see the module docstring).
+    gamma(0) = omega_lm Gamma(1-d_l-d_m) / (Gamma(1-d_l) Gamma(1-d_m)) and
+    gamma(h+1) = gamma(h) (h+d_l) / (h+1-d_m), exact zeros after lag 0 when
+    d_l = 0.  Requires |d_l|, |d_m| < 1/2.
     """
-    chol = validate_long_run_cov(spec.omega)
-    p = spec.n_channels
-    trunc = int(spec.truncation)
-    n = spec.n_samples
+    gamma0 = omega_lm * math.gamma(1.0 - d_l - d_m)
+    gamma0 /= math.gamma(1.0 - d_l) * math.gamma(1.0 - d_m)
+    h = np.arange(n, dtype=np.float64)
+    return gamma0 * np.concatenate(([1.0], np.cumprod((h + d_l) / (h + 1.0 - d_m))))
 
-    rng = np.random.default_rng(spec.seed)
-    innov = rng.standard_normal((trunc + n - 1, p)) @ chol.T
 
-    # "valid" convolutions as circular ones: a length >= len(innov) wraps only
-    # outputs before trunc - 1.  Shared buffers: fresh ones fragment the heap.
-    nfft = next_fast_len(innov.shape[0])
-    spectrum = np.empty(nfft // 2 + 1, dtype=np.complex128)
-    full = np.empty(nfft)
+def _embedding_spectrum(d_s: tuple, omega: tuple, n: int) -> np.ndarray:
+    """(N+1, p, p) Hermitian spectrum of the length-2N circulant embedding.
+
+    Circulant entry k holds lag k for k < N and lag k - 2N for k > N.  Entry
+    N stands for lag N and lag -N at once; no covariance among the first N
+    samples uses it, and it holds their symmetric mean, which keeps the
+    spectrum Hermitian.
+    """
+    p = len(d_s)
+    gamma = [[_cross_autocovariance(d_s[ell], d_s[m], omega[ell * p + m], n) for m in range(p)]
+             for ell in range(p)]
+    circulant = np.empty((p, p, 2 * n))
+    for ell in range(p):
+        for m in range(p):
+            circulant[ell, m, :n] = gamma[ell][m][:n]
+            circulant[ell, m, n] = 0.5 * (gamma[ell][m][n] + gamma[m][ell][n])
+            circulant[ell, m, n + 1 :] = gamma[m][ell][n - 1 : 0 : -1]
+    return np.moveaxis(np.fft.rfft(circulant, axis=-1), -1, 0)
+
+
+@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _embedding_factor(d_s: tuple, omega: tuple, n: int) -> np.ndarray:
+    """Read-only (p, p, N+1) lower Cholesky factor of the embedding spectrum,
+    frequency last; raises np.linalg.LinAlgError if it is not positive definite."""
+    factor = np.linalg.cholesky(_embedding_spectrum(d_s, omega, n)).transpose(1, 2, 0).copy()
+    factor.flags.writeable = False
+    return factor
+
+
+def embedding_factor(spec: ArfimaSpec) -> np.ndarray:
+    """The cached circulant-embedding factor of ``spec`` (module docstring).
+
+    Raises CovarianceError, naming d, omega, N and the smallest eigenvalue of
+    the embedding, when the embedding is not positive definite.
+    """
+    key = (
+        tuple(split_memory(float(value))[0] for value in spec.d),
+        tuple(spec.omega.ravel().tolist()),
+        int(spec.n_samples),
+    )
+    try:
+        return _embedding_factor(*key)
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(_embedding_spectrum(*key)).min())
+        raise CovarianceError(
+            f"the circulant embedding of d={spec.d.tolist()}, omega={spec.omega.tolist()}, "
+            f"N={spec.n_samples} is not positive definite (smallest eigenvalue "
+            f"{smallest:.3g}); no exact draw exists for this model"
+        ) from None
+
+
+def simulate_arfima(spec: ArfimaSpec) -> np.ndarray:
+    """Draw an (N, p) panel from the ARFIMA(0, d, 0) model, exactly.
+
+    Deterministic given the seed.  The stationary parts are one circulant-
+    embedding draw (module docstring): an rfft of 2N standard normals per
+    channel, multiplied per frequency by the cached factor, and an irfft of
+    which the first N samples are kept.  Channels with d >= 1/2 are drawn at
+    exponent d - ceil(d - 1/2) and cumulatively summed.  Raises
+    CovarianceError if the embedding is not positive definite.
+    """
+    factor = embedding_factor(spec)
+    p, n = spec.n_channels, spec.n_samples
+    noise = np.random.default_rng(spec.seed).standard_normal((p, 2 * n))
+    spectrum = np.fft.rfft(noise, axis=-1)
+    # spectrum[l] <- sum_{m <= l} factor[l, m] spectrum[m], last channel
+    # first so that the rows still to be read are unchanged
+    term = np.empty(n + 1, dtype=np.complex128)
+    for ell in range(p - 1, -1, -1):
+        spectrum[ell] *= factor[ell, ell]
+        for m in range(ell):
+            spectrum[ell] += np.multiply(factor[ell, m], spectrum[m], out=term)
+    full = np.empty(2 * n)
     panel = np.empty((n, p))
     for ell in range(p):
-        d_s, order = split_memory(float(spec.d[ell]))
-        np.fft.rfft(innov[:, ell], nfft, out=spectrum)
-        np.multiply(spectrum, _transfer(d_s, trunc, nfft), out=spectrum)
-        np.fft.irfft(spectrum, nfft, out=full)
-        series = full[trunc - 1 : trunc - 1 + n]
-        for _ in range(order):
+        np.fft.irfft(spectrum[ell], 2 * n, out=full)
+        series = full[:n]
+        for _ in range(split_memory(float(spec.d[ell]))[1]):
             series = np.cumsum(series)
         panel[:, ell] = series
     return panel

@@ -267,7 +267,6 @@ def cmd_simulate(args) -> int:
         d=d,
         omega=omega,
         n_samples=args.N,
-        truncation=args.truncation,
         seed=args.seed,
         moment_cap=args.M,
     )
@@ -279,7 +278,6 @@ def cmd_simulate(args) -> int:
         "omega": omega.tolist(),
         "N": args.N,
         "M": args.M,
-        "truncation": spec.truncation,
         "seed": args.seed,
     }
     if args.output:
@@ -343,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--N", type=int, required=True, help="number of time points")
     sim.add_argument("--M", type=int, default=None,
                      help="reject d >= M (vanishing-moment cap check)")
-    sim.add_argument("--truncation", type=int, default=None, help="MA truncation (default 10N)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--output", help="CSV output path (default stdout)")
     sim.set_defaults(func=cmd_simulate)

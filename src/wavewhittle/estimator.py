@@ -34,11 +34,16 @@ ZERO_CHANNEL_RTOL = 1e-12
 BOX_LOW = -2.0
 # Projected Newton: iteration cap, and the stopping rule.  A fit has converged
 # once its projected step is at most STEP_TOL in every coordinate, or when no
-# step lowers R and the projected gradient is at most GRAD_TOL.  A 1e-9 step
-# tolerance stalls on the ~6e-9 round-off floor of the gradient.
+# step lowers R and either the projected gradient is at most GRAD_TOL or the
+# free Hessian block is positive definite with a Newton decrement
+# g^T H^-1 g / 2 of at most DECREMENT_TOL * max(1, |R|): the most any step
+# could still gain is then below what R resolves in double precision (Boyd &
+# Vandenberghe 2004, sec. 9.5.1).  A 1e-9 step tolerance stalls on the ~6e-9
+# round-off floor of the gradient.
 NEWTON_MAX_ITERATIONS = 50
 STEP_TOL = 1e-8
 GRAD_TOL = 1e-7
+DECREMENT_TOL = 8 * np.finfo(np.float64).eps
 # Backtracking accepts a step once R falls by this fraction of the decrease
 # the gradient predicts.
 ARMIJO = 1e-4
@@ -247,8 +252,8 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
     block is not positive definite, or no step along the Newton direction
     lowers R enough, the search takes a backtracked gradient step instead.
     A fit that hits the iteration cap, starts at a singular G_bar or can lower
-    R no further with a projected gradient above GRAD_TOL is reported as not
-    converged.
+    R no further with a projected gradient above GRAD_TOL and a Newton
+    decrement above round-off (DECREMENT_TOL) is reported as not converged.
     """
     if scal.j1 == scal.j0:
         raise ConfigError("single-scale objective is flat in d; need j0 < j1")
@@ -261,6 +266,7 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
         free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
         block = hess[np.ix_(free, free)]
         directions = []
+        decrement = math.inf  # g^T H^-1 g on the free block, if it is PD
         try:
             np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
@@ -268,6 +274,7 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
         else:
             newton = -grad
             newton[free] = -np.linalg.solve(block, grad[free])
+            decrement = float(-grad[free] @ newton[free])
             trial = np.clip(x + newton, lo, hi)
             if np.max(np.abs(trial - x)) <= STEP_TOL:
                 x = trial
@@ -284,7 +291,8 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
                 x, value, grad, hess = accepted
                 break
         else:
-            converged = np.max(np.abs(x - np.clip(x - grad, lo, hi))) <= GRAD_TOL
+            converged = (np.max(np.abs(x - np.clip(x - grad, lo, hi))) <= GRAD_TOL
+                         or decrement / 2 <= DECREMENT_TOL * max(1.0, abs(value)))
             break
     diagnostics = {
         "method": "newton",

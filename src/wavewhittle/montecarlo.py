@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arfima import ArfimaSpec, correlation_from_cov, simulate_arfima
+from .arfima import ArfimaSpec, correlation_from_cov, embedding_factor, simulate_arfima
 from .errors import ScenarioError, WavewhittleError
 from .estimator import EstimationConfig, estimate_panel, estimate_univariate_each
 from .wavelets import WaveletSpec
@@ -44,7 +44,6 @@ class Scenario:
     vanishing_moments: int = 4
     j0: int = 1
     j1: int | None = None
-    truncation: int | None = None
     include_univariate: bool = True
     label: str = ""
 
@@ -63,6 +62,15 @@ class Scenario:
     def n_channels(self) -> int:
         return self.d.size
 
+    @property
+    def truncation(self) -> None:
+        """Always None: the simulator is exact and has no MA truncation.
+
+        Read-only; it exists only for the benchmark's traced replay
+        (``perfbench/tracing.py``), which still reads it.
+        """
+        return None
+
     def wavelet_spec(self) -> WaveletSpec:
         return WaveletSpec(vanishing_moments=self.vanishing_moments)
 
@@ -74,7 +82,6 @@ class Scenario:
             d=self.d,
             omega=self.omega,
             n_samples=self.n_samples,
-            truncation=self.truncation,
             seed=seed,
             moment_cap=self.vanishing_moments,
         )
@@ -90,7 +97,6 @@ class Scenario:
             "M": self.vanishing_moments,
             "j0": self.j0,
             "j1": self.j1,
-            "truncation": self.truncation,
             "univariate": self.include_univariate,
         }
 
@@ -184,10 +190,14 @@ def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -
 
     Replications flagged non-converged or raising estimation errors are
     excluded from the aggregates and counted as failures; a scenario where
-    every replication fails raises ScenarioError.  The output is bit
-    reproducible for a fixed scenario regardless of ``workers``.
+    every replication fails raises ScenarioError.  A model whose circulant
+    embedding is not positive definite raises CovarianceError once, before
+    any replication runs.  The output is bit reproducible for a fixed
+    scenario regardless of ``workers``.
     """
     t_start = time.perf_counter()
+    # builds the cached factor (forked workers inherit it) or raises
+    embedding_factor(scenario.arfima_spec(scenario.seed))
     seeds = np.random.SeedSequence(scenario.seed).spawn(scenario.replications)
     jobs = [(scenario, s) for s in seeds]
     if workers > 1:
@@ -305,7 +315,7 @@ def parse_scenario_mapping(data: dict) -> Scenario:
     """Build a Scenario from the documented key set (d, rho/omega, N, ...)."""
     known = {
         "label", "d", "rho", "omega", "n", "m", "j0", "j1", "reps",
-        "seed", "truncation", "univariate",
+        "seed", "univariate",
     }
     mapping = {str(k).lower(): v for k, v in data.items()}
     unknown = set(mapping) - known
@@ -337,7 +347,6 @@ def parse_scenario_mapping(data: dict) -> Scenario:
             vanishing_moments=_integer_value(mapping, "m", 4),
             j0=_integer_value(mapping, "j0", 1),
             j1=_integer_value(mapping, "j1", None),
-            truncation=_integer_value(mapping, "truncation", None),
             include_univariate=univariate,
             label=str(mapping.get("label", "")),
         )

@@ -7,6 +7,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
+from wavewhittle.arfima import split_memory
 from wavewhittle.errors import DomainError, PanelFormatError
 from wavewhittle.estimator import (
     DEGENERACY_THRESHOLD,
@@ -228,3 +229,108 @@ def scan_panel_oracle(path) -> tuple[list[str], np.ndarray]:
     if not rows:
         raise PanelFormatError("panel has a header but no data rows", line=2)
     return names, np.asarray(rows, dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
+# The truncated MA(inf) simulator the exact circulant embedding replaced, kept
+# as the oracle for the model's cross-covariances.
+
+
+def frac_diff_coeffs(d: float, count: int) -> np.ndarray:
+    """MA(inf) weights psi_0..psi_{count-1} of the filter (1-L)^-d.
+
+    psi_0 = 1 and psi_j = psi_{j-1} * (j - 1 + d) / j, equivalently
+    Gamma(j + d) / (Gamma(j + 1) Gamma(d)); the weights decay like
+    j**(d-1).  Requires |d| < 1/2 (the stationary branch) and count >= 1.
+    """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if abs(d) >= 0.5:
+        raise ValueError(f"stationary branch needs |d| < 1/2, got d={d}")
+    j = np.arange(1, count)
+    return np.concatenate(([1.0], np.cumprod((j - 1 + d) / j)))
+
+
+def ma_simulate(spec, truncation=None) -> np.ndarray:
+    """(N, p) draw of the ARFIMA(0, d, 0) model as a truncated MA(inf) sum.
+
+    Sample t is sum_k psi_k eps_{t + truncation - 1 - k} over correlated
+    innovations eps ~ N(0, omega), truncated at ``truncation`` lags (default
+    10 N), then integrated for d >= 1/2.  This keeps only part of the variance
+    near d_s = 1/2 (69.8% at d_s = 0.45, N = 512).
+    """
+    n = spec.n_samples
+    trunc = 10 * n if truncation is None else truncation
+    chol = np.linalg.cholesky(spec.omega)
+    innov = np.random.default_rng(spec.seed).standard_normal((trunc + n - 1, spec.n_channels))
+    innov = innov @ chol.T
+    panel = np.empty((n, spec.n_channels))
+    for ell, d in enumerate(spec.d):
+        d_s, order = split_memory(float(d))
+        series = np.convolve(innov[:, ell], frac_diff_coeffs(d_s, trunc), mode="valid")
+        for _ in range(order):
+            series = np.cumsum(series)
+        panel[:, ell] = series
+    return panel
+
+
+def ma_cross_covariance(d_l: float, d_m: float, omega_lm: float, h: int, terms: int) -> float:
+    """E[X_l(t+h) X_m(t)] = omega_lm sum_k psi^l_{k+h} psi^m_k (psi^m_{k-h}
+    psi^l_k for h < 0) over ``terms`` MA weights, plus the integral of the
+    weights' asymptote psi_k ~ k^(d-1) / Gamma(d) beyond them."""
+    if h < 0:
+        return ma_cross_covariance(d_m, d_l, omega_lm, -h, terms)
+    psi_l = frac_diff_coeffs(d_l, terms + h)
+    psi_m = frac_diff_coeffs(d_m, terms)
+    partial = math.fsum(psi_l[h:] * psi_m)
+    tail = 0.0
+    if d_l != 0.0 and d_m != 0.0:
+        exponent = d_l + d_m - 1.0
+        tail = -(terms - 0.5) ** exponent / (exponent * math.gamma(d_l) * math.gamma(d_m))
+    return omega_lm * (partial + tail)
+
+
+# ---------------------------------------------------------------------------
+# A wide panel from the benchmark's own generator, rebuilt here so that the
+# tests do not import the benchmark.
+
+WIDE_POOL_SEED = 20250808
+
+
+def frac_panel(rng: np.random.Generator, d, n: int, rho: float = 0.3) -> np.ndarray:
+    """(n, p) fractionally integrated noise, one memory parameter per channel:
+    equicorrelated Gaussian innovations filtered by the MA weights of
+    (1 - B)^-d truncated at 4n lags, via FFT."""
+    d = np.asarray(d, dtype=np.float64)
+    p = d.size
+    corr = np.full((p, p), rho)
+    np.fill_diagonal(corr, 1.0)
+    lags = 4 * n
+    z = rng.standard_normal((lags + n - 1, p)) @ np.linalg.cholesky(corr).T
+    size = 1 << int(np.ceil(np.log2(2 * lags + n)))
+    k = np.arange(1, lags)
+    out = np.empty((n, p))
+    for ell in range(p):
+        weights = np.concatenate(([1.0], np.cumprod((k - 1 + d[ell]) / k)))
+        full = np.fft.irfft(np.fft.rfft(z[:, ell], size) * np.fft.rfft(weights, size), size)
+        out[:, ell] = full[lags - 1 : lags - 1 + n]
+    return out
+
+
+def wide_p6_variant(seed: int, k: int = 1) -> np.ndarray:
+    """The seed's variant of wide pool panel p6-k (p = 6, N = 16384): the pool
+    panel with permuted channels and per-channel offsets, as written to CSV.
+
+    The variant rng first draws a permutation and offsets for each of the six
+    p = 20 pool panels and for the p = 6 panels before k.
+    """
+    rng = np.random.default_rng([seed, 7])
+    for p in [20] * 6 + [6] * k:
+        rng.permutation(p)
+        rng.uniform(-5.0, 5.0, p)
+    perm = rng.permutation(6)
+    offsets = rng.uniform(-5.0, 5.0, 6)
+    pool_rng = np.random.default_rng([WIDE_POOL_SEED, 6, k])
+    d = np.sort(pool_rng.uniform(-0.1, 0.45, 6))
+    values = frac_panel(pool_rng, d, 16384)[:, perm] + offsets
+    return np.array([[float(f"{v:.17g}") for v in row] for row in values])

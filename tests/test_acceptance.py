@@ -11,6 +11,7 @@ content that does hold: the cross-correlation collapses geometrically and the
 average matches the exact cospectrum integral instead of zero.
 """
 
+import functools
 import json
 import math
 
@@ -179,8 +180,11 @@ def test_criterion_5_approximation_quality():
 # criterion 6: phase degeneracy
 
 
+@functools.cache
 def _degenerate_pair_mc(reps=600, n=512, j_max=6):
-    """Per-replication cross covariances and per-scale pooled second moments."""
+    """Per-replication cross covariances and per-scale pooled second moments.
+
+    Cached, so both criterion-6 tests read one run; they do not modify it."""
     omega = np.array([[1.0, 0.4], [0.4, 1.0]])
     seeds = np.random.SeedSequence(ROOT_SEED + 6).spawn(reps)
     cross = [[] for _ in range(j_max)]

@@ -5,23 +5,24 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.special import gammaln, gammasgn
 
+import wavewhittle
 from wavewhittle import arfima
 from wavewhittle.arfima import (
     ArfimaSpec,
     correlation_from_cov,
-    frac_diff_coeffs,
+    embedding_factor,
     model_wavelet_cov,
-    next_fast_len,
     simulate_arfima,
     split_memory,
     validate_long_run_cov,
 )
 from wavewhittle.errors import ConfigError, CovarianceError, VanishingMomentError
-from wavewhittle.estimator import scalogram
+from wavewhittle.montecarlo import omega_from_rho
 from wavewhittle.wavelets import WaveletSpec, dwt_pyramid, spectral_k
+
+from helpers import frac_diff_coeffs, ma_cross_covariance
 
 
 def gamma_ratio_weights(d, count):
@@ -86,13 +87,6 @@ def test_validate_long_run_cov():
         validate_long_run_cov(np.eye(3)[:2])
 
 
-def test_next_fast_len_matches_scipy():
-    # the simulator's FFT length, next_fast_len(truncation + N - 1) with the
-    # default truncation 10 N, matches scipy's real-FFT choice
-    ns = list(range(1, 20001)) + [11 * 65536 - 1, 11 * 512 - 1]
-    assert [next_fast_len(n) for n in ns] == [scipy_next_fast_len(n, True) for n in ns]
-
-
 def test_simulation_deterministic():
     spec = ArfimaSpec(d=[0.2, 0.4], omega=np.eye(2), n_samples=256, seed=11)
     assert np.array_equal(simulate_arfima(spec), simulate_arfima(spec))
@@ -100,49 +94,122 @@ def test_simulation_deterministic():
     assert not np.array_equal(simulate_arfima(spec), simulate_arfima(other))
 
 
-def assert_matches_direct_ma_sum(spec):
-    # sample t is sum_k psi_k eps_{t + trunc - 1 - k} over the seed's innovations
-    trunc, n = spec.truncation, spec.n_samples
-    chol = np.linalg.cholesky(spec.omega)
-    innov = np.random.default_rng(spec.seed).standard_normal((trunc + n - 1, spec.n_channels))
-    innov = innov @ chol.T
-    expected = np.column_stack([
-        np.convolve(innov[:, ell], frac_diff_coeffs(d, trunc), mode="valid")
-        for ell, d in enumerate(spec.d)
+def gamma_closed_form(d_l, d_m, omega_lm, h):
+    """Sela & Hurvich's gamma_lm(h) for h >= 0, from log-gamma values."""
+    if d_l == 0.0:
+        return omega_lm if h == 0 else 0.0
+    log_ratio = gammaln(h + d_l) - gammaln(h + 1 - d_m) - gammaln(d_l)
+    sign = gammasgn(h + d_l) * gammasgn(d_l)
+    scale = omega_lm * math.gamma(1 - d_l - d_m) / math.gamma(1 - d_l)
+    return float(scale * sign * np.exp(log_ratio))
+
+
+def embedded_sequence(d_s, omega, n):
+    """The (2N, p, p) circulant C(k) of the embedding, back from its spectrum:
+    C(k)[l, m] is gamma_lm(k) for k < N and gamma_lm(k - 2N) for k > N."""
+    spectrum = arfima._embedding_spectrum(tuple(d_s), tuple(np.ravel(omega)), n)
+    return np.fft.irfft(spectrum, 2 * n, axis=0)
+
+
+@pytest.mark.parametrize("d_l, d_m, h", [
+    (0.1, 0.3, 0), (0.1, 0.3, 5), (0.1, 0.3, -5), (0.1, 0.3, 50), (0.3, 0.1, -50),
+    (0.0, 0.4, 3), (0.0, 0.4, -3), (0.4, 0.0, 0), (-0.3, 0.2, 7), (-0.3, 0.2, -7),
+    (-0.3, -0.3, 0), (0.45, 0.45, 10), (0.45, -0.2, -2),
+])
+def test_embedding_cross_covariance_matches_ma_sums(d_l, d_m, h):
+    # 200,000 MA weights plus the integral of their asymptotic tail; at
+    # h = 50 the tail's first-order form leaves ~2e-7 relative
+    n = 64
+    embedded = embedded_sequence((d_l, d_m), [[1.0, 0.7], [0.7, 1.0]], n)[h % (2 * n), 0, 1]
+    oracle = ma_cross_covariance(d_l, d_m, 0.7, h, 200_000)
+    assert embedded == pytest.approx(oracle, rel=2e-6, abs=1e-14)
+    if h >= 0:
+        assert embedded == pytest.approx(gamma_closed_form(d_l, d_m, 0.7, h), rel=1e-12, abs=1e-15)
+
+
+def test_draws_match_closed_form_lag_covariances():
+    """Time-averaged lag covariances of many short draws against gamma_lm(h):
+    each draw's average of x_l(t+h) x_m(t) is unbiased for it."""
+    d, omega, n, reps = (0.1, 0.3), omega_from_rho(0.4), 64, 4000
+    lags = (0, 1, 5, -5, 20)
+    exact = embedded_sequence(d, omega, n)
+    sums = np.zeros((reps, len(lags), 2, 2))
+    for r, seed in enumerate(np.random.SeedSequence(64).spawn(reps)):
+        x = simulate_arfima(ArfimaSpec(d=d, omega=omega, n_samples=n, seed=seed))
+        for i, h in enumerate(lags):
+            a, b = (x[h:], x[: n - h]) if h >= 0 else (x[: n + h], x[-h:])
+            sums[r, i] = a.T @ b / a.shape[0]
+    se = sums.std(axis=0) / math.sqrt(reps)
+    for i, h in enumerate(lags):
+        assert np.all(np.abs(sums[:, i].mean(axis=0) - exact[h % (2 * n)]) < 4 * se[i]), h
+
+
+def test_variance_is_exact_near_the_stationarity_edge():
+    """At d = 0.45, N = 512, E[x_t^2] = Gamma(1 - 2d) / Gamma(1 - d)^2 = 3.642;
+    the MA(inf) sum truncated at 10 N lags keeps only 69.8% of it."""
+    exact = math.gamma(0.1) / math.gamma(0.55) ** 2
+    reps = 2000
+    second = np.array([
+        float(np.mean(simulate_arfima(ArfimaSpec(d=[0.45], omega=np.eye(1), n_samples=512,
+                                                 seed=seed)) ** 2))
+        for seed in np.random.SeedSequence(45).spawn(reps)
     ])
+    assert abs(second.mean() - exact) < 4 * second.std() / math.sqrt(reps)
+
+
+def test_factor_cache_is_read_only_per_key():
+    spec = ArfimaSpec(d=[0.25, 1.375], omega=omega_from_rho(0.3), n_samples=300, seed=5)
+    first = simulate_arfima(spec)
+    arfima._embedding_factor.cache_clear()
+    factor = embedding_factor(spec)
+    assert factor.shape == (2, 2, 301) and factor.dtype == np.complex128
+    assert not factor.flags.writeable
+    with pytest.raises(ValueError):
+        factor[0, 0, 0] = 0.0
+    # one array per key: another seed, or d with the same stationary
+    # exponents, reuses it; another N does not
+    same_key = ArfimaSpec(d=[1.25, 0.375], omega=spec.omega, n_samples=300, seed=9)
+    assert embedding_factor(same_key) is factor
+    other_n = ArfimaSpec(d=[0.25, 0.375], omega=spec.omega, n_samples=301)
+    assert embedding_factor(other_n) is not factor
+    assert arfima._embedding_factor.cache_info().hits == 1
+    assert simulate_arfima(spec).tobytes() == first.tobytes()
+    # lower triangular, and real at frequencies 0 and N, where irfft reads
+    # only real parts
+    assert np.all(factor[0, 1] == 0.0)
+    assert np.all(factor[:, :, [0, -1]].imag == 0.0)
+
+
+def test_simulation_matches_dense_mix():
+    """The in-place per-frequency mix equals the dense product factor @ E, and
+    the factor reproduces the embedding spectrum (p = 3, odd N, one
+    integrated channel)."""
+    omega = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.5], [-0.2, 0.5, 1.5]])
+    spec = ArfimaSpec(d=[0.3, -0.2, 1.25], omega=omega, n_samples=37, seed=4)
+    factor = embedding_factor(spec)
+    spectrum = arfima._embedding_spectrum((0.3, -0.2, 0.25), tuple(omega.ravel()), 37)
+    assert_allclose(np.einsum("lmf,kmf->flk", factor, factor.conj()), spectrum,
+                    rtol=0, atol=1e-12 * np.abs(spectrum).max())
+    noise = np.random.default_rng(4).standard_normal((3, 74))
+    mixed = np.einsum("lmf,mf->lf", factor, np.fft.rfft(noise, axis=-1))
+    expected = np.fft.irfft(mixed, 74, axis=-1)[:, :37].T
+    expected[:, 2] = np.cumsum(expected[:, 2])
     assert_allclose(simulate_arfima(spec), expected, rtol=0, atol=1e-12)
 
 
-def test_simulation_matches_direct_ma_sum():
-    omega = np.array([[1.0, 0.3], [0.3, 2.0]])
-    assert_matches_direct_ma_sum(
-        ArfimaSpec(d=[-0.3, 0.4], omega=omega, n_samples=37, truncation=61, seed=4)
-    )
+def test_non_embeddable_model_raises_covariance_error():
+    spec = ArfimaSpec(d=[0.0, 0.49], omega=omega_from_rho(0.99), n_samples=512)
+    message = r"d=\[0\.0, 0\.49\].*N=512.*smallest eigenvalue -0\.29"
+    with pytest.raises(CovarianceError, match=message):
+        simulate_arfima(spec)
+    with pytest.raises(CovarianceError):
+        embedding_factor(spec)
 
 
-@pytest.mark.parametrize("trunc, n", [(1000, 25), (40, 40)])
-def test_simulation_valid_outputs_without_slack(trunc, n):
-    # the circular convolution wraps only discarded outputs, also with no
-    # slack: trunc + n - 1 = 1024 is 5-smooth, so the FFT length is exactly
-    # the number of innovations; truncation == n is the shortest filter allowed
-    assert next_fast_len(1000 + 25 - 1) == 1000 + 25 - 1
-    assert_matches_direct_ma_sum(
-        ArfimaSpec(d=[0.45, -0.2], omega=np.eye(2), n_samples=n, truncation=trunc, seed=9)
-    )
-
-
-def test_transfer_cache_is_read_only_and_exact():
-    spec = ArfimaSpec(d=[0.2, 1.3], omega=np.eye(2), n_samples=300, seed=5)
-    first = simulate_arfima(spec)
-    assert simulate_arfima(spec).tobytes() == first.tobytes()
-    arfima._transfer.cache_clear()
-    assert simulate_arfima(spec).tobytes() == first.tobytes()
-    nfft = next_fast_len(spec.truncation + 300 - 1)
-    cached = arfima._transfer(0.2, spec.truncation, nfft)
-    assert arfima._transfer.cache_info().hits >= 1
-    assert not cached.flags.writeable
-    with pytest.raises(ValueError):
-        cached[0] = 0.0
+def test_removed_simulator_names():
+    for name in ("frac_diff_coeffs", "next_fast_len", "_transfer", "TRANSFER_CACHE_SIZE"):
+        assert not hasattr(arfima, name)
+    assert not hasattr(wavewhittle, "frac_diff_coeffs")
 
 
 def test_white_noise_sample_covariance():
@@ -183,7 +250,7 @@ def test_univariate_variance_matches_quadrature_oracle():
         spec = ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=512, seed=seed)
         second_moments.append(float(np.mean(simulate_arfima(spec) ** 2)))
     values = np.array(second_moments)
-    tol = 3 * values.std() / math.sqrt(reps) + 2e-3  # MC noise + truncation slack
+    tol = 3 * values.std() / math.sqrt(reps)
     assert abs(values.mean() - oracle) < tol
 
 
@@ -213,15 +280,15 @@ def test_simulation_validation_errors():
         ArfimaSpec(d=[4.2], omega=np.eye(1), n_samples=64, moment_cap=4)
     with pytest.raises(ValueError):
         ArfimaSpec(d=[0.5], omega=np.eye(1), n_samples=64)
-    with pytest.raises(ValueError):
-        ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=64, truncation=10)
     with pytest.raises(ConfigError):
         ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=64, seed=-1)
-    # each output is a complete truncated MA sum: no burn-in, no AR contamination
+    # each draw is exact: no burn-in, no AR contamination, no truncation
     with pytest.raises(TypeError):
         ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=64, burn_in=5)
     with pytest.raises(TypeError):
         ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=64, ar=np.array([0.5]))
+    with pytest.raises(TypeError):
+        ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=64, truncation=640)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,24 @@ def test_simulate_rejects_bad_covariance(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["simulate", "mc"])
+def test_non_embeddable_model_exits_4(tmp_path, capsys, command):
+    # d = (0, 0.49) with rho = 0.99 at N = 512 has no positive definite
+    # circulant embedding: one error line and exit 4, not a failed-replication count
+    if command == "simulate":
+        argv = ["simulate", "--d", "0,0.49", "--rho", "0.99", "--N", "512",
+                "--output", str(tmp_path / "x.csv")]
+    else:
+        scenario = tmp_path / "edge.cfg"
+        scenario.write_text("d = 0, 0.49\nrho = 0.99\nN = 512\nreps = 3\n")
+        argv = ["mc", "--scenario", str(scenario), "--output", str(tmp_path / "out")]
+    assert run_cli(*argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the circulant embedding of d=[0.0, 0.49]")
+    assert "not positive definite" in err[0]
+    assert not list(tmp_path.glob("x.csv")) and not list(tmp_path.glob("out*"))
+
+
 def test_simulate_moment_cap(tmp_path):
     code = run_cli("simulate", "--d", "4.5", "--N", "64", "--M", "4",
                    "--output", str(tmp_path / "x.csv"))
@@ -215,7 +233,7 @@ def test_mc_subcommand_deterministic(tmp_path):
 
 @pytest.mark.parametrize("scenario, extra", [
     ("scenarios/table1_row3.cfg", ["--reps", "4"]),
-    ("d = 0.3\nN = 300\nreps = 3\nseed = 5\nM = 2\ntruncation = 3000\n"
+    ("d = 0.3\nN = 300\nreps = 3\nseed = 5\nM = 2\n"
      "univariate = false\nlabel = echo", []),
 ], ids=["table1_row3", "univariate_off"])
 def test_mc_scenario_echo_reruns(tmp_path, scenario, extra):
@@ -244,8 +262,8 @@ def test_mc_reps_one_gives_zero_std(tmp_path):
 
 def test_mc_malformed_scenario(tmp_path):
     bad = tmp_path / "bad.cfg"
-    # unknown keys, the removed boundary and burn_in options among them
-    for key in ("mystery = 1", "boundary = valid", "burn_in = 5"):
+    # unknown keys, the removed boundary, burn_in and truncation options among them
+    for key in ("mystery = 1", "boundary = valid", "burn_in = 5", "truncation = 5120"):
         bad.write_text(f"d = 0.2\n{key}\n")
         assert run_cli("mc", "--scenario", str(bad)) == 2
 
@@ -261,7 +279,7 @@ def test_mc_invalid_memory_exits_2(tmp_path, d):
     ["simulate", "--d", "0.2", "--N", "16", "--seed", "-1"],
     ["simulate", "--d", "0.5", "--N", "16"],
     ["simulate", "--d", "0.2", "--N", "0"],
-    ["simulate", "--d", "0.2", "--N", "16", "--truncation", "8"],
+    ["simulate", "--d", "nan", "--N", "16"],
     ["mc", "--scenario", "{negative_seed}"],
     ["mc", "--scenario", "scenarios/table1_row3.cfg", "--seed", "-5"],
     ["simulate", "--d", "", "--N", "8"],
@@ -279,6 +297,7 @@ def test_bad_simulation_inputs_exit_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["estimate", "--input", "panel.csv", "--boundary", "valid"],
     ["simulate", "--d", "0.2", "--N", "16", "--burn-in", "5"],
+    ["simulate", "--d", "0.2", "--N", "16", "--truncation", "160"],
 ])
 def test_removed_flags_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
@@ -487,7 +506,7 @@ def test_error_shows_only_existing_positions(tmp_path, capsys, text, message):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("key, value", [
     ("N", 300.9), ("reps", 2.7), ("seed", 1.5), ("M", 3.5), ("j0", 1.5), ("j1", 5.2),
-    ("truncation", 5000.5), ("reps", True),
+    ("reps", True),
 ])
 def test_mc_rejects_non_integer_scenario_values(tmp_path, capsys, fmt, key, value):
     if fmt == "json":

@@ -41,6 +41,7 @@ from helpers import (
     multistart_nelder_mead,
     per_pair_omega,
     random_scalogram,
+    wide_p6_variant,
 )
 
 WSPEC = WaveletSpec(vanishing_moments=4)
@@ -311,6 +312,28 @@ def test_estimate_d_nonconvergence_flagged(monkeypatch):
     d_hat, _, diag = estimate_d(scal, EstimationConfig(j0=1, j1=6), WSPEC)
     assert diag["converged"] is False and diag["iterations"] == 2
     assert np.all(np.isfinite(d_hat))
+
+
+def test_estimate_d_converged_at_roundoff(monkeypatch):
+    """A search that ends where no step lowers R, with a projected gradient
+    just above GRAD_TOL but a Newton decrement below what R resolves, sits at
+    the optimum and counts as converged.
+
+    The panel is the seed-405 variant of wide pool panel p6-1 (permuted
+    channels, per-channel offsets): the search stops after 14 evaluations
+    with max|g| = 1.06e-7 and g^T H^-1 g = 2.6e-15 at R = 4.15.
+    """
+    values = wide_p6_variant(405)
+    config = EstimationConfig()
+    j0, j1 = resolve_scales(values.shape[0], WSPEC, config, values.shape[1])
+    scal = scalogram(dwt_pyramid(values, WSPEC, j1), j0, j1)
+    d_hat, value, diag = estimate_d(scal, config, WSPEC)
+    assert diag["converged"] is True and diag["function_evaluations"] == 14
+    _, grad, _ = _objective_derivatives(scal, d_hat)
+    assert np.max(np.abs(grad)) > estimator.GRAD_TOL  # only the decrement rule applies
+    assert value == pytest.approx(4.15, abs=0.01)
+    monkeypatch.setattr(estimator, "DECREMENT_TOL", 0.0)
+    assert estimate_d(scal, config, WSPEC)[2]["converged"] is False
 
 
 def test_permutation_equivariance():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavewhittle.errors import ScenarioError
+from wavewhittle import montecarlo
+from wavewhittle.errors import CovarianceError, ScenarioError
 from wavewhittle.montecarlo import (
     MCReport,
     Scenario,
@@ -94,6 +95,28 @@ def test_all_failures_raise():
     bad = small_scenario(n_samples=64, j0=3, j1=None, replications=4)
     with pytest.raises(ScenarioError):
         run_scenario(bad)
+
+
+def test_non_embeddable_scenario_fails_once(monkeypatch):
+    # the embedding check runs before any replication is dispatched, so the
+    # error is not swallowed into "all replications failed"
+    calls = []
+    monkeypatch.setattr(montecarlo, "_replication_worker", calls.append)
+    edge = small_scenario(d=[0.0, 0.49], omega=omega_from_rho(0.99), n_samples=512)
+    for workers in (1, 2):
+        with pytest.raises(CovarianceError, match="not positive definite"):
+            run_scenario(edge, workers=workers)
+    assert calls == []
+
+
+def test_scenario_has_no_truncation():
+    with pytest.raises(TypeError):
+        small_scenario(truncation=2560)
+    scenario = small_scenario()
+    assert scenario.truncation is None
+    with pytest.raises(AttributeError):
+        scenario.truncation = 2560
+    assert "truncation" not in scenario.echo()
 
 
 def test_failure_counting_excludes_bad_replications():
