@@ -332,5 +332,5 @@ def wide_p6_variant(seed: int, k: int = 1) -> np.ndarray:
     offsets = rng.uniform(-5.0, 5.0, 6)
     pool_rng = np.random.default_rng([WIDE_POOL_SEED, 6, k])
     d = np.sort(pool_rng.uniform(-0.1, 0.45, 6))
-    values = frac_panel(pool_rng, d, 16384)[:, perm] + offsets
-    return np.array([[float(f"{v:.17g}") for v in row] for row in values])
+    # the CSV's %.17g cells read back as these same doubles
+    return frac_panel(pool_rng, d, 16384)[:, perm] + offsets

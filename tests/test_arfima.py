@@ -22,7 +22,7 @@ from wavewhittle.errors import ConfigError, CovarianceError, VanishingMomentErro
 from wavewhittle.montecarlo import omega_from_rho
 from wavewhittle.wavelets import WaveletSpec, dwt_pyramid, spectral_k
 
-from helpers import frac_diff_coeffs, ma_cross_covariance
+from helpers import frac_diff_coeffs, ma_cross_covariance, ma_simulate
 
 
 def gamma_ratio_weights(d, count):
@@ -155,6 +155,13 @@ def test_variance_is_exact_near_the_stationarity_edge():
         for seed in np.random.SeedSequence(45).spawn(reps)
     ])
     assert abs(second.mean() - exact) < 4 * second.std() / math.sqrt(reps)
+    # the check tells the two simulators apart: the former one reads ~70%
+    truncated = np.array([
+        float(np.mean(ma_simulate(ArfimaSpec(d=[0.45], omega=np.eye(1), n_samples=512,
+                                             seed=seed)) ** 2))
+        for seed in np.random.SeedSequence(45).spawn(reps)[:300]
+    ])
+    assert truncated.mean() < 0.75 * exact
 
 
 def test_factor_cache_is_read_only_per_key():
