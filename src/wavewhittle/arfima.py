@@ -13,13 +13,20 @@ cross-autocovariance (Sela & Hurvich 2009, JTSA 30)
 and gamma_lm(-h) = gamma_ml(h).  Wrapped into a circulant of length 2N, it
 has an (N+1, p, p) Hermitian spectrum; its batched Cholesky factor turns the
 rfft of 2N white-noise samples per channel into an exact draw whose first N
-samples have exactly these covariances.  Channels with d >= 1/2 are
-integrated (cumulative sums) from their stationary exponent.
+samples have exactly these covariances.  That rfft is never computed: its
+bins are independent Gaussians of known variance (Davies & Harte 1987,
+Biometrika 74; Wood & Chan 1994, JCGS 3), so 2N + 2 standard normals per
+channel, read as N + 1 complex bins and scaled, are the same white noise
+under an orthogonal change of variables.  A draw then costs one irfft per
+channel.  Channels with d >= 1/2 are integrated (cumulative sums) from their
+stationary exponent.
 
 The factor depends only on (stationary exponents, omega, N), and every
 replication of a Monte-Carlo scenario shares those, so the last
 FACTOR_CACHE_SIZE factors are kept, read-only.  Each holds
-(N+1) * p^2 * 16 bytes (4.2 MB at N = 65536, p = 2).  A spectrum that is not
+(N+1) * p^2 * 16 bytes (4.2 MB at N = 65536, p = 2).  A draw besides holds
+(2N+2) p doubles of bins, one 2N-sample irfft buffer and the N p panel
+(2.1, 1.0 and 1.0 MB at N = 65536, p = 2).  A spectrum that is not
 positive definite at some frequency has no such factor: the draw raises
 CovarianceError and is never clipped.  For one channel with |d| < 1/2 the
 embedding is always nonnegative (Craigmile 2003, JTSA 24); for several
@@ -196,16 +203,22 @@ def simulate_arfima(spec: ArfimaSpec) -> np.ndarray:
     """Draw an (N, p) panel from the ARFIMA(0, d, 0) model, exactly.
 
     Deterministic given the seed.  The stationary parts are one circulant-
-    embedding draw (module docstring): an rfft of 2N standard normals per
-    channel, multiplied per frequency by the cached factor, and an irfft of
-    which the first N samples are kept.  Channels with d >= 1/2 are drawn at
-    exponent d - ceil(d - 1/2) and cumulatively summed.  Raises
-    CovarianceError if the embedding is not positive definite.
+    embedding draw (module docstring): the rfft of 2N white-noise samples
+    per channel, drawn directly in the frequency domain, multiplied per
+    frequency by the cached factor, and an irfft of which the first N
+    samples are kept.  Channels with d >= 1/2 are drawn at exponent
+    d - ceil(d - 1/2) and cumulatively summed.  The panel is the transpose
+    of a (p, N) array, so it is Fortran-ordered: each channel is contiguous.
+    Raises CovarianceError if the embedding is not positive definite.
     """
     factor = embedding_factor(spec)
     p, n = spec.n_channels, spec.n_samples
-    noise = np.random.default_rng(spec.seed).standard_normal((p, 2 * n))
-    spectrum = np.fft.rfft(noise, axis=-1)
+    # The rfft of 2N iid N(0, 1) samples has independent bins: real N(0, 2N)
+    # at frequencies 0 and N, and N(0, N) real and imaginary parts between.
+    spectrum = np.random.default_rng(spec.seed).standard_normal((p, 2 * n + 2))
+    spectrum = spectrum.view(np.complex128)
+    spectrum *= math.sqrt(n)
+    spectrum[:, ::n] = spectrum[:, ::n].real * math.sqrt(2.0)
     # spectrum[l] <- sum_{m <= l} factor[l, m] spectrum[m], last channel
     # first so that the rows still to be read are unchanged
     term = np.empty(n + 1, dtype=np.complex128)
@@ -214,14 +227,13 @@ def simulate_arfima(spec: ArfimaSpec) -> np.ndarray:
         for m in range(ell):
             spectrum[ell] += np.multiply(factor[ell, m], spectrum[m], out=term)
     full = np.empty(2 * n)
-    panel = np.empty((n, p))
+    panel = np.empty((p, n))
     for ell in range(p):
         np.fft.irfft(spectrum[ell], 2 * n, out=full)
-        series = full[:n]
+        panel[ell] = full[:n]
         for _ in range(split_memory(float(spec.d[ell]))[1]):
-            series = np.cumsum(series)
-        panel[:, ell] = series
-    return panel
+            np.cumsum(panel[ell], out=panel[ell])
+    return panel.T
 
 
 def model_wavelet_cov(

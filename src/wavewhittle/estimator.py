@@ -417,19 +417,22 @@ def _zero_channels(panel: np.ndarray, scal: Scalogram) -> list[int]:
     their own amplitude (see ZERO_CHANNEL_RTOL); rescaling never changes
     the verdict."""
     rms = np.sqrt(np.diagonal(scal.matrices.sum(axis=0)) / scal.n_coefficients)
-    return np.flatnonzero(rms <= ZERO_CHANNEL_RTOL * np.max(np.abs(panel), axis=0)).tolist()
+    # a column-wise reduction is contiguous only on a Fortran-ordered panel
+    amplitude = np.max(np.abs(np.asfortranarray(panel)), axis=0)
+    return np.flatnonzero(rms <= ZERO_CHANNEL_RTOL * amplitude).tolist()
 
 
-def _panel_scalogram(
-    panel: np.ndarray, spec: WaveletSpec, config: EstimationConfig, joint: bool
-) -> tuple[np.ndarray, Scalogram]:
-    """The panel as an (N, p) float array and its scalogram on the resolved
-    scale range, resolved for a p-channel fit when ``joint``, else for p = 1."""
-    x = np.asarray(panel, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    j0, j1 = resolve_scales(x.shape[0], spec, config, x.shape[1] if joint else 1)
-    return x, scalogram(dwt_pyramid(x, spec, j1), j0, j1)
+def _pyramid(x: np.ndarray, spec: WaveletSpec, config: EstimationConfig, n_channels: int):
+    """The detail pyramid as deep as the scale range resolved for an
+    n_channels fit.  A level's details do not depend on the depth, so the
+    p = 1 pyramid, the deepest, serves a joint fit as well."""
+    return dwt_pyramid(x, spec, resolve_scales(x.shape[0], spec, config, n_channels)[1])
+
+
+def _scalogram(pyramid: WaveletPyramid, config: EstimationConfig, n_channels: int) -> Scalogram:
+    """The scalogram on the scale range resolved for an n_channels fit."""
+    j0, j1 = resolve_scales(pyramid.n_samples, pyramid.spec, config, n_channels)
+    return scalogram(pyramid, j0, j1)
 
 
 def estimate_panel(panel: np.ndarray, spec: WaveletSpec, config: EstimationConfig) -> MwwEstimate:
@@ -437,7 +440,17 @@ def estimate_panel(panel: np.ndarray, spec: WaveletSpec, config: EstimationConfi
 
     ``warnings`` holds the lists of ``estimate_omega`` plus ``zero_channels``.
     """
-    x, scal = _panel_scalogram(panel, spec, config, joint=True)
+    x = np.asarray(panel, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    return _fit_panel(x, _pyramid(x, spec, config, x.shape[1]), spec, config)
+
+
+def _fit_panel(
+    x: np.ndarray, pyramid: WaveletPyramid, spec: WaveletSpec, config: EstimationConfig
+) -> MwwEstimate:
+    """``estimate_panel`` on the pyramid of the (N, p) panel x."""
+    scal = _scalogram(pyramid, config, x.shape[1])
     d_hat, value, diagnostics = estimate_d(scal, config, spec)
     omega, correlation, g_matrix, warnings = estimate_omega(scal, d_hat, spec)
     warnings["zero_channels"] = _zero_channels(x, scal)
@@ -469,7 +482,15 @@ def estimate_univariate_each(
     joint fit: one channel with a singular criterion (e.g. all zero) marks
     every channel not converged.
     """
-    _, scal = _panel_scalogram(panel, spec, config, joint=False)
+    pyramid = _pyramid(np.asarray(panel, dtype=np.float64), spec, config, 1)
+    return _fit_univariate(pyramid, spec, config)
+
+
+def _fit_univariate(
+    pyramid: WaveletPyramid, spec: WaveletSpec, config: EstimationConfig
+) -> tuple[np.ndarray, list[dict]]:
+    """``estimate_univariate_each`` on a pyramid at least as deep as the p = 1 range."""
+    scal = _scalogram(pyramid, config, 1)
     variances = np.diagonal(scal.matrices, axis1=1, axis2=2)
     diagonal = replace(scal, matrices=variances[:, :, None] * np.eye(scal.n_channels))
     d_hats, _, diagnostics = _projected_newton(diagonal, spec)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arfima import ArfimaSpec, correlation_from_cov, embedding_factor, simulate_arfima
-from .errors import ScenarioError, WavewhittleError
-from .estimator import EstimationConfig, estimate_panel, estimate_univariate_each
+from .errors import CovarianceError, ScenarioError, WavewhittleError
+from .estimator import EstimationConfig, _fit_panel, _fit_univariate, _pyramid
 from .wavelets import WaveletSpec
 
 
@@ -53,6 +53,8 @@ class Scenario:
         try:
             # the root seed obeys the same rule as the seed of a single draw
             self.arfima_spec(self.seed)
+        except CovarianceError:
+            raise  # the same error, and exit code, as a single draw's
         except (WavewhittleError, ValueError) as exc:
             raise ScenarioError(str(exc)) from exc
         if self.replications < 1:
@@ -153,7 +155,9 @@ def _run_replication(scenario: Scenario, seed) -> dict:
     panel = simulate_arfima(scenario.arfima_spec(seed))
     spec = scenario.wavelet_spec()
     config = scenario.estimation_config()
-    est = estimate_panel(panel, spec, config)
+    # built as deep as the univariate fit reads, the deeper of the two
+    pyramid = _pyramid(panel, spec, config, 1)
+    est = _fit_panel(panel, pyramid, spec, config)
     out = {
         "d": est.d_hat,
         "omega": est.omega,
@@ -161,7 +165,7 @@ def _run_replication(scenario: Scenario, seed) -> dict:
         "converged": est.diagnostics["converged"],
     }
     if scenario.include_univariate:
-        out["d_univariate"], _ = estimate_univariate_each(panel, spec, config)
+        out["d_univariate"], _ = _fit_univariate(pyramid, spec, config)
     return out
 
 
@@ -350,6 +354,8 @@ def parse_scenario_mapping(data: dict) -> Scenario:
             include_univariate=univariate,
             label=str(mapping.get("label", "")),
         )
+    except CovarianceError:
+        raise
     except (WavewhittleError, ValueError, TypeError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 

@@ -178,7 +178,9 @@ def max_feasible_level(n_samples: int, spec: WaveletSpec) -> int:
 class WaveletPyramid:
     """Per-scale, per-channel detail coefficients of a sample panel.
 
-    ``details[i]`` holds scale j = i + 1 as an (n_j, p) array.
+    ``details[i]`` holds scale j = i + 1 as an (n_j, p) array.  Those that
+    ``dwt_pyramid`` builds are transposes of (p, n_j) arrays, so each
+    channel's coefficients are contiguous.
     """
 
     details: list[np.ndarray]
@@ -205,9 +207,12 @@ def dwt_pyramid(panel: np.ndarray, spec: WaveletSpec, j_max: int | None = None) 
     """Compute the multichannel detail pyramid of an (N,) or (N, p) panel.
 
     Retains the ``coefficient_counts(N, spec, j_max)`` fully-supported
-    coefficients per channel and scale.  Raises
-    InsufficientDataError (carrying the largest feasible level) when the
-    series is too short for ``j_max``.
+    coefficients per channel and scale.  The computation is channel-major:
+    one contiguous (p, N) copy of the panel (none for a Fortran-ordered
+    panel), then per level one product of its decimated sliding windows
+    with the filter pair [g, h], which yields the details and the next
+    approximation at once.  Raises InsufficientDataError (carrying the
+    largest feasible level) when the series is too short for ``j_max``.
     """
     x = np.asarray(panel, dtype=np.float64)
     if x.ndim == 1:
@@ -229,17 +234,17 @@ def dwt_pyramid(panel: np.ndarray, spec: WaveletSpec, j_max: int | None = None) 
         )
 
     h, g = spec.filters()
-    taps = h.size
+    filters = np.stack([g, h], axis=1)
     counts = coefficient_counts(n_samples, spec, j_max)
 
     details: list[np.ndarray] = []
-    approx = x
-    for j in range(1, j_max + 1):
-        # the n_j windows lying entirely inside the level: (n_j, p, taps)
-        windows = sliding_window_view(approx, taps, axis=0)[::2]
-        details.append(np.tensordot(windows, g, axes=([2], [0])))
-        if j < j_max:
-            approx = np.tensordot(windows, h, axes=([2], [0]))
+    approx = np.ascontiguousarray(x.T)  # (p, N), channel-major
+    for _ in range(j_max):
+        # the n_j windows lying entirely inside the level: (p, n_j, taps)
+        windows = sliding_window_view(approx, h.size, axis=1)[:, ::2]
+        both = windows @ filters
+        details.append(np.ascontiguousarray(both[:, :, 0]).T)
+        approx = both[:, :, 1]
     return WaveletPyramid(details=details, counts=counts, n_samples=n_samples, spec=spec)
 
 

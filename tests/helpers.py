@@ -5,6 +5,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import Bounds, minimize
 
 from wavewhittle.arfima import split_memory
@@ -54,6 +55,23 @@ def brute_force_pyramid(x, m, j_max):
             new_approx.append(app)
         details.append(np.array(new_details).T)
         a = new_approx
+    return details
+
+
+def reference_pyramid(x, spec, j_max):
+    """The sample-major pyramid that the channel-major ``dwt_pyramid``
+    replaced: (n_j, p, taps) windows contracted with each filter by
+    ``tensordot``, level by level; returns the (n_j, p) details."""
+    h, g = spec.filters()
+    approx = np.asarray(x, dtype=np.float64)
+    if approx.ndim == 1:
+        approx = approx[:, None]
+    details = []
+    for j in range(1, j_max + 1):
+        windows = sliding_window_view(approx, h.size, axis=0)[::2]
+        details.append(np.tensordot(windows, g, axes=([2], [0])))
+        if j < j_max:
+            approx = np.tensordot(windows, h, axes=([2], [0]))
     return details
 
 

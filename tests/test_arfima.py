@@ -197,11 +197,30 @@ def test_simulation_matches_dense_mix():
     spectrum = arfima._embedding_spectrum((0.3, -0.2, 0.25), tuple(omega.ravel()), 37)
     assert_allclose(np.einsum("lmf,kmf->flk", factor, factor.conj()), spectrum,
                     rtol=0, atol=1e-12 * np.abs(spectrum).max())
-    noise = np.random.default_rng(4).standard_normal((3, 74))
-    mixed = np.einsum("lmf,mf->lf", factor, np.fft.rfft(noise, axis=-1))
+    # the draw's white-noise spectrum: 2N + 2 normals per channel, paired
+    # into N + 1 complex bins, real at frequencies 0 and N
+    normals = np.random.default_rng(4).standard_normal((3, 76))
+    bins = math.sqrt(37) * (normals[:, 0::2] + 1j * normals[:, 1::2])
+    bins[:, [0, 37]] = math.sqrt(74) * normals[:, [0, 74]]
+    mixed = np.einsum("lmf,mf->lf", factor, bins)
     expected = np.fft.irfft(mixed, 74, axis=-1)[:, :37].T
     expected[:, 2] = np.cumsum(expected[:, 2])
     assert_allclose(simulate_arfima(spec), expected, rtol=0, atol=1e-12)
+
+
+def test_white_noise_bins_are_scaled_as_an_rfft():
+    """With d = 0 and omega = I the factor is the identity, so a draw is the
+    first N of 2N white-noise samples: their covariance is I.  Scaling bin 0
+    or bin N by sqrt(N) rather than sqrt(2N) would move every entry within a
+    channel by 1/(4N): about 6 standard errors on the diagonal, 9 off it."""
+    n, reps = 4, 20_000
+    draws = np.array([
+        simulate_arfima(ArfimaSpec(d=[0.0, 0.0], omega=np.eye(2), n_samples=n, seed=seed))
+        .ravel() for seed in range(reps)
+    ])
+    products = draws[:, :, None] * draws[:, None, :]
+    se = products.std(axis=0) / math.sqrt(reps)
+    assert np.all(np.abs(products.mean(axis=0) - np.eye(2 * n)) < 4 * se)
 
 
 def test_non_embeddable_model_raises_covariance_error():

@@ -42,6 +42,20 @@ def test_simulate_rejects_bad_covariance(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("text", [
+    "d = 0.2, 0.2\nrho = 1.5\nreps = 2\n",
+    '{"d": [0.2, 0.2], "rho": 1.5, "reps": 2}',
+    '{"d": [0.2, 0.2], "omega": [[1.0, 1.5], [1.5, 1.0]], "reps": 2}',
+])
+def test_mc_invalid_omega_exits_4_as_simulate_does(tmp_path, capsys, text):
+    # the matrix that `simulate --d 0.2,0.2 --rho 1.5` rejects with exit 4
+    scenario = tmp_path / "bad.cfg"
+    scenario.write_text(text)
+    assert run_cli("mc", "--scenario", str(scenario), "--output", str(tmp_path / "out")) == 4
+    assert capsys.readouterr().err.splitlines() == ["error: omega is not positive definite"]
+    assert not list(tmp_path.glob("out*"))
+
+
 @pytest.mark.parametrize("command", ["simulate", "mc"])
 def test_non_embeddable_model_exits_4(tmp_path, capsys, command):
     # d = (0, 0.49) with rho = 0.99 at N = 512 has no positive definite

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wavewhittle import montecarlo
+from wavewhittle import estimator, montecarlo
+from wavewhittle.arfima import simulate_arfima
 from wavewhittle.errors import CovarianceError, ScenarioError
+from wavewhittle.estimator import estimate_panel, estimate_univariate_each
 from wavewhittle.montecarlo import (
     MCReport,
     Scenario,
@@ -109,6 +111,30 @@ def test_non_embeddable_scenario_fails_once(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("path", ["scenarios/table1_row3.cfg",
+                                  "scenarios/table1_nonstationary.cfg"])
+def test_replication_reads_both_fits_from_one_pyramid(monkeypatch, path):
+    """A replication builds one pyramid, at the univariate depth, and its
+    joint and univariate estimates equal those of the stand-alone calls,
+    each with its own pyramid, bit for bit."""
+    scenario = load_scenario(path)
+    spec, config = scenario.wavelet_spec(), scenario.estimation_config()
+    built = []
+    dwt_pyramid = estimator.dwt_pyramid
+    monkeypatch.setattr(estimator, "dwt_pyramid", lambda *a: built.append(a) or dwt_pyramid(*a))
+    for seed in np.random.SeedSequence(scenario.seed).spawn(40):
+        out = montecarlo._run_replication(scenario, seed)
+        assert len(built) == 1
+        built.clear()
+        panel = simulate_arfima(scenario.arfima_spec(seed))
+        alone = estimate_panel(panel, spec, config)
+        assert out["d"].tobytes() == alone.d_hat.tobytes()
+        assert out["omega"].tobytes() == alone.omega.tobytes()
+        d_univariate = estimate_univariate_each(panel, spec, config)[0]
+        assert out["d_univariate"].tobytes() == d_univariate.tobytes()
+        built.clear()
+
+
 def test_scenario_has_no_truncation():
     with pytest.raises(TypeError):
         small_scenario(truncation=2560)
@@ -152,8 +178,11 @@ def test_rate_check_rmse_decreases():
 
 
 def test_scenario_validation():
-    with pytest.raises(ScenarioError):
+    # an invalid omega is a CovarianceError wherever it is given
+    with pytest.raises(CovarianceError):
         Scenario(d=[0.2, 0.2], omega=np.eye(3))
+    with pytest.raises(CovarianceError):
+        Scenario(d=[0.2, 0.2], omega=omega_from_rho(1.5))
     with pytest.raises(ScenarioError):
         Scenario(d=[0.2], omega=np.eye(1), replications=0)
     with pytest.raises(ScenarioError):

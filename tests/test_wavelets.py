@@ -12,9 +12,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import brute_force_pyramid
+from helpers import brute_force_pyramid, reference_pyramid
 
 from wavewhittle import wavelets
 from wavewhittle.errors import DomainError, InsufficientDataError, UnsupportedOrderError
@@ -149,6 +151,27 @@ def test_pyramid_matches_brute_force(m, n):
     for level, ref in zip(pyr.details, oracle):
         assert level.shape == ref.shape
         assert_allclose(level, ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("m", range(1, MAX_ORDER + 1))
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(extra=st.integers(0, 600), p=st.sampled_from([1, 2, 20]), seed=st.integers(0, 2**32 - 1))
+def test_pyramid_matches_reference_property(m, extra, p, seed):
+    """The channel-major pyramid equals the sample-major tensordot one to
+    1e-12 of each level's size, on C-ordered, Fortran-ordered and
+    strided-slice panels and on 1-D input."""
+    spec = WaveletSpec(vanishing_moments=m)
+    n = 2 * m + extra
+    j_max = max_feasible_level(n, spec)
+    block = np.random.default_rng(seed).standard_normal((2 * n, 2 * p + 1))
+    x = block[::2, 1::2].copy()
+    panels = [(x, x), (np.asfortranarray(x), x), (block[::2, 1::2], x), (x[:, 0], x[:, :1])]
+    for panel, same in panels:
+        pyr = dwt_pyramid(panel, spec, j_max)
+        assert list(pyr.counts) == [level.shape[0] for level in pyr.details]
+        for level, ref in zip(pyr.details, reference_pyramid(same, spec, j_max), strict=True):
+            assert level.shape == ref.shape
+            assert_allclose(level, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_pyramid_linearity():
