@@ -211,11 +211,17 @@ def simulate_arfima(spec: ArfimaSpec) -> np.ndarray:
     of a (p, N) array, so it is Fortran-ordered: each channel is contiguous.
     Raises CovarianceError if the embedding is not positive definite.
     """
-    factor = embedding_factor(spec)
+    return _draw(spec, embedding_factor(spec), spec.seed)
+
+
+def _draw(spec: ArfimaSpec, factor: np.ndarray, seed) -> np.ndarray:
+    """``simulate_arfima`` of ``spec`` with ``seed`` in place of ``spec.seed``,
+    given its embedding factor: a Monte-Carlo run validates the model and
+    looks up the factor once, then draws every replication from here."""
     p, n = spec.n_channels, spec.n_samples
     # The rfft of 2N iid N(0, 1) samples has independent bins: real N(0, 2N)
     # at frequencies 0 and N, and N(0, N) real and imaginary parts between.
-    spectrum = np.random.default_rng(spec.seed).standard_normal((p, 2 * n + 2))
+    spectrum = np.random.default_rng(seed).standard_normal((p, 2 * n + 2))
     spectrum = spectrum.view(np.complex128)
     spectrum *= math.sqrt(n)
     spectrum[:, ::n] = spectrum[:, ::n].real * math.sqrt(2.0)

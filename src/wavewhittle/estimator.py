@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +55,8 @@ class Scalogram:
     """Per-scale sums of outer products I(j) = sum_k W_{j,k} W_{j,k}^T.
 
     Kept unnormalized (no division by n_j).  ``matrices[i]`` is the p x p
-    matrix for scale j = j0 + i.
+    matrix for scale j = j0 + i.  Treated as immutable: the derived
+    quantities below are computed once, on first use.
     """
 
     matrices: np.ndarray
@@ -70,11 +72,20 @@ class Scalogram:
     def n_coefficients(self) -> int:
         return int(self.counts.sum())
 
-    @property
+    @cached_property
     def mean_scale(self) -> float:
         """Count-weighted mean scale <J> = (1/n) sum_j j n_j."""
         js = np.arange(self.j0, self.j1 + 1)
         return float((js * self.counts).sum() / self.counts.sum())
+
+    @cached_property
+    def _centred_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The constants of R and its derivatives: the centred scales
+        c_j = j - <J> as a (J, 1) column, the (3, J) weights 1, c_j and c_j^2
+        divided by n, and the (J, p^2) view of ``matrices``."""
+        c = np.arange(self.j0, self.j1 + 1, dtype=np.float64) - self.mean_scale
+        weights = np.stack([np.ones_like(c), c, c * c]) / self.n_coefficients
+        return c[:, None], weights, self.matrices.reshape(c.size, -1)
 
 
 def scalogram(pyramid: WaveletPyramid, j0: int, j1: int) -> Scalogram:
@@ -97,26 +108,12 @@ def scalogram(pyramid: WaveletPyramid, j0: int, j1: int) -> Scalogram:
     )
 
 
-def _g_weighted(scal: Scalogram, d: np.ndarray, center: float, weights=None) -> np.ndarray:
-    """(1/n) sum_j w_j Lam_{j-center}(d)^-1 I(j) Lam_{j-center}(d)^-1.
-
-    ``weights`` defaults to w_j = 1; a (k, n_scales) array gives the k
-    weighted sums at once, stacked as a (k, p, p) array.
-    """
-    js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)
-    factors = 2.0 ** (-np.outer(js - center, d))
-    scaled = factors[:, :, None] * scal.matrices * factors[:, None, :]
-    if weights is None:
-        weights = np.ones_like(js)
-    p = d.size
-    total = weights @ scaled.reshape(js.size, p * p)
-    return total.reshape(np.shape(weights)[:-1] + (p, p)) / scal.n_coefficients
-
-
 def g_hat(scal: Scalogram, d) -> np.ndarray:
     """Profile covariance G_hat(d), entrywise (1/n) sum_j 2^-j(d_l+d_m) I_lm(j)."""
     d = np.atleast_1d(np.asarray(d, dtype=np.float64))
-    return _g_weighted(scal, d, 0.0)
+    factors = np.exp2(-np.arange(scal.j0, scal.j1 + 1)[:, None] * d)
+    scaled = factors[:, :, None] * scal.matrices * factors[:, None, :]
+    return scaled.sum(axis=0) / scal.n_coefficients
 
 
 def whittle_likelihood(scal: Scalogram, g_matrix: np.ndarray, d) -> float:
@@ -145,7 +142,7 @@ def objective_R(scal: Scalogram, d) -> float:
     covariance is singular so minimizers treat the point as infeasible.
     """
     d = np.atleast_1d(np.asarray(d, dtype=np.float64))
-    return _profile_logdet(_g_weighted(scal, d, scal.mean_scale)) + scal.n_channels - 1.0
+    return _profile_logdet(_centred_sums(scal, d)[0]) + scal.n_channels - 1.0
 
 
 def _profile_logdet(g_bar: np.ndarray) -> float:
@@ -153,6 +150,17 @@ def _profile_logdet(g_bar: np.ndarray) -> float:
     if sign <= 0 or not np.isfinite(logdet):
         return math.inf
     return float(logdet)
+
+
+def _centred_sums(scal: Scalogram, d: np.ndarray) -> np.ndarray:
+    """G_bar, H and Q at d as a (3, p, p) array: the sums over scales of
+    Lam_{j-<J>}(d)^-1 I(j) Lam_{j-<J>}(d)^-1 / n with the weights 1, c_j and
+    c_j^2 (``Scalogram._centred_terms``)."""
+    c, weights, flat = scal._centred_terms
+    factors = np.exp2(c * -d)
+    p = d.size
+    scaled = (factors[:, :, None] * factors[:, None, :]).reshape(c.size, p * p) * flat
+    return (weights @ scaled).reshape(3, p, p)
 
 
 def _objective_derivatives(scal: Scalogram, d: np.ndarray):
@@ -167,18 +175,18 @@ def _objective_derivatives(scal: Scalogram, d: np.ndarray):
     At an infeasible point (singular G_bar) the value is +inf and the
     gradient and Hessian are zero.
     """
-    center = scal.mean_scale
-    c = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64) - center
-    g_bar, h, q = _g_weighted(scal, d, center, np.stack([np.ones_like(c), c, c * c]))
+    g_bar, h, q = _centred_sums(scal, d)
     p = d.size
     logdet = _profile_logdet(g_bar)
     if not math.isfinite(logdet):
         return math.inf, np.zeros(p), np.zeros((p, p))
     a = np.linalg.inv(g_bar)
     b = h @ a
-    aq = a * q
-    hess = aq + np.diag(aq.sum(axis=1)) - b * b.T - a * (b @ h)
-    return logdet + p - 1.0, -2.0 * LOG2 * np.diagonal(b), 2.0 * LOG2**2 * hess
+    hess = a * q
+    hess.ravel()[:: p + 1] += hess.sum(axis=1)
+    hess -= b * b.T
+    hess -= a * (b @ h)
+    return logdet + p - 1.0, -2.0 * LOG2 * b.diagonal(), 2.0 * LOG2**2 * hess
 
 
 @dataclass
@@ -211,18 +219,19 @@ def rate_rule_j0(n_samples: int, beta: float) -> int:
 
 
 def _log_regression_init(scal: Scalogram, box: tuple[float, float]) -> np.ndarray:
-    """Per-channel slope of log2(I_ll(j)/n_j) on j, halved."""
-    js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)
-    init = np.empty(scal.n_channels)
-    for ell in range(scal.n_channels):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = np.log2(np.diagonal(scal.matrices, axis1=1, axis2=2)[:, ell] / scal.counts)
+    """Per-channel least-squares slope of log2(I_ll(j)/n_j) on j, halved, in
+    closed form over every channel at once; a channel with fewer than two
+    finite log-variances starts at 0.25."""
+    js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)[:, None]
+    variances = np.diagonal(scal.matrices, axis1=1, axis2=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log2(variances / scal.counts[:, None])
         good = np.isfinite(y)
-        if good.sum() >= 2:
-            slope = np.polyfit(js[good], y[good], 1)[0]
-            init[ell] = 0.5 * slope
-        else:
-            init[ell] = 0.25
+        n = good.sum(axis=0)
+        dx = np.where(good, js - (good * js).sum(axis=0) / n, 0.0)
+        dy = np.where(good, y - np.where(good, y, 0.0).sum(axis=0) / n, 0.0)
+        slope = (dx * dy).sum(axis=0) / (dx * dx).sum(axis=0)
+    init = np.where(n >= 2, 0.5 * slope, 0.25)
     margin = 1e-3 * (box[1] - box[0])
     return np.clip(init, box[0] + margin, box[1] - margin)
 
@@ -248,12 +257,15 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
     (Bertsekas 1982, SIAM J. Control Optim. 20).
 
     Coordinates at a bound whose gradient points out of the box are held
-    there; the others take the Newton step of their Hessian block.  When that
-    block is not positive definite, or no step along the Newton direction
-    lowers R enough, the search takes a backtracked gradient step instead.
-    A fit that hits the iteration cap, starts at a singular G_bar or can lower
-    R no further with a projected gradient above GRAD_TOL and a Newton
+    there: they become identity rows and columns of the Hessian, so that the
+    one solve gives the free coordinates the Newton step of their Hessian
+    block and the held ones the gradient step.  When that block is not
+    positive definite, or no step along the Newton direction lowers R
+    enough, the search takes a backtracked gradient step instead.  A fit
+    that hits the iteration cap, starts at a singular G_bar or can lower R
+    no further with a projected gradient above GRAD_TOL and a Newton
     decrement above round-off (DECREMENT_TOL) is reported as not converged.
+    ``active_bounds`` lists the coordinates held in the last iteration.
     """
     if scal.j1 == scal.j0:
         raise ConfigError("single-scale objective is flat in d; need j0 < j1")
@@ -261,22 +273,23 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
     x = _log_regression_init(scal, (lo, hi))
     value, grad, hess = _objective_derivatives(scal, x)
     evaluations, iterations, converged = 1, 0, False
+    identity = np.eye(x.size)
+    free = np.ones(x.size, dtype=bool)
     while math.isfinite(value) and iterations < NEWTON_MAX_ITERATIONS:
         iterations += 1
         free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
-        block = hess[np.ix_(free, free)]
+        reduced = np.where(free & free[:, None], hess, identity)
         directions = []
         decrement = math.inf  # g^T H^-1 g on the free block, if it is PD
         try:
-            np.linalg.cholesky(block)
+            np.linalg.cholesky(reduced)
         except np.linalg.LinAlgError:
             pass
         else:
-            newton = -grad
-            newton[free] = -np.linalg.solve(block, grad[free])
-            decrement = float(-grad[free] @ newton[free])
-            trial = np.clip(x + newton, lo, hi)
-            if np.max(np.abs(trial - x)) <= STEP_TOL:
+            newton = np.linalg.solve(reduced, -grad)
+            decrement = float(-(grad * free) @ newton)
+            trial = _project(x + newton, lo, hi)
+            if np.abs(trial - x).max() <= STEP_TOL:
                 x = trial
                 value, grad, hess = _objective_derivatives(scal, x)
                 evaluations += 1
@@ -291,7 +304,7 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
                 x, value, grad, hess = accepted
                 break
         else:
-            converged = (np.max(np.abs(x - np.clip(x - grad, lo, hi))) <= GRAD_TOL
+            converged = (np.abs(x - _project(x - grad, lo, hi)).max() <= GRAD_TOL
                          or decrement / 2 <= DECREMENT_TOL * max(1.0, abs(value)))
             break
     diagnostics = {
@@ -299,8 +312,14 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
         "converged": bool(converged),
         "function_evaluations": evaluations,
         "iterations": iterations,
+        "active_bounds": np.flatnonzero(~free).tolist(),
     }
     return x, value, diagnostics
+
+
+def _project(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """x clipped to the box [lo, hi]: np.clip, without its call overhead."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def _backtrack(scal: Scalogram, x, value, grad, direction, box):
@@ -312,12 +331,13 @@ def _backtrack(scal: Scalogram, x, value, grad, direction, box):
     """
     alpha, evaluations = 1.0, 0
     while True:
-        trial = np.clip(x + alpha * direction, *box)
-        if np.max(np.abs(trial - x)) <= STEP_TOL:
+        trial = _project(x + alpha * direction, *box)
+        step = trial - x
+        if np.abs(step).max() <= STEP_TOL:
             return None, evaluations
         trial_value, trial_grad, trial_hess = _objective_derivatives(scal, trial)
         evaluations += 1
-        if trial_value < value and trial_value <= value + ARMIJO * grad @ (trial - x):
+        if trial_value < value and trial_value <= value + ARMIJO * grad @ step:
             return (trial, trial_value, trial_grad, trial_hess), evaluations
         alpha *= 0.5
 
@@ -422,17 +442,11 @@ def _zero_channels(panel: np.ndarray, scal: Scalogram) -> list[int]:
     return np.flatnonzero(rms <= ZERO_CHANNEL_RTOL * amplitude).tolist()
 
 
-def _pyramid(x: np.ndarray, spec: WaveletSpec, config: EstimationConfig, n_channels: int):
-    """The detail pyramid as deep as the scale range resolved for an
-    n_channels fit.  A level's details do not depend on the depth, so the
-    p = 1 pyramid, the deepest, serves a joint fit as well."""
-    return dwt_pyramid(x, spec, resolve_scales(x.shape[0], spec, config, n_channels)[1])
-
-
-def _scalogram(pyramid: WaveletPyramid, config: EstimationConfig, n_channels: int) -> Scalogram:
-    """The scalogram on the scale range resolved for an n_channels fit."""
-    j0, j1 = resolve_scales(pyramid.n_samples, pyramid.spec, config, n_channels)
-    return scalogram(pyramid, j0, j1)
+def _scalogram(x: np.ndarray, spec: WaveletSpec, config: EstimationConfig, n_channels: int):
+    """The scalogram of the (N,) or (N, p) panel x on the scale range
+    resolved for an n_channels fit, from a pyramid just that deep."""
+    j0, j1 = resolve_scales(x.shape[0], spec, config, n_channels)
+    return scalogram(dwt_pyramid(x, spec, j1), j0, j1)
 
 
 def estimate_panel(panel: np.ndarray, spec: WaveletSpec, config: EstimationConfig) -> MwwEstimate:
@@ -443,14 +457,13 @@ def estimate_panel(panel: np.ndarray, spec: WaveletSpec, config: EstimationConfi
     x = np.asarray(panel, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    return _fit_panel(x, _pyramid(x, spec, config, x.shape[1]), spec, config)
+    return _fit_panel(x, _scalogram(x, spec, config, x.shape[1]), spec, config)
 
 
 def _fit_panel(
-    x: np.ndarray, pyramid: WaveletPyramid, spec: WaveletSpec, config: EstimationConfig
+    x: np.ndarray, scal: Scalogram, spec: WaveletSpec, config: EstimationConfig
 ) -> MwwEstimate:
-    """``estimate_panel`` on the pyramid of the (N, p) panel x."""
-    scal = _scalogram(pyramid, config, x.shape[1])
+    """``estimate_panel`` on the scalogram of the (N, p) panel x."""
     d_hat, value, diagnostics = estimate_d(scal, config, spec)
     omega, correlation, g_matrix, warnings = estimate_omega(scal, d_hat, spec)
     warnings["zero_channels"] = _zero_channels(x, scal)
@@ -482,15 +495,12 @@ def estimate_univariate_each(
     joint fit: one channel with a singular criterion (e.g. all zero) marks
     every channel not converged.
     """
-    pyramid = _pyramid(np.asarray(panel, dtype=np.float64), spec, config, 1)
-    return _fit_univariate(pyramid, spec, config)
+    scal = _scalogram(np.asarray(panel, dtype=np.float64), spec, config, 1)
+    return _fit_univariate(scal, spec)
 
 
-def _fit_univariate(
-    pyramid: WaveletPyramid, spec: WaveletSpec, config: EstimationConfig
-) -> tuple[np.ndarray, list[dict]]:
-    """``estimate_univariate_each`` on a pyramid at least as deep as the p = 1 range."""
-    scal = _scalogram(pyramid, config, 1)
+def _fit_univariate(scal: Scalogram, spec: WaveletSpec) -> tuple[np.ndarray, list[dict]]:
+    """``estimate_univariate_each`` on the scalogram over the p = 1 scale range."""
     variances = np.diagonal(scal.matrices, axis1=1, axis2=2)
     diagonal = replace(scal, matrices=variances[:, :, None] * np.eye(scal.n_channels))
     d_hats, _, diagnostics = _projected_newton(diagonal, spec)

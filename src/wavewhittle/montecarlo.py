@@ -14,15 +14,16 @@ import json
 import math
 import numbers
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arfima import ArfimaSpec, correlation_from_cov, embedding_factor, simulate_arfima
-from .errors import CovarianceError, ScenarioError, WavewhittleError
-from .estimator import EstimationConfig, _fit_panel, _fit_univariate, _pyramid
-from .wavelets import WaveletSpec
+from .arfima import ArfimaSpec, _draw, correlation_from_cov, embedding_factor
+from .errors import CovarianceError, ScaleRangeError, ScenarioError, WavewhittleError
+from .estimator import EstimationConfig, _fit_panel, _fit_univariate, resolve_scales, scalogram
+from .wavelets import WaveletSpec, dwt_pyramid
 
 
 def omega_from_rho(rho: float, p: int = 2) -> np.ndarray:
@@ -113,6 +114,9 @@ class MCReport:
     n_failures: int
     runtime_seconds: float
     raw: dict | None = None
+    # failed replications by reason (the WavewhittleError class name, or
+    # "non_converged"); the counts sum to n_failures
+    failures: dict[str, int] = field(default_factory=dict)
 
     def record(self, quantity: str) -> dict:
         for rec in self.records:
@@ -125,6 +129,7 @@ class MCReport:
             "scenario": self.scenario,
             "n_replications": self.n_replications,
             "n_failures": self.n_failures,
+            "failures": self.failures,
             "runtime_seconds": self.runtime_seconds,
             "records": self.records,
         }
@@ -151,95 +156,121 @@ class MCReport:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _run_replication(scenario: Scenario, seed) -> dict:
-    panel = simulate_arfima(scenario.arfima_spec(seed))
-    spec = scenario.wavelet_spec()
-    config = scenario.estimation_config()
+@dataclass(frozen=True)
+class _Plan:
+    """What every replication of a scenario shares, built once per run: the
+    validated model, which each replication draws with its own seed, the
+    wavelet, the estimation settings and the scale ranges of the joint and
+    the univariate fits."""
+
+    model: ArfimaSpec
+    spec: WaveletSpec
+    config: EstimationConfig
+    joint_scales: tuple[int, int]
+    univariate_scales: tuple[int, int]
+    include_univariate: bool
+
+    @classmethod
+    def of(cls, scenario: Scenario, model: ArfimaSpec) -> _Plan:
+        """The plan of ``scenario`` drawing ``model``; raises ScaleRangeError
+        when the scale range does not fit the sample length."""
+        spec, config = scenario.wavelet_spec(), scenario.estimation_config()
+        n = scenario.n_samples
+        return cls(model, spec, config,
+                   resolve_scales(n, spec, config, scenario.n_channels),
+                   resolve_scales(n, spec, config, 1), scenario.include_univariate)
+
+
+def _run_replication(plan: _Plan, seed) -> dict:
+    panel = _draw(plan.model, embedding_factor(plan.model), seed)
     # built as deep as the univariate fit reads, the deeper of the two
-    pyramid = _pyramid(panel, spec, config, 1)
-    est = _fit_panel(panel, pyramid, spec, config)
+    pyramid = dwt_pyramid(panel, plan.spec, plan.univariate_scales[1])
+    est = _fit_panel(panel, scalogram(pyramid, *plan.joint_scales), plan.spec, plan.config)
     out = {
         "d": est.d_hat,
         "omega": est.omega,
         "correlation": est.correlation,
         "converged": est.diagnostics["converged"],
     }
-    if scenario.include_univariate:
-        out["d_univariate"], _ = _fit_univariate(pyramid, spec, config)
+    if plan.include_univariate:
+        out["d_univariate"], _ = _fit_univariate(scalogram(pyramid, *plan.univariate_scales),
+                                                 plan.spec)
     return out
 
 
 def _replication_worker(args):
-    scenario, seed = args
+    """One replication's estimates, or the reason it failed: the class name
+    of the WavewhittleError it raised, or "non_converged"."""
+    plan, seed = args
     try:
-        return _run_replication(scenario, seed)
-    except WavewhittleError:
-        return None
-
-
-def _moment_stats(values: np.ndarray, truth: float) -> tuple[float, float, float]:
-    bias = float(values.mean() - truth)
-    std = float(values.std())
-    return bias, std, math.hypot(bias, std)
-
-
-def _record(quantity: str, truth: float, values: np.ndarray) -> dict:
-    bias, std, rmse = _moment_stats(values, truth)
-    return {"quantity": quantity, "truth": float(truth), "bias": bias, "std": std,
-            "rmse": rmse, "ratio_mu": None}
+        out = _run_replication(plan, seed)
+    except WavewhittleError as exc:
+        return type(exc).__name__
+    return out if out["converged"] else "non_converged"
 
 
 def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -> MCReport:
     """Run all replications and aggregate bias / std / RMSE per quantity.
 
     Replications flagged non-converged or raising estimation errors are
-    excluded from the aggregates and counted as failures; a scenario where
-    every replication fails raises ScenarioError.  A model whose circulant
-    embedding is not positive definite raises CovarianceError once, before
-    any replication runs.  The output is bit reproducible for a fixed
-    scenario regardless of ``workers``.
+    excluded from the aggregates and counted as failures, by reason; a
+    scenario where every replication fails raises ScenarioError.  The model
+    is validated once; one whose circulant embedding is not positive
+    definite raises CovarianceError once, before any replication runs.  The
+    output is bit reproducible for a fixed scenario regardless of
+    ``workers``.
     """
     t_start = time.perf_counter()
+    model = scenario.arfima_spec(scenario.seed)
     # builds the cached factor (forked workers inherit it) or raises
-    embedding_factor(scenario.arfima_spec(scenario.seed))
+    embedding_factor(model)
+    try:
+        plan = _Plan.of(scenario, model)
+    except ScaleRangeError as exc:  # every replication would raise it
+        raise ScenarioError(f"all replications failed: {exc}") from exc
     seeds = np.random.SeedSequence(scenario.seed).spawn(scenario.replications)
-    jobs = [(scenario, s) for s in seeds]
+    jobs = [(plan, s) for s in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication_worker, jobs, chunksize=8))
     else:
         results = [_replication_worker(job) for job in jobs]
 
-    kept = [r for r in results if r is not None and r["converged"]]
-    n_failures = scenario.replications - len(kept)
+    kept = [r for r in results if isinstance(r, dict)]
+    failures = dict(sorted(Counter(r for r in results if isinstance(r, str)).items()))
     if not kept:
-        raise ScenarioError("all replications failed")
+        raise ScenarioError(f"all replications failed: {failures}")
 
     p = scenario.n_channels
     d_hat = np.array([r["d"] for r in kept])
     omega_hat = np.array([r["omega"] for r in kept])
     corr_hat = np.array([r["correlation"] for r in kept])
-    truth_corr = correlation_from_cov(scenario.omega)
-
-    records = []
+    rows, cols = np.triu_indices(p)
+    upper = rows < cols
+    quantities = ([f"d_{ell + 1}" for ell in range(p)]
+                  + [f"omega_{ell + 1}_{m + 1}" for ell, m in zip(rows, cols)]
+                  + [f"corr_{ell + 1}_{m + 1}" for ell, m in zip(rows[upper], cols[upper])])
+    truth = [scenario.d, scenario.omega[rows, cols],
+             correlation_from_cov(scenario.omega)[rows[upper], cols[upper]]]
+    values = [d_hat.T, omega_hat[:, rows, cols].T, corr_hat[:, rows[upper], cols[upper]].T]
     if scenario.include_univariate:
         d_uni = np.array([r["d_univariate"] for r in kept])
-    for ell in range(p):
-        rec = _record(f"d_{ell + 1}", scenario.d[ell], d_hat[:, ell])
-        if scenario.include_univariate:
-            _, _, rmse_u = _moment_stats(d_uni[:, ell], scenario.d[ell])
+        truth.append(scenario.d)
+        values.append(d_uni.T)
+    # one (quantities, replications) C-contiguous array reduced along its
+    # rows sums each quantity in the same order as its own 1-D array
+    values = np.concatenate(values)
+    truth = np.concatenate(truth)
+    bias = (values.mean(axis=1) - truth).tolist()
+    std = values.std(axis=1).tolist()
+    rmse = [math.hypot(b, s) for b, s in zip(bias, std)]
+    records = [{"quantity": name, "truth": float(truth[i]), "bias": bias[i], "std": std[i],
+                "rmse": rmse[i], "ratio_mu": None} for i, name in enumerate(quantities)]
+    if scenario.include_univariate:
+        for rec, rmse_u in zip(records[:p], rmse[-p:]):
             if rmse_u == 0.0:
                 raise ScenarioError("univariate RMSE is zero; ratio M/U undefined")
             rec["ratio_mu"] = rec["rmse"] / rmse_u
-        records.append(rec)
-    for ell in range(p):
-        for m in range(ell, p):
-            records.append(_record(f"omega_{ell + 1}_{m + 1}", scenario.omega[ell, m],
-                                   omega_hat[:, ell, m]))
-    for ell in range(p):
-        for m in range(ell + 1, p):
-            records.append(_record(f"corr_{ell + 1}_{m + 1}", truth_corr[ell, m],
-                                   corr_hat[:, ell, m]))
 
     raw = None
     if keep_raw:
@@ -250,9 +281,10 @@ def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -
         records=records,
         scenario=scenario.echo(),
         n_replications=scenario.replications,
-        n_failures=n_failures,
+        n_failures=scenario.replications - len(kept),
         runtime_seconds=time.perf_counter() - t_start,
         raw=raw,
+        failures=failures,
     )
 
 
@@ -327,21 +359,23 @@ def parse_scenario_mapping(data: dict) -> Scenario:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
     if "d" not in mapping:
         raise ScenarioError("scenario must define the memory vector d")
-    d = np.atleast_1d(np.asarray(mapping["d"], dtype=np.float64))
     if "omega" in mapping and "rho" in mapping:
         raise ScenarioError("give either rho or omega, not both")
-    if "omega" in mapping:
-        omega = np.asarray(mapping["omega"], dtype=np.float64)
-    elif "rho" in mapping:
-        omega = omega_from_rho(float(mapping["rho"]), d.size)
-    else:
-        omega = np.eye(d.size)
     univariate = mapping.get("univariate", True)
     if isinstance(univariate, str):
         univariate = _parse_scalar(univariate)
     if not isinstance(univariate, bool):
         raise ScenarioError(f"univariate must be true or false, got {mapping['univariate']!r}")
     try:
+        d = np.atleast_1d(np.asarray(mapping["d"], dtype=np.float64))
+        if d.ndim != 1:
+            raise ScenarioError(f"d must be a number or a list of numbers, got {mapping['d']!r}")
+        if "omega" in mapping:
+            omega = np.asarray(mapping["omega"], dtype=np.float64)
+        elif "rho" in mapping:
+            omega = omega_from_rho(float(mapping["rho"]), d.size)
+        else:
+            omega = np.eye(d.size)
         return Scenario(
             d=d,
             omega=omega,

@@ -12,6 +12,7 @@ from wavewhittle.arfima import split_memory
 from wavewhittle.errors import DomainError, PanelFormatError
 from wavewhittle.estimator import (
     DEGENERACY_THRESHOLD,
+    LOG2,
     Scalogram,
     _log_regression_init,
     _objective_derivatives,
@@ -88,6 +89,58 @@ def random_scalogram(rng, p=2, j0=1, j1=6, base=40) -> Scalogram:
         n_j = max(base >> j, 1)
         details.append(rng.standard_normal((n_j, p)))
     return scalogram(make_pyramid(details), j0, j1)
+
+
+def reference_g_weighted(scal: Scalogram, d, center: float, weights=None) -> np.ndarray:
+    """(1/n) sum_j w_j Lam_{j-center}(d)^-1 I(j) Lam_{j-center}(d)^-1, every
+    constant rebuilt per call; ``weights`` defaults to w_j = 1, and a
+    (k, n_scales) array gives the k weighted sums as a (k, p, p) array."""
+    d = np.atleast_1d(np.asarray(d, dtype=np.float64))
+    js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)
+    factors = 2.0 ** (-np.outer(js - center, d))
+    scaled = factors[:, :, None] * scal.matrices * factors[:, None, :]
+    if weights is None:
+        weights = np.ones_like(js)
+    p = d.size
+    total = weights @ scaled.reshape(js.size, p * p)
+    return total.reshape(np.shape(weights)[:-1] + (p, p)) / scal.n_coefficients
+
+
+def reference_objective_derivatives(scal: Scalogram, d):
+    """R(d), its gradient and its Hessian by the formula that the hoisted
+    ``_objective_derivatives`` replaced: the centred scales, the weight stack
+    and the weighted sums rebuilt on every call, and the Hessian as
+    A.Q + diag(AQ) - B.B^T - A.(HAH) (see that function's docstring)."""
+    d = np.atleast_1d(np.asarray(d, dtype=np.float64))
+    center = scal.mean_scale
+    c = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64) - center
+    g_bar, h, q = reference_g_weighted(scal, d, center, np.stack([np.ones_like(c), c, c * c]))
+    p = d.size
+    sign, logdet = np.linalg.slogdet(g_bar)
+    if sign <= 0 or not np.isfinite(logdet):
+        return math.inf, np.zeros(p), np.zeros((p, p))
+    a = np.linalg.inv(g_bar)
+    b = h @ a
+    aq = a * q
+    hess = aq + np.diag(aq.sum(axis=1)) - b * b.T - a * (b @ h)
+    return logdet + p - 1.0, -2.0 * LOG2 * np.diagonal(b), 2.0 * LOG2**2 * hess
+
+
+def polyfit_start(scal: Scalogram, box):
+    """The per-channel ``np.polyfit`` start that the closed-form slope of
+    ``_log_regression_init`` replaced."""
+    js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)
+    init = np.empty(scal.n_channels)
+    for ell in range(scal.n_channels):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = np.log2(np.diagonal(scal.matrices, axis1=1, axis2=2)[:, ell] / scal.counts)
+        good = np.isfinite(y)
+        if good.sum() >= 2:
+            init[ell] = 0.5 * np.polyfit(js[good], y[good], 1)[0]
+        else:
+            init[ell] = 0.25
+    margin = 1e-3 * (box[1] - box[0])
+    return np.clip(init, box[0] + margin, box[1] - margin)
 
 
 def multistart_nelder_mead(scal: Scalogram, box):
@@ -306,49 +359,3 @@ def ma_cross_covariance(d_l: float, d_m: float, omega_lm: float, h: int, terms: 
         exponent = d_l + d_m - 1.0
         tail = -(terms - 0.5) ** exponent / (exponent * math.gamma(d_l) * math.gamma(d_m))
     return omega_lm * (partial + tail)
-
-
-# ---------------------------------------------------------------------------
-# A wide panel from the benchmark's own generator, rebuilt here so that the
-# tests do not import the benchmark.
-
-WIDE_POOL_SEED = 20250808
-
-
-def frac_panel(rng: np.random.Generator, d, n: int, rho: float = 0.3) -> np.ndarray:
-    """(n, p) fractionally integrated noise, one memory parameter per channel:
-    equicorrelated Gaussian innovations filtered by the MA weights of
-    (1 - B)^-d truncated at 4n lags, via FFT."""
-    d = np.asarray(d, dtype=np.float64)
-    p = d.size
-    corr = np.full((p, p), rho)
-    np.fill_diagonal(corr, 1.0)
-    lags = 4 * n
-    z = rng.standard_normal((lags + n - 1, p)) @ np.linalg.cholesky(corr).T
-    size = 1 << int(np.ceil(np.log2(2 * lags + n)))
-    k = np.arange(1, lags)
-    out = np.empty((n, p))
-    for ell in range(p):
-        weights = np.concatenate(([1.0], np.cumprod((k - 1 + d[ell]) / k)))
-        full = np.fft.irfft(np.fft.rfft(z[:, ell], size) * np.fft.rfft(weights, size), size)
-        out[:, ell] = full[lags - 1 : lags - 1 + n]
-    return out
-
-
-def wide_p6_variant(seed: int, k: int = 1) -> np.ndarray:
-    """The seed's variant of wide pool panel p6-k (p = 6, N = 16384): the pool
-    panel with permuted channels and per-channel offsets, as written to CSV.
-
-    The variant rng first draws a permutation and offsets for each of the six
-    p = 20 pool panels and for the p = 6 panels before k.
-    """
-    rng = np.random.default_rng([seed, 7])
-    for p in [20] * 6 + [6] * k:
-        rng.permutation(p)
-        rng.uniform(-5.0, 5.0, p)
-    perm = rng.permutation(6)
-    offsets = rng.uniform(-5.0, 5.0, 6)
-    pool_rng = np.random.default_rng([WIDE_POOL_SEED, 6, k])
-    d = np.sort(pool_rng.uniform(-0.1, 0.45, 6))
-    # the CSV's %.17g cells read back as these same doubles
-    return frac_panel(pool_rng, d, 16384)[:, perm] + offsets

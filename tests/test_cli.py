@@ -534,3 +534,16 @@ def test_mc_rejects_non_integer_scenario_values(tmp_path, capsys, fmt, key, valu
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"'{key.lower()}' must be an integer" in err[0]
 
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("text, data", [
+    ("d = 0.2, abc\n", {"d": [0.2, "abc"]}),
+    ("d = 0.2, 0.2\nomega = 1, 0.4; 0.4\n", {"d": [0.2, 0.2], "omega": [[1, 0.4], [0.4]]}),
+], ids=["non_numeric_d", "ragged_omega"])
+def test_mc_rejects_unreadable_d_and_omega(tmp_path, capsys, fmt, text, data):
+    path = tmp_path / ("bad.json" if fmt == "json" else "bad.cfg")
+    path.write_text(json.dumps({**data, "reps": 2}) if fmt == "json" else text + "reps = 2\n")
+    assert run_cli("mc", "--scenario", str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid scenario:")

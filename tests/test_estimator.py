@@ -11,14 +11,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wavewhittle import estimator
 from wavewhittle.arfima import ArfimaSpec, simulate_arfima
 from wavewhittle.errors import ConfigError, LikelihoodError, ScaleRangeError
 from wavewhittle.estimator import (
+    BOX_LOW,
     EstimationConfig,
     Scalogram,
+    _log_regression_init,
     _objective_derivatives,
     estimate_d,
     estimate_omega,
@@ -32,7 +36,7 @@ from wavewhittle.estimator import (
     search_box,
     whittle_likelihood,
 )
-from wavewhittle.montecarlo import omega_from_rho
+from wavewhittle.montecarlo import load_scenario, omega_from_rho
 from wavewhittle.wavelets import WaveletSpec, dwt_pyramid, spectral_k
 
 from helpers import (
@@ -40,9 +44,10 @@ from helpers import (
     make_pyramid,
     multistart_nelder_mead,
     per_pair_omega,
+    polyfit_start,
     random_scalogram,
-    reference_pyramid,
-    wide_p6_variant,
+    reference_g_weighted,
+    reference_objective_derivatives,
 )
 
 WSPEC = WaveletSpec(vanishing_moments=4)
@@ -54,6 +59,20 @@ def simulated_scalogram(seed=0, d=(0.2, 0.2), rho=0.4, n=512, j0=1):
     spec = ArfimaSpec(d=np.array(d), omega=omega, n_samples=n, seed=seed)
     pyr = dwt_pyramid(simulate_arfima(spec), WSPEC)
     return scalogram(pyr, j0, pyr.j_max)
+
+
+def scale_domain_scalogram(seed, d, rho):
+    """Scalogram of scales j = 1..7 of a 1024-sample panel drawn in the scale
+    domain: 1024 >> j coefficient vectors per scale, channels 0 and 1 with
+    correlation rho and any others independent, channel l scaled by 2^(j d_l)."""
+    rng = np.random.default_rng(seed)
+    d = np.asarray(d, dtype=np.float64)
+    omega = np.eye(d.size)
+    omega[0, 1] = omega[1, 0] = rho
+    chol = np.linalg.cholesky(omega)
+    details = [(rng.standard_normal((1024 >> j, d.size)) @ chol.T) * 2.0 ** (j * d)
+               for j in range(1, 8)]
+    return scalogram(make_pyramid(details), 1, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -320,23 +339,38 @@ def test_estimate_d_converged_at_roundoff(monkeypatch):
     just above GRAD_TOL but a Newton decrement below what R resolves, sits at
     the optimum and counts as converged.
 
-    The panel is the seed-405 variant of wide pool panel p6-1 (permuted
-    channels, per-channel offsets): the search stops after 14 evaluations
-    with max|g| = 1.06e-7 and g^T H^-1 g = 2.6e-15 at R = 4.15.  That stall
-    depends on the scalogram's last bits, so they come from the reference
-    pyramid: ``dwt_pyramid`` rounds differently, and on its scalogram the
-    same search converges by its step size after 6 evaluations.
+    The scalogram is drawn in the scale domain: at each scale j = 1..7 of a
+    1024-sample panel, 1024 >> j coefficient pairs with correlation 0.98,
+    scaled by 2^(j d) for d = (0.2, 0.4) (seed 5).  The search stops after
+    11 evaluations with max|g| = 1.64e-7 and g^T H^-1 g = 3.0e-15 at
+    R = -0.689.  That stall depends on the last bits of the arithmetic: the
+    wide pool panel that first showed one (the seed-405 variant of p6-1 on
+    the reference pyramid) converges by its step size since the objective's
+    per-fit constants are hoisted and the start is a closed-form slope.
     """
-    values = wide_p6_variant(405)
+    scal = scale_domain_scalogram(5, [0.2, 0.4], 0.98)
     config = EstimationConfig()
-    j0, j1 = resolve_scales(values.shape[0], WSPEC, config, values.shape[1])
-    pyramid = make_pyramid(reference_pyramid(values, WSPEC, j1), WSPEC, values.shape[0])
-    scal = scalogram(pyramid, j0, j1)
     d_hat, value, diag = estimate_d(scal, config, WSPEC)
-    assert diag["converged"] is True and diag["function_evaluations"] == 14
+    assert diag["converged"] is True and diag["function_evaluations"] == 11
     _, grad, _ = _objective_derivatives(scal, d_hat)
     assert np.max(np.abs(grad)) > estimator.GRAD_TOL  # only the decrement rule applies
-    assert value == pytest.approx(4.15, abs=0.01)
+    assert value == pytest.approx(-0.689, abs=0.01)
+    monkeypatch.setattr(estimator, "DECREMENT_TOL", 0.0)
+    assert estimate_d(scal, config, WSPEC)[2]["converged"] is False
+
+
+def test_roundoff_decrement_counts_only_free_coordinates(monkeypatch):
+    """The stall above with a third, independent channel held at BOX_LOW:
+    its gradient (about 1.08) stays out of the decrement, which is read on
+    the free block alone (seed 3: 9 evaluations, R = -6.957)."""
+    scal = scale_domain_scalogram(3, [0.2, 0.4, -3.0], 0.98)
+    config = EstimationConfig()
+    d_hat, value, diag = estimate_d(scal, config, WSPEC)
+    assert diag["converged"] is True and diag["function_evaluations"] == 9
+    assert diag["active_bounds"] == [2]
+    _, grad, _ = _objective_derivatives(scal, d_hat)
+    assert np.max(np.abs(grad[:2])) > estimator.GRAD_TOL and grad[2] > 1.0
+    assert value == pytest.approx(-6.957, abs=0.01)
     monkeypatch.setattr(estimator, "DECREMENT_TOL", 0.0)
     assert estimate_d(scal, config, WSPEC)[2]["converged"] is False
 
@@ -576,6 +610,70 @@ def test_objective_gradient_central_differences(p):
         ]) / (2 * h)
         assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12)
         assert_allclose(hess, fd_hess, rtol=1e-8, atol=1e-8 * np.abs(hess).max())
+
+
+def test_closed_form_start_matches_polyfit():
+    box = search_box(WSPEC)
+    rng = np.random.default_rng(12)
+    for p in (1, 2, 6):
+        for j0, j1 in ((1, 6), (2, 4), (3, 4)):
+            scal = random_scalogram(rng, p=p, j0=j0, j1=j1, base=4000)
+            assert_allclose(_log_regression_init(scal, box), polyfit_start(scal, box),
+                            rtol=0, atol=1e-12)
+    # zero coefficients make log-variances -inf: channel 1 keeps four usable
+    # scales, channel 2 one and channel 3 none, so the last two start at 0.25
+    details = [rng.standard_normal((256 >> j, 4)) * 2.0 ** (0.3 * j) for j in range(1, 7)]
+    for j in (1, 3):
+        details[j - 1][:, 1] = 0.0
+    for j in range(1, 6):
+        details[j - 1][:, 2] = 0.0
+    for level in details:
+        level[:, 3] = 0.0
+    scal = scalogram(make_pyramid(details), 1, 6)
+    start = _log_regression_init(scal, box)
+    assert_allclose(start, polyfit_start(scal, box), rtol=0, atol=1e-12)
+    assert np.isfinite(start[1]) and start[1] != 0.25
+    assert start[2] == start[3] == 0.25
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.6])
+def test_active_bounds_name_the_channels_held_at_the_box(rho):
+    """Channel 1's wavelet variance falls like 2^(-6j): its optimum lies
+    below the box, so the search holds it at BOX_LOW and the free channel
+    takes the Newton step of its own block, to the bounded L-BFGS-B minimum."""
+    scal = scale_domain_scalogram(8, [0.3, -3.0], rho)
+    d_hat, value, diag = estimate_d(scal, EstimationConfig(), WSPEC)
+    d_ref, value_ref = lbfgsb_search(scal, search_box(WSPEC))
+    assert diag["converged"] is True and diag["function_evaluations"] <= 10
+    assert diag["active_bounds"] == [1] and d_hat[1] == BOX_LOW
+    assert_allclose(d_hat, d_ref, atol=1e-6)
+    assert value <= value_ref + 1e-9
+
+
+def test_table1_fit_has_no_active_bounds():
+    scenario = load_scenario("scenarios/table1_row3.cfg")
+    spec, config = scenario.wavelet_spec(), scenario.estimation_config()
+    panel = simulate_arfima(scenario.arfima_spec(1))
+    assert estimate_panel(panel, spec, config).diagnostics["active_bounds"] == []
+    assert estimate_univariate_each(panel, spec, config)[1][0]["active_bounds"] == []
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(p=st.integers(1, 6), j0=st.integers(1, 3), n_scales=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1),
+       d=st.lists(st.floats(-0.5, 2.0), min_size=6, max_size=6))
+def test_objective_derivatives_match_reference(p, j0, n_scales, seed, d):
+    """The hoisted derivatives equal the per-call formula (tests/helpers.py),
+    <J>-centred; the 0-centred sum is g_hat."""
+    j1 = j0 + n_scales - 1
+    scal = random_scalogram(np.random.default_rng(seed), p=p, j0=j0, j1=j1, base=16 << j1)
+    d = np.array(d[:p])
+    value, grad, hess = _objective_derivatives(scal, d)
+    ref_value, ref_grad, ref_hess = reference_objective_derivatives(scal, d)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    assert_allclose(grad, ref_grad, rtol=1e-12)
+    assert_allclose(hess, ref_hess, rtol=1e-12)
+    assert_allclose(g_hat(scal, d), reference_g_weighted(scal, d, 0.0), rtol=1e-12)
 
 
 @pytest.mark.parametrize("second", [lambda x: x, lambda x: 2.0 * x + 1.0],

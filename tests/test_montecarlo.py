@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from wavewhittle import estimator, montecarlo
+from wavewhittle import arfima, estimator, montecarlo
 from wavewhittle.arfima import simulate_arfima
-from wavewhittle.errors import CovarianceError, ScenarioError
+from wavewhittle.errors import CovarianceError, LikelihoodError, ScenarioError
 from wavewhittle.estimator import estimate_panel, estimate_univariate_each
 from wavewhittle.montecarlo import (
     MCReport,
@@ -75,7 +77,7 @@ def test_quantities_present():
     names = {rec["quantity"] for rec in report.records}
     assert names == {"d_1", "d_2", "omega_1_1", "omega_1_2", "omega_2_2", "corr_1_2"}
     assert report.record("corr_1_2")["truth"] == pytest.approx(0.4)
-    assert report.n_failures == 0
+    assert report.n_failures == 0 and report.to_dict()["failures"] == {}
 
 
 def test_ratio_requires_univariate_and_is_paired():
@@ -119,11 +121,13 @@ def test_replication_reads_both_fits_from_one_pyramid(monkeypatch, path):
     each with its own pyramid, bit for bit."""
     scenario = load_scenario(path)
     spec, config = scenario.wavelet_spec(), scenario.estimation_config()
+    plan = montecarlo._Plan.of(scenario, scenario.arfima_spec(scenario.seed))
     built = []
     dwt_pyramid = estimator.dwt_pyramid
-    monkeypatch.setattr(estimator, "dwt_pyramid", lambda *a: built.append(a) or dwt_pyramid(*a))
+    for module in (estimator, montecarlo):
+        monkeypatch.setattr(module, "dwt_pyramid", lambda *a: built.append(a) or dwt_pyramid(*a))
     for seed in np.random.SeedSequence(scenario.seed).spawn(40):
-        out = montecarlo._run_replication(scenario, seed)
+        out = montecarlo._run_replication(plan, seed)
         assert len(built) == 1
         built.clear()
         panel = simulate_arfima(scenario.arfima_spec(seed))
@@ -149,6 +153,48 @@ def test_failure_counting_excludes_bad_replications():
     report = run_scenario(small_scenario(replications=6))
     assert report.n_failures == 0
     assert report.n_replications == 6
+
+
+def test_failures_are_counted_by_reason(monkeypatch, tmp_path):
+    """Every third replication raises, every third hits a one-iteration cap."""
+    fit_panel, cap = montecarlo._fit_panel, estimator.NEWTON_MAX_ITERATIONS
+    calls = []
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) % 3 == 1:
+            raise LikelihoodError("singular G in criterion")
+        monkeypatch.setattr(estimator, "NEWTON_MAX_ITERATIONS", 1 if len(calls) % 3 == 2 else cap)
+        return fit_panel(*args)
+
+    monkeypatch.setattr(montecarlo, "_fit_panel", flaky)
+    report = run_scenario(small_scenario(replications=9))
+    assert report.failures == {"LikelihoodError": 3, "non_converged": 3}
+    assert sum(report.failures.values()) == report.n_failures == 6
+    report.write_json(tmp_path / "report.json")
+    saved = json.loads((tmp_path / "report.json").read_text())
+    assert saved["failures"] == report.failures and saved["n_failures"] == 6
+
+
+def test_all_non_converged_names_the_reason(monkeypatch):
+    scenario = small_scenario(replications=4)
+    plan = montecarlo._Plan.of(scenario, scenario.arfima_spec(scenario.seed))
+    monkeypatch.setattr(estimator, "NEWTON_MAX_ITERATIONS", 1)
+    seed = np.random.SeedSequence(scenario.seed).spawn(1)[0]
+    assert montecarlo._replication_worker((plan, seed)) == "non_converged"
+    with pytest.raises(ScenarioError, match="all replications failed: {'non_converged': 4}"):
+        run_scenario(scenario)
+
+
+@pytest.mark.parametrize("replications", [1, 7])
+def test_model_is_validated_once_per_run(monkeypatch, replications):
+    scenario = small_scenario(replications=replications)
+    calls = []
+    validate = arfima.validate_long_run_cov
+    monkeypatch.setattr(arfima, "validate_long_run_cov",
+                        lambda omega: calls.append(None) or validate(omega))
+    run_scenario(scenario)
+    assert len(calls) == 1
 
 
 def test_keep_raw():
@@ -223,6 +269,29 @@ def test_parse_scenario_mapping():
         parse_scenario_mapping({"d": [0.2], "bogus": 1})
     with pytest.raises(ScenarioError):
         parse_scenario_mapping({"rho": 0.1})
+
+
+SCENARIO_KEYS = ["label", "d", "rho", "omega", "N", "M", "j0", "j1", "reps", "seed",
+                 "univariate"]
+_scalars = (st.none() | st.booleans() | st.integers(-10, 10**20)
+            | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=5))
+junk_values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+                           max_leaves=6)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(mapping=st.dictionaries(st.sampled_from(SCENARIO_KEYS), junk_values, max_size=6)
+       | st.fixed_dictionaries({"d": junk_values},
+                               optional={key: junk_values for key in SCENARIO_KEYS[2:]}))
+def test_scenario_parser_raises_only_documented_errors(mapping):
+    """Junk values under the known keys give a Scenario or a ScenarioError /
+    CovarianceError (exit 2 / 4 from ``mc``), never another exception."""
+    try:
+        scenario = parse_scenario_mapping(mapping)
+    except (ScenarioError, CovarianceError):
+        return
+    assert isinstance(scenario, Scenario)
 
 
 def test_load_scenario_keyvalue(tmp_path):
