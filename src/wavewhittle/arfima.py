@@ -74,9 +74,11 @@ def validate_long_run_cov(omega: np.ndarray) -> np.ndarray:
     omega = np.asarray(omega, dtype=np.float64)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise CovarianceError(f"omega must be square, got shape {omega.shape}")
-    if not np.all(np.isfinite(omega)):
+    if not np.isfinite(omega).all():
         raise CovarianceError("omega contains non-finite entries")
-    if not np.allclose(omega, omega.T, rtol=1e-10, atol=1e-12):
+    # np.allclose(omega, omega.T, rtol=1e-10, atol=1e-12), which on finite
+    # entries is this test, without its call overhead
+    if not (np.abs(omega - omega.T) <= 1e-12 + 1e-10 * np.abs(omega.T)).all():
         raise CovarianceError("omega is not symmetric")
     try:
         chol = np.linalg.cholesky(omega)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .errors import ConfigError, LikelihoodError, ScaleRangeError
 from .wavelets import (
     WaveletPyramid,
     WaveletSpec,
+    _freeze,
     coefficient_counts,
     dwt_pyramid,
     in_k_domain,
@@ -73,19 +74,38 @@ class Scalogram:
         return int(self.counts.sum())
 
     @cached_property
+    def _geometry(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """The constants of its scale range and counts (``_scale_terms``)."""
+        return _scale_terms(self.j0, self.j1, tuple(self.counts.tolist()))
+
+    @property
     def mean_scale(self) -> float:
         """Count-weighted mean scale <J> = (1/n) sum_j j n_j."""
-        js = np.arange(self.j0, self.j1 + 1)
-        return float((js * self.counts).sum() / self.counts.sum())
+        return self._geometry[0]
 
     @cached_property
     def _centred_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The constants of R and its derivatives: the centred scales
-        c_j = j - <J> as a (J, 1) column, the (3, J) weights 1, c_j and c_j^2
-        divided by n, and the (J, p^2) view of ``matrices``."""
-        c = np.arange(self.j0, self.j1 + 1, dtype=np.float64) - self.mean_scale
-        weights = np.stack([np.ones_like(c), c, c * c]) / self.n_coefficients
-        return c[:, None], weights, self.matrices.reshape(c.size, -1)
+        """The constants of R and its derivatives: the read-only centred
+        scales c_j = j - <J> as a (J, 1) column and (3, J) weights 1, c_j and
+        c_j^2 divided by n, and the (J, p^2) view of ``matrices``."""
+        _, c, weights, _ = self._geometry
+        return c, weights, self.matrices.reshape(c.size, -1)
+
+
+@lru_cache(maxsize=32)
+def _scale_terms(j0: int, j1: int, counts: tuple) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """What a scalogram's scales j0..j1 and counts n_j fix, computed once per
+    geometry and read-only: <J>, the centred scales c_j = j - <J> as a (J, 1)
+    column, the (3, J) weights 1, c_j and c_j^2 divided by n, and the
+    regression weights n_j c_j / sum n_j c_j^2 of ``_log_regression_init``."""
+    n_j = np.array(counts)
+    mean = float((np.arange(j0, j1 + 1) * n_j).sum() / n_j.sum())
+    c = np.arange(j0, j1 + 1, dtype=np.float64) - mean
+    weights = np.stack([np.ones_like(c), c, c * c]) / int(n_j.sum())
+    regression = n_j * c
+    with np.errstate(divide="ignore", invalid="ignore"):  # a single scale has none
+        regression /= (regression * c).sum()
+    return mean, _freeze(c[:, None]), _freeze(weights), _freeze(regression)
 
 
 def scalogram(pyramid: WaveletPyramid, j0: int, j1: int) -> Scalogram:
@@ -219,18 +239,29 @@ def rate_rule_j0(n_samples: int, beta: float) -> int:
 
 
 def _log_regression_init(scal: Scalogram, box: tuple[float, float]) -> np.ndarray:
-    """Per-channel least-squares slope of log2(I_ll(j)/n_j) on j, halved, in
-    closed form over every channel at once; a channel with fewer than two
-    finite log-variances starts at 0.25."""
-    js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)[:, None]
+    """Per-channel count-weighted least-squares slope of
+    y_jl = log2(I_ll(j)/n_j) on j, halved, in closed form over every channel
+    at once: sum_j n_j c_j y_jl / sum_j n_j c_j^2 with the centred scales c_j.
+
+    n_j is, up to a constant, the inverse variance of y_jl, so this is the
+    weighted log-regression of Veitch & Abry (1999, IEEE Trans. Inf. Theory
+    45).  A channel with non-finite log-variances is fit on its finite ones
+    with the same weights; one with fewer than two starts at 0.25.
+    """
     variances = np.diagonal(scal.matrices, axis1=1, axis2=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         y = np.log2(variances / scal.counts[:, None])
-        good = np.isfinite(y)
-        n = good.sum(axis=0)
-        dx = np.where(good, js - (good * js).sum(axis=0) / n, 0.0)
-        dy = np.where(good, y - np.where(good, y, 0.0).sum(axis=0) / n, 0.0)
-        slope = (dx * dy).sum(axis=0) / (dx * dx).sum(axis=0)
+    good = np.isfinite(y)
+    n = good.sum(axis=0)
+    if good.all():
+        slope = scal._geometry[3] @ y
+    else:
+        js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)[:, None]
+        w = good * scal.counts[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = np.where(good, js - (w * js).sum(axis=0) / w.sum(axis=0), 0.0)
+            dy = np.where(good, y - (w * np.where(good, y, 0.0)).sum(axis=0) / w.sum(axis=0), 0.0)
+            slope = (w * dx * dy).sum(axis=0) / (w * dx * dx).sum(axis=0)
     init = np.where(n >= 2, 0.5 * slope, 0.25)
     margin = 1e-3 * (box[1] - box[0])
     return np.clip(init, box[0] + margin, box[1] - margin)
@@ -273,12 +304,11 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
     x = _log_regression_init(scal, (lo, hi))
     value, grad, hess = _objective_derivatives(scal, x)
     evaluations, iterations, converged = 1, 0, False
-    identity = np.eye(x.size)
     free = np.ones(x.size, dtype=bool)
     while math.isfinite(value) and iterations < NEWTON_MAX_ITERATIONS:
         iterations += 1
         free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
-        reduced = np.where(free & free[:, None], hess, identity)
+        reduced = hess if free.all() else np.where(free & free[:, None], hess, np.eye(x.size))
         directions = []
         decrement = math.inf  # g^T H^-1 g on the free block, if it is PD
         try:
@@ -290,8 +320,9 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
             decrement = float(-(grad * free) @ newton)
             trial = _project(x + newton, lo, hi)
             if np.abs(trial - x).max() <= STEP_TOL:
+                # the confirming evaluation: only its value is read
                 x = trial
-                value, grad, hess = _objective_derivatives(scal, x)
+                value = objective_R(scal, x)
                 evaluations += 1
                 converged = math.isfinite(value)
                 break
@@ -342,6 +373,15 @@ def _backtrack(scal: Scalogram, x, value, grad, direction, box):
         alpha *= 0.5
 
 
+@lru_cache(maxsize=32)
+def _pair_indices(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The upper-triangle pairs (l, m), l <= m, of a p x p matrix in
+    row-major order, as read-only arrays rows and cols, and the mask of the
+    off-diagonal ones (l < m)."""
+    rows, cols = np.triu_indices(p)
+    return _freeze(rows), _freeze(cols), _freeze(rows < cols)
+
+
 def estimate_omega(
     scal: Scalogram, d_hat, spec: WaveletSpec, config: EstimationConfig | None = None
 ):
@@ -357,8 +397,7 @@ def estimate_omega(
     d_hat = np.atleast_1d(np.asarray(d_hat, dtype=np.float64))
     p = d_hat.size
     g_matrix = g_hat(scal, d_hat)
-    rows, cols = np.triu_indices(p)
-    upper = rows < cols
+    rows, cols, upper = _pair_indices(p)
     cosine = np.cos(np.pi * (d_hat[rows] - d_hat[cols]) / 2.0)
     delta = d_hat[rows] + d_hat[cols]
     # the cosine vanishes where d_l - d_m is congruent to 1 mod 2

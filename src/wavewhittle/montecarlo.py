@@ -22,7 +22,8 @@ import numpy as np
 
 from .arfima import ArfimaSpec, _draw, correlation_from_cov, embedding_factor
 from .errors import CovarianceError, ScaleRangeError, ScenarioError, WavewhittleError
-from .estimator import EstimationConfig, _fit_panel, _fit_univariate, resolve_scales, scalogram
+from .estimator import (EstimationConfig, _fit_panel, _fit_univariate, _pair_indices,
+                        resolve_scales, scalogram)
 from .wavelets import WaveletSpec, dwt_pyramid
 
 
@@ -245,8 +246,7 @@ def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -
     d_hat = np.array([r["d"] for r in kept])
     omega_hat = np.array([r["omega"] for r in kept])
     corr_hat = np.array([r["correlation"] for r in kept])
-    rows, cols = np.triu_indices(p)
-    upper = rows < cols
+    rows, cols, upper = _pair_indices(p)
     quantities = ([f"d_{ell + 1}" for ell in range(p)]
                   + [f"omega_{ell + 1}_{m + 1}" for ell, m in zip(rows, cols)]
                   + [f"corr_{ell + 1}_{m + 1}" for ell, m in zip(rows[upper], cols[upper])])

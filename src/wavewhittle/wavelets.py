@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DomainError, InsufficientDataError, UnsupportedOrderError
 
@@ -157,21 +157,33 @@ def coefficient_counts(n_samples: int, spec: WaveletSpec, j_max: int) -> np.ndar
     """Retained coefficient counts n_j for j = 1..j_max (0 once a level empties).
 
     Each level keeps the floor((S - T + 1)/2) fully-supported coefficients of
-    its S-long input.
+    its S-long input.  Returns a writable copy of the per-geometry cached
+    counts.
     """
+    return _counts(n_samples, spec.support_length, j_max).copy()
+
+
+@lru_cache(maxsize=32)
+def _counts(n_samples: int, support_length: int, j_max: int) -> np.ndarray:
+    """Read-only ``coefficient_counts`` of one (N, T, j_max) geometry."""
     counts = []
     s = n_samples
     for _ in range(j_max):
-        s = max((s - spec.support_length + 1) >> 1, 0)
+        s = max((s - support_length + 1) >> 1, 0)
         counts.append(s)
-    return np.array(counts, dtype=np.int64)
+    return _freeze(np.array(counts, dtype=np.int64))
 
 
 def max_feasible_level(n_samples: int, spec: WaveletSpec) -> int:
     """Deepest level j with n_j >= 1 (0 when even level 1 is empty)."""
+    return _max_level(n_samples, spec.support_length)
+
+
+@lru_cache(maxsize=32)
+def _max_level(n_samples: int, support_length: int) -> int:
     # counts at least halve per level, so no level below bit_length(N) is kept
     depth = max(n_samples, 0).bit_length()
-    return int(np.count_nonzero(coefficient_counts(n_samples, spec, depth)))
+    return int(np.count_nonzero(_counts(n_samples, support_length, depth)))
 
 
 @dataclass
@@ -209,8 +221,8 @@ def dwt_pyramid(panel: np.ndarray, spec: WaveletSpec, j_max: int | None = None) 
     Retains the ``coefficient_counts(N, spec, j_max)`` fully-supported
     coefficients per channel and scale.  The computation is channel-major:
     one contiguous (p, N) copy of the panel (none for a Fortran-ordered
-    panel), then per level one product of its decimated sliding windows
-    with the filter pair [g, h], which yields the details and the next
+    panel), then per level one product of its decimated windows, a strided
+    view, with the filter pair [g, h], which yields the details and the next
     approximation at once.  Raises InsufficientDataError (carrying the
     largest feasible level) when the series is too short for ``j_max``.
     """
@@ -239,9 +251,12 @@ def dwt_pyramid(panel: np.ndarray, spec: WaveletSpec, j_max: int | None = None) 
 
     details: list[np.ndarray] = []
     approx = np.ascontiguousarray(x.T)  # (p, N), channel-major
-    for _ in range(j_max):
-        # the n_j windows lying entirely inside the level: (p, n_j, taps)
-        windows = sliding_window_view(approx, h.size, axis=1)[:, ::2]
+    for n_j in counts.tolist():
+        # the n_j decimated windows lying entirely inside the level, as one
+        # read-only (p, n_j, taps) view: window k starts at sample 2k
+        channel, sample = approx.strides
+        windows = as_strided(approx, (approx.shape[0], n_j, h.size),
+                             (channel, 2 * sample, sample), writeable=False)
         both = windows @ filters
         details.append(np.ascontiguousarray(both[:, :, 0]).T)
         approx = both[:, :, 1]

@@ -127,8 +127,10 @@ def reference_objective_derivatives(scal: Scalogram, d):
 
 
 def polyfit_start(scal: Scalogram, box):
-    """The per-channel ``np.polyfit`` start that the closed-form slope of
-    ``_log_regression_init`` replaced."""
+    """The count-weighted start by one ``np.polyfit`` per channel: the slope
+    of log2(I_ll(j)/n_j) on j over the finite scales, weighted by n_j
+    (polyfit's ``w`` multiplies residuals, hence sqrt(n_j)), halved; 0.25
+    with fewer than two finite scales."""
     js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)
     init = np.empty(scal.n_channels)
     for ell in range(scal.n_channels):
@@ -136,9 +138,29 @@ def polyfit_start(scal: Scalogram, box):
             y = np.log2(np.diagonal(scal.matrices, axis1=1, axis2=2)[:, ell] / scal.counts)
         good = np.isfinite(y)
         if good.sum() >= 2:
-            init[ell] = 0.5 * np.polyfit(js[good], y[good], 1)[0]
+            w = np.sqrt(scal.counts[good].astype(np.float64))
+            init[ell] = 0.5 * np.polyfit(js[good], y[good], 1, w=w)[0]
         else:
             init[ell] = 0.25
+    margin = 1e-3 * (box[1] - box[0])
+    return np.clip(init, box[0] + margin, box[1] - margin)
+
+
+def unweighted_start(scal: Scalogram, box):
+    """The unweighted closed-form start that the count-weighted one replaced:
+    the least-squares slope of log2(I_ll(j)/n_j) on j over the finite
+    scales, every scale weighted alike, halved; 0.25 with fewer than two
+    finite scales."""
+    js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)[:, None]
+    variances = np.diagonal(scal.matrices, axis1=1, axis2=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log2(variances / scal.counts[:, None])
+        good = np.isfinite(y)
+        n = good.sum(axis=0)
+        dx = np.where(good, js - (good * js).sum(axis=0) / n, 0.0)
+        dy = np.where(good, y - np.where(good, y, 0.0).sum(axis=0) / n, 0.0)
+        slope = (dx * dy).sum(axis=0) / (dx * dx).sum(axis=0)
+    init = np.where(n >= 2, 0.5 * slope, 0.25)
     margin = 1e-3 * (box[1] - box[0])
     return np.clip(init, box[0] + margin, box[1] - margin)
 

@@ -87,6 +87,21 @@ def test_validate_long_run_cov():
         validate_long_run_cov(np.eye(3)[:2])
 
 
+def test_symmetry_tolerance_is_that_of_allclose():
+    """An off-diagonal mismatch passes up to atol + rtol |omega^T| of the
+    entry, 1e-12 + 1e-10 * 0.5 here, and fails at twice a mismatch just
+    inside it: the verdicts of np.allclose(omega, omega.T, 1e-10, 1e-12)."""
+    tolerance = 1e-12 + 1e-10 * 0.5
+    for mismatch, symmetric in ((0.9 * tolerance, True), (1.8 * tolerance, False)):
+        omega = np.array([[1.0, 0.5], [0.5 + mismatch, 1.0]])
+        assert np.allclose(omega, omega.T, rtol=1e-10, atol=1e-12) is symmetric
+        if symmetric:
+            validate_long_run_cov(omega)
+        else:
+            with pytest.raises(CovarianceError, match="not symmetric"):
+                validate_long_run_cov(omega)
+
+
 def test_simulation_deterministic():
     spec = ArfimaSpec(d=[0.2, 0.4], omega=np.eye(2), n_samples=256, seed=11)
     assert np.array_equal(simulate_arfima(spec), simulate_arfima(spec))

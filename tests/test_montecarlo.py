@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from wavewhittle import arfima, estimator, montecarlo
+from wavewhittle import arfima, estimator, montecarlo, wavelets
 from wavewhittle.arfima import simulate_arfima
 from wavewhittle.errors import CovarianceError, LikelihoodError, ScenarioError
 from wavewhittle.estimator import estimate_panel, estimate_univariate_each
@@ -50,6 +50,16 @@ def test_report_is_bit_reproducible():
     a = run_scenario(small_scenario())
     b = run_scenario(small_scenario())
     assert report_payload(a) == report_payload(b)
+
+
+def test_report_does_not_depend_on_the_geometry_caches():
+    for cache in (wavelets._counts, wavelets._max_level, estimator._scale_terms,
+                  estimator._pair_indices):
+        cache.cache_clear()
+    cold = run_scenario(small_scenario(replications=4), keep_raw=True)
+    warm = run_scenario(small_scenario(replications=4), keep_raw=True)
+    assert estimator._scale_terms.cache_info().hits > 0
+    assert report_payload(cold) == report_payload(warm)
 
 
 def test_different_seed_changes_results():

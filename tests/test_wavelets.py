@@ -125,6 +125,17 @@ def test_count_law_recursion():
             s = c
 
 
+def test_counts_are_writable_copies_of_a_read_only_cache():
+    spec = WaveletSpec(vanishing_moments=4)
+    with pytest.raises(ValueError):
+        wavelets._counts(512, spec.support_length, 6)[0] = 0
+    counts = coefficient_counts(512, spec, 6)
+    pyramid = dwt_pyramid(np.random.default_rng(0).standard_normal(512), spec, 6)
+    counts[0] = pyramid.counts[0] = 0
+    assert list(coefficient_counts(512, spec, 6)) == [253, 123, 58, 26, 10, 2]
+    assert max_feasible_level(512, spec) == 6
+
+
 def test_max_feasible_level_by_definition():
     # L is the deepest level that holds a coefficient; asking for L + 1 fails
     x = np.zeros((600, 1))
