@@ -1,7 +1,8 @@
 """Command-line front end: simulate panels, estimate from CSV, run scenarios.
 
 Everything numerical is produced by library calls; this layer only parses
-flags, reads and writes files, and maps errors onto exit codes:
+flags, reads and writes files, and returns the exit code that each error
+type carries (``WavewhittleError.exit_code``):
 
     0  success (estimation warnings are reported in the output, not the code)
     2  parse or configuration failure (CSV, flags, scenario files)
@@ -29,25 +30,12 @@ import numpy as np
 
 from . import __version__
 from .arfima import ArfimaSpec, simulate_arfima
-from .errors import (
-    ConfigError,
-    CovarianceError,
-    InsufficientDataError,
-    PanelFormatError,
-    ScaleRangeError,
-    ScenarioError,
-    UnsupportedOrderError,
-    VanishingMomentError,
-    WavewhittleError,
-)
+from .errors import ConfigError, PanelFormatError, WavewhittleError
 from .estimator import EstimationConfig, estimate_panel
 from .montecarlo import load_scenario, omega_from_rho, run_scenario
 from .wavelets import WaveletSpec
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_SCALES = 3
-EXIT_COVARIANCE = 4
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -162,11 +150,6 @@ def write_panel(path, panel: np.ndarray, names=None) -> None:
     atomic_write_text(path, panel_csv(panel, names))
 
 
-def _read_omega_file(path) -> np.ndarray:
-    _, matrix = read_panel(path)
-    return matrix
-
-
 def _matrix_list(m: np.ndarray) -> list:
     return [[None if not np.isfinite(v) else float(v) for v in row] for row in m]
 
@@ -260,7 +243,7 @@ def cmd_estimate(args) -> int:
 def cmd_simulate(args) -> int:
     d = np.asarray(_csv_floats(args.d), dtype=np.float64)
     if args.omega_file:
-        omega = _read_omega_file(args.omega_file)
+        omega = read_panel(args.omega_file)[1]
     else:
         omega = omega_from_rho(args.rho if args.rho is not None else 0.0, d.size)
     spec = ArfimaSpec(
@@ -368,21 +351,10 @@ def main(argv=None) -> int:
         parser.error("give either --rho or --omega-file, not both")
     try:
         return args.func(args)
-    except PanelFormatError as exc:
-        sys.stderr.write(f"error: {exc}{_position(exc)}\n")
-        return EXIT_PARSE
-    except (ScenarioError, ConfigError, UnsupportedOrderError, VanishingMomentError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except (ScaleRangeError, InsufficientDataError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SCALES
-    except CovarianceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_COVARIANCE
-    except WavewhittleError as exc:  # pragma: no cover - safety net
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+    except WavewhittleError as exc:
+        position = _position(exc) if isinstance(exc, PanelFormatError) else ""
+        sys.stderr.write(f"error: {exc}{position}\n")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

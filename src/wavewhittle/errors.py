@@ -1,13 +1,19 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes, so estimator/simulator code
-should raise these rather than bare ValueError wherever the failure mode
-is part of the documented interface.
+Each type carries the process exit code the CLI returns for it, so
+estimator/simulator code should raise these rather than bare ValueError
+wherever the failure mode is part of the documented interface.
 """
 
 
 class WavewhittleError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``exit_code`` is what the CLI exits with: 2 (parse or configuration
+    failure) unless a subclass says otherwise.
+    """
+
+    exit_code = 2
 
 
 class UnsupportedOrderError(WavewhittleError):
@@ -21,6 +27,8 @@ class InsufficientDataError(WavewhittleError):
     retained coefficient (0 if even level 1 is impossible).
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, largest_feasible: int):
         super().__init__(message)
         self.largest_feasible = largest_feasible
@@ -33,6 +41,8 @@ class DomainError(WavewhittleError, ValueError):
 class CovarianceError(WavewhittleError):
     """Covariance matrix is not symmetric positive definite."""
 
+    exit_code = 4
+
 
 class VanishingMomentError(WavewhittleError):
     """Memory parameter exceeds the wavelet's vanishing-moment cap."""
@@ -40,6 +50,8 @@ class VanishingMomentError(WavewhittleError):
 
 class ScaleRangeError(WavewhittleError):
     """Requested scale range is empty or not covered by the pyramid."""
+
+    exit_code = 3
 
 
 class LikelihoodError(WavewhittleError):
@@ -63,4 +75,4 @@ class PanelFormatError(WavewhittleError):
 
 
 class ScenarioError(WavewhittleError):
-    """Scenario file is malformed or every replication failed."""
+    """Scenario is malformed or every replication that ran failed."""

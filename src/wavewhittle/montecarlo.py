@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arfima import ArfimaSpec, _draw, correlation_from_cov, embedding_factor
-from .errors import CovarianceError, ScaleRangeError, ScenarioError, WavewhittleError
+from .errors import CovarianceError, ScenarioError, WavewhittleError
 from .estimator import (EstimationConfig, _fit_panel, _fit_univariate, _pair_indices,
                         resolve_scales, scalogram)
 from .wavelets import WaveletSpec, dwt_pyramid
@@ -34,9 +34,26 @@ def omega_from_rho(rho: float, p: int = 2) -> np.ndarray:
     return omega
 
 
+#: The scenario-file vocabulary, file key -> Scenario field, in the order a
+#: report echoes them.  Keys are read case-insensitively, and a file may give
+#: ``rho`` in place of ``omega``.
+SCENARIO_KEYS = {
+    "label": "label", "d": "d", "omega": "omega", "N": "n_samples", "reps": "replications",
+    "seed": "seed", "M": "vanishing_moments", "j0": "j0", "j1": "j1",
+    "univariate": "include_univariate",
+}
+_INTEGER_FIELDS = ("n_samples", "replications", "seed", "vanishing_moments", "j0", "j1")
+
+
 @dataclass
 class Scenario:
-    """One Monte-Carlo cell: ARFIMA template, estimation settings, seeds."""
+    """One Monte-Carlo cell: ARFIMA template, estimation settings, seeds.
+
+    Built from Python or from a file, it checks its fields alike: ``d`` and
+    ``omega`` must read as float arrays, and the integer fields hold
+    integers (``j1`` may be None); a fraction, a boolean or text is a
+    ScenarioError naming the file key, and ``300.0`` becomes 300.
+    """
 
     d: np.ndarray
     omega: np.ndarray
@@ -50,14 +67,22 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self):
-        self.d = np.atleast_1d(np.asarray(self.d, dtype=np.float64))
-        self.omega = np.asarray(self.omega, dtype=np.float64)
         try:
+            d = np.atleast_1d(np.asarray(self.d, dtype=np.float64))
+            if d.ndim != 1:
+                raise ScenarioError(f"d must be a number or a list of numbers, got {self.d!r}")
+            self.d = d
+            self.omega = np.asarray(self.omega, dtype=np.float64)
+            for key, name in SCENARIO_KEYS.items():
+                value = getattr(self, name)
+                if name in _INTEGER_FIELDS and not (name == "j1" and value is None):
+                    setattr(self, name, _integer(key.lower(), value))
+            self.label = str(self.label)
             # the root seed obeys the same rule as the seed of a single draw
             self.arfima_spec(self.seed)
-        except CovarianceError:
-            raise  # the same error, and exit code, as a single draw's
-        except (WavewhittleError, ValueError) as exc:
+        except (CovarianceError, ScenarioError):
+            raise  # a CovarianceError keeps its exit code, as a single draw's does
+        except (WavewhittleError, ValueError, TypeError) as exc:
             raise ScenarioError(str(exc)) from exc
         if self.replications < 1:
             raise ScenarioError("replication count must be at least 1")
@@ -91,18 +116,10 @@ class Scenario:
         )
 
     def echo(self) -> dict:
-        return {
-            "label": self.label,
-            "d": self.d.tolist(),
-            "omega": self.omega.tolist(),
-            "N": self.n_samples,
-            "reps": self.replications,
-            "seed": self.seed,
-            "M": self.vanishing_moments,
-            "j0": self.j0,
-            "j1": self.j1,
-            "univariate": self.include_univariate,
-        }
+        """The fields under their file keys; ``parse_scenario_mapping`` reads it back."""
+        out = {key: getattr(self, name) for key, name in SCENARIO_KEYS.items()}
+        out["d"], out["omega"] = self.d.tolist(), self.omega.tolist()
+        return out
 
 
 @dataclass
@@ -216,19 +233,17 @@ def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -
     Replications flagged non-converged or raising estimation errors are
     excluded from the aggregates and counted as failures, by reason; a
     scenario where every replication fails raises ScenarioError.  The model
-    is validated once; one whose circulant embedding is not positive
-    definite raises CovarianceError once, before any replication runs.  The
-    output is bit reproducible for a fixed scenario regardless of
-    ``workers``.
+    and the scale range are checked once, before any replication runs: a
+    model whose circulant embedding is not positive definite raises
+    CovarianceError, and a scale range the sample length cannot hold raises
+    ScaleRangeError.  The output is bit reproducible for a fixed scenario
+    regardless of ``workers``.
     """
     t_start = time.perf_counter()
     model = scenario.arfima_spec(scenario.seed)
     # builds the cached factor (forked workers inherit it) or raises
     embedding_factor(model)
-    try:
-        plan = _Plan.of(scenario, model)
-    except ScaleRangeError as exc:  # every replication would raise it
-        raise ScenarioError(f"all replications failed: {exc}") from exc
+    plan = _Plan.of(scenario, model)
     seeds = np.random.SeedSequence(scenario.seed).spawn(scenario.replications)
     jobs = [(plan, s) for s in seeds]
     if workers > 1:
@@ -348,57 +363,38 @@ def _parse_scalar(text: str):
 
 
 def parse_scenario_mapping(data: dict) -> Scenario:
-    """Build a Scenario from the documented key set (d, rho/omega, N, ...)."""
-    known = {
-        "label", "d", "rho", "omega", "n", "m", "j0", "j1", "reps",
-        "seed", "univariate",
-    }
+    """Build a Scenario from the keys of ``SCENARIO_KEYS``, or ``rho`` in
+    place of ``omega``; a key the mapping leaves out keeps the field default."""
     mapping = {str(k).lower(): v for k, v in data.items()}
-    unknown = set(mapping) - known
+    unknown = set(mapping) - {key.lower() for key in SCENARIO_KEYS} - {"rho"}
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
     if "d" not in mapping:
         raise ScenarioError("scenario must define the memory vector d")
     if "omega" in mapping and "rho" in mapping:
         raise ScenarioError("give either rho or omega, not both")
-    univariate = mapping.get("univariate", True)
-    if isinstance(univariate, str):
-        univariate = _parse_scalar(univariate)
-    if not isinstance(univariate, bool):
-        raise ScenarioError(f"univariate must be true or false, got {mapping['univariate']!r}")
+    fields = {name: mapping[key.lower()] for key, name in SCENARIO_KEYS.items()
+              if key.lower() in mapping}
+    if "univariate" in mapping:
+        univariate = mapping["univariate"]
+        if isinstance(univariate, str):
+            univariate = _parse_scalar(univariate)
+        if not isinstance(univariate, bool):
+            raise ScenarioError(f"univariate must be true or false, got {mapping['univariate']!r}")
+        fields["include_univariate"] = univariate
     try:
-        d = np.atleast_1d(np.asarray(mapping["d"], dtype=np.float64))
-        if d.ndim != 1:
-            raise ScenarioError(f"d must be a number or a list of numbers, got {mapping['d']!r}")
-        if "omega" in mapping:
-            omega = np.asarray(mapping["omega"], dtype=np.float64)
-        elif "rho" in mapping:
-            omega = omega_from_rho(float(mapping["rho"]), d.size)
-        else:
-            omega = np.eye(d.size)
-        return Scenario(
-            d=d,
-            omega=omega,
-            n_samples=_integer_value(mapping, "n", 512),
-            replications=_integer_value(mapping, "reps", 200),
-            seed=_integer_value(mapping, "seed", 0),
-            vanishing_moments=_integer_value(mapping, "m", 4),
-            j0=_integer_value(mapping, "j0", 1),
-            j1=_integer_value(mapping, "j1", None),
-            include_univariate=univariate,
-            label=str(mapping.get("label", "")),
-        )
+        if "omega" not in mapping:
+            p = np.atleast_1d(np.asarray(mapping["d"], dtype=np.float64)).size
+            fields["omega"] = omega_from_rho(float(mapping.get("rho", 0.0)), p)
+        return Scenario(**fields)
     except CovarianceError:
         raise
     except (WavewhittleError, ValueError, TypeError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
-def _integer_value(mapping: dict, key: str, default):
-    """The integer under ``key``; a fraction, a boolean or text is an error, not truncated."""
-    value = mapping.get(key, default)
-    if value is None and default is None:
-        return None
+def _integer(key: str, value) -> int:
+    """``value`` as an int; a fraction, a boolean or text is an error, not truncated."""
     integral = isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer()
     )

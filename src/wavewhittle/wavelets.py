@@ -133,11 +133,7 @@ class WaveletSpec:
     vanishing_moments: int = 4
 
     def __post_init__(self):
-        m = self.vanishing_moments
-        if int(m) != m or not 1 <= m <= MAX_ORDER:
-            raise UnsupportedOrderError(
-                f"vanishing moments must be an integer in [1, {MAX_ORDER}], got {m!r}"
-            )
+        daubechies_filters(self.vanishing_moments)  # raises UnsupportedOrderError
 
     @property
     def support_length(self) -> int:
@@ -203,10 +199,6 @@ class WaveletPyramid:
     @property
     def j_max(self) -> int:
         return len(self.details)
-
-    @property
-    def n_channels(self) -> int:
-        return self.details[0].shape[1] if self.details else 0
 
     def level(self, j: int) -> np.ndarray:
         """Detail coefficients at scale j (1-based) as an (n_j, p) array."""

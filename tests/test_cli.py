@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 import wavewhittle.cli as cli
 from helpers import scan_panel_oracle
+from wavewhittle import errors, montecarlo
 from wavewhittle.cli import main, read_panel, write_panel
 from wavewhittle.errors import PanelFormatError
 from wavewhittle.estimator import EstimationConfig, estimate_panel
@@ -188,6 +189,45 @@ def test_estimate_exit_codes(tmp_path):
     assert run_cli("estimate", "--input", str(short), "--j0", "4") == 3
 
     assert run_cli("estimate", "--input", str(tmp_path / "nope.csv")) == 2
+
+
+# The exit code of every package error, as the README documents it.
+DOCUMENTED_EXIT_CODES = {
+    "WavewhittleError": 2, "UnsupportedOrderError": 2, "DomainError": 2,
+    "VanishingMomentError": 2, "LikelihoodError": 2, "ConfigError": 2,
+    "PanelFormatError": 2, "ScenarioError": 2,
+    "InsufficientDataError": 3, "ScaleRangeError": 3,
+    "CovarianceError": 4,
+}
+
+
+def test_every_error_type_carries_its_documented_exit_code():
+    found, todo = {}, [errors.WavewhittleError]
+    while todo:
+        cls = todo.pop()
+        found[cls.__name__] = cls.exit_code
+        todo.extend(cls.__subclasses__())
+    assert found == DOCUMENTED_EXIT_CODES
+
+
+def test_infeasible_scale_range_exits_3_from_estimate_and_mc(tmp_path, capsys, monkeypatch):
+    """N = 64 holds levels 1..3 at M = 4, so j0 = 6 is infeasible: both commands
+    print the same one error line, and mc dispatches no replication."""
+    calls = []
+    monkeypatch.setattr(montecarlo, "_replication_worker", calls.append)
+    panel = tmp_path / "short.csv"
+    write_panel(panel, np.random.default_rng(0).standard_normal((64, 2)))
+    scenario = tmp_path / "short.cfg"
+    scenario.write_text("d = 0.2, 0.2\nrho = 0.4\nN = 64\nj0 = 6\nreps = 4\n")
+    lines = []
+    for argv in (["estimate", "--input", str(panel), "--j0", "6"],
+                 ["mc", "--scenario", str(scenario)]):
+        assert run_cli(*argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines.append(captured.err.splitlines())
+    assert lines[0] == lines[1] == ["error: finest scale j0=6 infeasible for N=64 (max 3)"]
+    assert calls == []
 
 
 def test_estimate_reports_parse_position(tmp_path, capsys):

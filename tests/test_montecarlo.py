@@ -11,9 +11,10 @@ from numpy.testing import assert_allclose
 
 from wavewhittle import arfima, estimator, montecarlo, wavelets
 from wavewhittle.arfima import simulate_arfima
-from wavewhittle.errors import CovarianceError, LikelihoodError, ScenarioError
+from wavewhittle.errors import CovarianceError, LikelihoodError, ScaleRangeError, ScenarioError
 from wavewhittle.estimator import estimate_panel, estimate_univariate_each
 from wavewhittle.montecarlo import (
+    SCENARIO_KEYS,
     MCReport,
     Scenario,
     load_scenario,
@@ -104,11 +105,16 @@ def test_workers_do_not_change_results():
     assert report_payload(serial) == report_payload(parallel)
 
 
-def test_all_failures_raise():
-    # j0 beyond the feasible depth fails every replication
+def test_infeasible_scale_range_raises_before_any_replication(monkeypatch):
+    # j0 beyond the feasible depth is the estimator's own error, raised once,
+    # not "all replications failed": no replication is dispatched
+    calls = []
+    monkeypatch.setattr(montecarlo, "_replication_worker", calls.append)
     bad = small_scenario(n_samples=64, j0=3, j1=None, replications=4)
-    with pytest.raises(ScenarioError):
-        run_scenario(bad)
+    for workers in (1, 2):
+        with pytest.raises(ScaleRangeError, match="j0=3, j1=3 leaves fewer than two scales"):
+            run_scenario(bad, workers=workers)
+    assert calls == []
 
 
 def test_non_embeddable_scenario_fails_once(monkeypatch):
@@ -251,6 +257,28 @@ def test_scenario_validation():
         Scenario(d=[0.2], omega=np.eye(1), seed=-1)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_samples", 300.5, "scenario key 'n' must be an integer, got 300.5"),
+    ("replications", 2.5, "scenario key 'reps' must be an integer, got 2.5"),
+    ("j0", True, "scenario key 'j0' must be an integer, got True"),
+    ("j1", "5", "scenario key 'j1' must be an integer, got '5'"),
+    ("d", "abc", "could not convert string to float: 'abc'"),
+    ("omega", [[1.0, 0.4], [0.4]], "inhomogeneous"),
+])
+def test_scenario_checks_its_fields(field, value, message):
+    """The Python API gets the checks a scenario file gets."""
+    with pytest.raises(ScenarioError, match=message):
+        small_scenario(**{field: value})
+
+
+def test_scenario_takes_integral_floats():
+    scenario = small_scenario(n_samples=300.0, replications=np.int64(3), j1=5.0)
+    assert (scenario.n_samples, scenario.replications, scenario.j1) == (300, 3, 5)
+    echo = scenario.echo()
+    assert [type(echo[key]) for key in ("N", "reps", "j1")] == [int, int, int]
+    assert small_scenario(j1=None).j1 is None
+
+
 @pytest.mark.parametrize("value, expected", [
     (True, True), (False, False), ("false", False), ("No", False), (" off ", False),
     ("true", True), ("yes", True), ("ON", True),
@@ -281,8 +309,8 @@ def test_parse_scenario_mapping():
         parse_scenario_mapping({"rho": 0.1})
 
 
-SCENARIO_KEYS = ["label", "d", "rho", "omega", "N", "M", "j0", "j1", "reps", "seed",
-                 "univariate"]
+# every key a scenario file may hold: SCENARIO_KEYS plus rho
+FILE_KEYS = ["label", "d", "rho", "omega", "N", "M", "j0", "j1", "reps", "seed", "univariate"]
 _scalars = (st.none() | st.booleans() | st.integers(-10, 10**20)
             | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=5))
 junk_values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3)
@@ -291,9 +319,9 @@ junk_values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(mapping=st.dictionaries(st.sampled_from(SCENARIO_KEYS), junk_values, max_size=6)
+@given(mapping=st.dictionaries(st.sampled_from(FILE_KEYS), junk_values, max_size=6)
        | st.fixed_dictionaries({"d": junk_values},
-                               optional={key: junk_values for key in SCENARIO_KEYS[2:]}))
+                               optional={key: junk_values for key in FILE_KEYS[2:]}))
 def test_scenario_parser_raises_only_documented_errors(mapping):
     """Junk values under the known keys give a Scenario or a ScenarioError /
     CovarianceError (exit 2 / 4 from ``mc``), never another exception."""
@@ -302,6 +330,41 @@ def test_scenario_parser_raises_only_documented_errors(mapping):
     except (ScenarioError, CovarianceError):
         return
     assert isinstance(scenario, Scenario)
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios: stationary d, a constant correlation, any settings."""
+    p = draw(st.integers(1, 3))
+    d = draw(st.lists(st.floats(-0.45, 0.45), min_size=p, max_size=p))
+    return Scenario(
+        d=d,
+        omega=omega_from_rho(draw(st.floats(-0.4, 0.9)) / p, p),
+        n_samples=draw(st.integers(1, 10**6)),
+        replications=draw(st.integers(1, 10**4)),
+        seed=draw(st.integers(0, 2**64)),
+        vanishing_moments=draw(st.integers(1, 10)),
+        j0=draw(st.integers(-3, 20)),
+        j1=draw(st.none() | st.integers(-3, 20)),
+        include_univariate=draw(st.booleans()),
+        label=draw(st.text(max_size=8)),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(scenario=scenarios())
+def test_echo_parses_back_to_the_same_scenario(scenario):
+    """A report's scenario block rebuilds its scenario, field for field."""
+    echo = json.loads(json.dumps(scenario.echo()))
+    assert list(echo) == list(SCENARIO_KEYS)
+    assert sorted(FILE_KEYS) == sorted([*SCENARIO_KEYS, "rho"])
+    rebuilt = parse_scenario_mapping(echo)
+    for name in SCENARIO_KEYS.values():
+        expected, got = getattr(scenario, name), getattr(rebuilt, name)
+        if isinstance(expected, np.ndarray):
+            assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
+        else:
+            assert got == expected and type(got) is type(expected)
 
 
 def test_load_scenario_keyvalue(tmp_path):
