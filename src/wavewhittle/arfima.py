@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, CovarianceError, VanishingMomentError
-from .wavelets import WaveletSpec, spectral_k
+from .wavelets import WaveletSpec, _freeze, spectral_k
 
 # Embedding factors simulate_arfima keeps, one per (stationary exponents,
 # omega, N): every replication of a Monte-Carlo scenario reuses the same key.
@@ -92,14 +92,15 @@ def correlation_from_cov(omega: np.ndarray) -> np.ndarray:
     return omega / np.outer(scale, scale)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArfimaSpec:
     """Configuration of one ARFIMA(0, d, 0) draw.
 
     ``seed`` is a nonnegative integer or a SeedSequence.  ``moment_cap``
     optionally enforces d < M for a wavelet analysis planned downstream.
     Invalid settings raise ConfigError (a ValueError), CovarianceError or
-    VanishingMomentError.
+    VanishingMomentError.  Immutable: ``d`` and ``omega`` are read-only
+    float64 copies, and the ``split_memory`` of each d is kept.
     """
 
     d: np.ndarray
@@ -107,51 +108,50 @@ class ArfimaSpec:
     n_samples: int
     seed: int | np.random.SeedSequence = 0
     moment_cap: int | None = None
+    # per channel, the stationary exponent and the integration order of d
+    _stationary: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.d = np.atleast_1d(np.asarray(self.d, dtype=np.float64))
-        self.omega = np.asarray(self.omega, dtype=np.float64)
-        if self.d.size == 0:
+        d = _freeze(np.atleast_1d(np.array(self.d, dtype=np.float64)))
+        omega = _freeze(np.array(self.omega, dtype=np.float64))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "omega", omega)
+        if d.size == 0:
             raise ConfigError("at least one memory parameter is needed")
-        if not np.all(np.isfinite(self.d)):
+        if not np.all(np.isfinite(d)):
             raise ConfigError("memory parameters must be finite")
-        if self.omega.shape != (self.d.size, self.d.size):
+        if omega.shape != (d.size, d.size):
             raise CovarianceError(
-                f"omega shape {self.omega.shape} does not match {self.d.size} channels"
+                f"omega shape {omega.shape} does not match {d.size} channels"
             )
-        validate_long_run_cov(self.omega)
+        validate_long_run_cov(omega)
         if self.n_samples < 1:
             raise ConfigError("n_samples must be positive")
         if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.moment_cap is not None and np.any(self.d >= self.moment_cap):
+        if self.moment_cap is not None and np.any(d >= self.moment_cap):
             raise VanishingMomentError(
-                f"memory parameters {self.d} must stay below the vanishing-moment cap "
+                f"memory parameters {d} must stay below the vanishing-moment cap "
                 f"M={self.moment_cap}"
             )
-        for value in self.d:
-            split_memory(float(value))  # validates the integer split
+        stationary, orders = zip(*(split_memory(value) for value in d.tolist()))
+        object.__setattr__(self, "_stationary", stationary)
+        object.__setattr__(self, "_orders", orders)
 
     @property
     def n_channels(self) -> int:
         return self.d.size
 
 
-def _cross_autocovariance(d_l: float, d_m: float, omega_lm: float, n: int) -> np.ndarray:
-    """gamma_lm(h) = E[X_l(t+h) X_m(t)] at lags h = 0..n (module docstring).
-
-    gamma(0) = omega_lm Gamma(1-d_l-d_m) / (Gamma(1-d_l) Gamma(1-d_m)) and
-    gamma(h+1) = gamma(h) (h+d_l) / (h+1-d_m), exact zeros after lag 0 when
-    d_l = 0.  Requires |d_l|, |d_m| < 1/2.
-    """
-    gamma0 = omega_lm * math.gamma(1.0 - d_l - d_m)
-    gamma0 /= math.gamma(1.0 - d_l) * math.gamma(1.0 - d_m)
-    h = np.arange(n, dtype=np.float64)
-    return gamma0 * np.concatenate(([1.0], np.cumprod((h + d_l) / (h + 1.0 - d_m))))
-
-
 def _embedding_spectrum(d_s: tuple, omega: tuple, n: int) -> np.ndarray:
     """(N+1, p, p) Hermitian spectrum of the length-2N circulant embedding.
+
+    The cross-autocovariances gamma_lm(h) = E[X_l(t+h) X_m(t)] at lags
+    h = 0..N of every pair come from one cumulative product over a (p, p, N)
+    lag array: gamma(0) = omega_lm Gamma(1-d_l-d_m) / (Gamma(1-d_l)
+    Gamma(1-d_m)) and gamma(h+1) = gamma(h) (h+d_l) / (h+1-d_m), exact zeros
+    after lag 0 when d_l = 0.  Requires |d_l| < 1/2 for every channel.
 
     Circulant entry k holds lag k for k < N and lag k - 2N for k > N.  Entry
     N stands for lag N and lag -N at once; no covariance among the first N
@@ -159,14 +159,25 @@ def _embedding_spectrum(d_s: tuple, omega: tuple, n: int) -> np.ndarray:
     spectrum Hermitian.
     """
     p = len(d_s)
-    gamma = [[_cross_autocovariance(d_s[ell], d_s[m], omega[ell * p + m], n) for m in range(p)]
-             for ell in range(p)]
+    d = np.array(d_s)
+    head = 1.0 - d
+    # numpy has no gamma function; the products and quotients that follow
+    # keep the operand order of the scalar formula, hence its rounding
+    gamma0 = np.array([math.gamma(x) for x in (head[:, None] - d).ravel().tolist()])
+    gamma0 = np.reshape(omega, (p, p)) * gamma0.reshape(p, p)
+    scale = np.array([math.gamma(x) for x in head.tolist()])
+    gamma0 /= scale[:, None] * scale
     circulant = np.empty((p, p, 2 * n))
-    for ell in range(p):
-        for m in range(p):
-            circulant[ell, m, :n] = gamma[ell][m][:n]
-            circulant[ell, m, n] = 0.5 * (gamma[ell][m][n] + gamma[m][ell][n])
-            circulant[ell, m, n + 1 :] = gamma[m][ell][n - 1 : 0 : -1]
+    circulant[..., 0] = gamma0
+    # lags 1..N, built in place: the ratios (h+d_l) / (h+1-d_m), h = 0..N-1,
+    # their cumulative product, times gamma(0)
+    lags = circulant[..., 1 : n + 1]
+    h = np.arange(n, dtype=np.float64)
+    np.divide(h + d[:, None, None], h + 1.0 - d[:, None], out=lags)
+    np.cumprod(lags, axis=-1, out=lags)
+    lags *= gamma0[..., None]
+    circulant[..., n] = 0.5 * (circulant[..., n] + circulant[..., n].T)
+    circulant[..., n + 1 :] = circulant.transpose(1, 0, 2)[..., n - 1 : 0 : -1]
     return np.moveaxis(np.fft.rfft(circulant, axis=-1), -1, 0)
 
 
@@ -185,11 +196,7 @@ def embedding_factor(spec: ArfimaSpec) -> np.ndarray:
     Raises CovarianceError, naming d, omega, N and the smallest eigenvalue of
     the embedding, when the embedding is not positive definite.
     """
-    key = (
-        tuple(split_memory(float(value))[0] for value in spec.d),
-        tuple(spec.omega.ravel().tolist()),
-        int(spec.n_samples),
-    )
+    key = (spec._stationary, tuple(spec.omega.ravel().tolist()), int(spec.n_samples))
     try:
         return _embedding_factor(*key)
     except np.linalg.LinAlgError:
@@ -239,7 +246,7 @@ def _draw(spec: ArfimaSpec, factor: np.ndarray, seed) -> np.ndarray:
     for ell in range(p):
         np.fft.irfft(spectrum[ell], 2 * n, out=full)
         panel[ell] = full[:n]
-        for _ in range(split_memory(float(spec.d[ell]))[1]):
+        for _ in range(spec._orders[ell]):
             np.cumsum(panel[ell], out=panel[ell])
     return panel.T
 

@@ -273,7 +273,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_mc(args) -> int:
     scenario = load_scenario(args.scenario)
-    # replace() runs the Scenario checks again on each override
+    # replace() builds a new Scenario, which checks each override
     if args.reps is not None:
         scenario = dataclasses.replace(scenario, replications=args.reps)
     if args.seed is not None:
@@ -319,8 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="simulate a fractional panel to CSV")
     sim.add_argument("--d", required=True, help="memory parameters, e.g. 0.2,0.2")
-    sim.add_argument("--rho", type=float, default=None, help="constant cross-correlation")
-    sim.add_argument("--omega-file", help="CSV matrix with the long-run covariance")
+    cov = sim.add_mutually_exclusive_group()
+    cov.add_argument("--rho", type=float, default=None, help="constant cross-correlation")
+    cov.add_argument("--omega-file", help="CSV matrix with the long-run covariance")
     sim.add_argument("--N", type=int, required=True, help="number of time points")
     sim.add_argument("--M", type=int, default=None,
                      help="reject d >= M (vanishing-moment cap check)")
@@ -347,8 +348,6 @@ def _position(exc: PanelFormatError) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate" and args.rho is not None and args.omega_file:
-        parser.error("give either --rho or --omega-file, not both")
     try:
         return args.func(args)
     except WavewhittleError as exc:

@@ -209,9 +209,9 @@ def _objective_derivatives(scal: Scalogram, d: np.ndarray):
     return logdet + p - 1.0, -2.0 * LOG2 * b.diagonal(), 2.0 * LOG2**2 * hess
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimationConfig:
-    """Scale range for the Whittle minimization.
+    """Scale range for the Whittle minimization; immutable.
 
     ``j1 = None`` uses the deepest scale with at least p coefficients.
     """

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arfima import ArfimaSpec, _draw, correlation_from_cov, embedding_factor
-from .errors import CovarianceError, ScenarioError, WavewhittleError
+from .errors import (ConfigError, CovarianceError, ScaleRangeError, ScenarioError,
+                     WavewhittleError)
 from .estimator import (EstimationConfig, _fit_panel, _fit_univariate, _pair_indices,
                         resolve_scales, scalogram)
-from .wavelets import WaveletSpec, dwt_pyramid
+from .wavelets import WaveletSpec, _freeze, dwt_pyramid
 
 
 def omega_from_rho(rho: float, p: int = 2) -> np.ndarray:
@@ -45,14 +46,19 @@ SCENARIO_KEYS = {
 _INTEGER_FIELDS = ("n_samples", "replications", "seed", "vanishing_moments", "j0", "j1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """One Monte-Carlo cell: ARFIMA template, estimation settings, seeds.
 
-    Built from Python or from a file, it checks its fields alike: ``d`` and
-    ``omega`` must read as float arrays, and the integer fields hold
-    integers (``j1`` may be None); a fraction, a boolean or text is a
-    ScenarioError naming the file key, and ``300.0`` becomes 300.
+    Immutable, and checked once, when it is built, from Python or from a
+    file alike.  ``d`` and ``omega`` become read-only float64 copies; the
+    integer fields must hold integers (``j1`` may be None), so a fraction, a
+    boolean or text is an error and ``300.0`` becomes 300; the univariate
+    flag must be a bool.  It keeps what the checks build: the validated
+    ``model`` that every replication draws with its own seed, and the scale
+    ranges of the joint (p channels) and univariate fits.  A scale range the
+    sample length cannot hold raises ScaleRangeError and an invalid omega
+    CovarianceError; every other failure is one ScenarioError.
     """
 
     d: np.ndarray
@@ -65,27 +71,44 @@ class Scenario:
     j1: int | None = None
     include_univariate: bool = True
     label: str = ""
+    model: ArfimaSpec = field(init=False, repr=False, compare=False)
+    joint_scales: tuple[int, int] = field(init=False, repr=False, compare=False)
+    univariate_scales: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
-            d = np.atleast_1d(np.asarray(self.d, dtype=np.float64))
-            if d.ndim != 1:
-                raise ScenarioError(f"d must be a number or a list of numbers, got {self.d!r}")
-            self.d = d
-            self.omega = np.asarray(self.omega, dtype=np.float64)
-            for key, name in SCENARIO_KEYS.items():
-                value = getattr(self, name)
-                if name in _INTEGER_FIELDS and not (name == "j1" and value is None):
-                    setattr(self, name, _integer(key.lower(), value))
-            self.label = str(self.label)
-            # the root seed obeys the same rule as the seed of a single draw
-            self.arfima_spec(self.seed)
-        except (CovarianceError, ScenarioError):
-            raise  # a CovarianceError keeps its exit code, as a single draw's does
-        except (WavewhittleError, ValueError, TypeError) as exc:
-            raise ScenarioError(str(exc)) from exc
+            self._check()
+        except (ScaleRangeError, CovarianceError):
+            raise  # they keep their exit codes, as in a single estimate or draw
+        except (WavewhittleError, ValueError, TypeError, OverflowError) as exc:
+            raise ScenarioError(f"invalid scenario: {exc}") from exc
+
+    def _check(self) -> None:
+        def store(name, value):
+            object.__setattr__(self, name, value)
+
+        d = np.atleast_1d(np.array(self.d, dtype=np.float64))
+        if d.ndim != 1:
+            raise ConfigError(f"d must be a number or a list of numbers, got {self.d!r}")
+        store("d", _freeze(d))
+        store("omega", _freeze(np.array(self.omega, dtype=np.float64)))
+        for key, name in SCENARIO_KEYS.items():
+            value = getattr(self, name)
+            if name in _INTEGER_FIELDS and not (name == "j1" and value is None):
+                store(name, _integer(key.lower(), value))
+        if not isinstance(self.include_univariate, (bool, np.bool_)):
+            raise ConfigError(
+                f"scenario key 'univariate' must be true or false, got {self.include_univariate!r}"
+            )
+        store("include_univariate", bool(self.include_univariate))
+        store("label", str(self.label))
+        # the root seed obeys the same rule as the seed of a single draw
+        store("model", self.arfima_spec(self.seed))
         if self.replications < 1:
-            raise ScenarioError("replication count must be at least 1")
+            raise ConfigError("replication count must be at least 1")
+        spec, config = self.wavelet_spec(), self.estimation_config()
+        store("joint_scales", resolve_scales(self.n_samples, spec, config, self.n_channels))
+        store("univariate_scales", resolve_scales(self.n_samples, spec, config, 1))
 
     @property
     def n_channels(self) -> int:
@@ -174,54 +197,30 @@ class MCReport:
         atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """What every replication of a scenario shares, built once per run: the
-    validated model, which each replication draws with its own seed, the
-    wavelet, the estimation settings and the scale ranges of the joint and
-    the univariate fits."""
-
-    model: ArfimaSpec
-    spec: WaveletSpec
-    config: EstimationConfig
-    joint_scales: tuple[int, int]
-    univariate_scales: tuple[int, int]
-    include_univariate: bool
-
-    @classmethod
-    def of(cls, scenario: Scenario, model: ArfimaSpec) -> _Plan:
-        """The plan of ``scenario`` drawing ``model``; raises ScaleRangeError
-        when the scale range does not fit the sample length."""
-        spec, config = scenario.wavelet_spec(), scenario.estimation_config()
-        n = scenario.n_samples
-        return cls(model, spec, config,
-                   resolve_scales(n, spec, config, scenario.n_channels),
-                   resolve_scales(n, spec, config, 1), scenario.include_univariate)
-
-
-def _run_replication(plan: _Plan, seed) -> dict:
-    panel = _draw(plan.model, embedding_factor(plan.model), seed)
+def _run_replication(scenario: Scenario, seed) -> dict:
+    model, spec, config = scenario.model, scenario.wavelet_spec(), scenario.estimation_config()
+    panel = _draw(model, embedding_factor(model), seed)
     # built as deep as the univariate fit reads, the deeper of the two
-    pyramid = dwt_pyramid(panel, plan.spec, plan.univariate_scales[1])
-    est = _fit_panel(panel, scalogram(pyramid, *plan.joint_scales), plan.spec, plan.config)
+    pyramid = dwt_pyramid(panel, spec, scenario.univariate_scales[1])
+    est = _fit_panel(panel, scalogram(pyramid, *scenario.joint_scales), spec, config)
     out = {
         "d": est.d_hat,
         "omega": est.omega,
         "correlation": est.correlation,
         "converged": est.diagnostics["converged"],
     }
-    if plan.include_univariate:
-        out["d_univariate"], _ = _fit_univariate(scalogram(pyramid, *plan.univariate_scales),
-                                                 plan.spec)
+    if scenario.include_univariate:
+        out["d_univariate"], _ = _fit_univariate(
+            scalogram(pyramid, *scenario.univariate_scales), spec)
     return out
 
 
 def _replication_worker(args):
     """One replication's estimates, or the reason it failed: the class name
     of the WavewhittleError it raised, or "non_converged"."""
-    plan, seed = args
+    scenario, seed = args
     try:
-        out = _run_replication(plan, seed)
+        out = _run_replication(scenario, seed)
     except WavewhittleError as exc:
         return type(exc).__name__
     return out if out["converged"] else "non_converged"
@@ -232,20 +231,17 @@ def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -
 
     Replications flagged non-converged or raising estimation errors are
     excluded from the aggregates and counted as failures, by reason; a
-    scenario where every replication fails raises ScenarioError.  The model
-    and the scale range are checked once, before any replication runs: a
-    model whose circulant embedding is not positive definite raises
-    CovarianceError, and a scale range the sample length cannot hold raises
-    ScaleRangeError.  The output is bit reproducible for a fixed scenario
-    regardless of ``workers``.
+    scenario where every replication fails raises ScenarioError.  The
+    scenario's model and scale ranges were checked when it was built; its
+    circulant embedding is checked here, once, before any replication runs,
+    and raises CovarianceError when it is not positive definite.  The output
+    is bit reproducible for a fixed scenario regardless of ``workers``.
     """
     t_start = time.perf_counter()
-    model = scenario.arfima_spec(scenario.seed)
     # builds the cached factor (forked workers inherit it) or raises
-    embedding_factor(model)
-    plan = _Plan.of(scenario, model)
+    embedding_factor(scenario.model)
     seeds = np.random.SeedSequence(scenario.seed).spawn(scenario.replications)
-    jobs = [(plan, s) for s in seeds]
+    jobs = [(scenario, s) for s in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication_worker, jobs, chunksize=8))
@@ -375,22 +371,15 @@ def parse_scenario_mapping(data: dict) -> Scenario:
         raise ScenarioError("give either rho or omega, not both")
     fields = {name: mapping[key.lower()] for key, name in SCENARIO_KEYS.items()
               if key.lower() in mapping}
-    if "univariate" in mapping:
-        univariate = mapping["univariate"]
-        if isinstance(univariate, str):
-            univariate = _parse_scalar(univariate)
-        if not isinstance(univariate, bool):
-            raise ScenarioError(f"univariate must be true or false, got {mapping['univariate']!r}")
-        fields["include_univariate"] = univariate
-    try:
-        if "omega" not in mapping:
+    if isinstance(fields.get("include_univariate"), str):
+        fields["include_univariate"] = _parse_scalar(fields["include_univariate"])
+    if "omega" not in mapping:
+        try:
             p = np.atleast_1d(np.asarray(mapping["d"], dtype=np.float64)).size
             fields["omega"] = omega_from_rho(float(mapping.get("rho", 0.0)), p)
-        return Scenario(**fields)
-    except CovarianceError:
-        raise
-    except (WavewhittleError, ValueError, TypeError) as exc:
-        raise ScenarioError(f"invalid scenario: {exc}") from exc
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ScenarioError(f"invalid scenario: {exc}") from exc
+    return Scenario(**fields)
 
 
 def _integer(key: str, value) -> int:
@@ -399,7 +388,7 @@ def _integer(key: str, value) -> int:
         isinstance(value, numbers.Real) and float(value).is_integer()
     )
     if isinstance(value, bool) or not integral:
-        raise ScenarioError(f"scenario key {key!r} must be an integer, got {value!r}")
+        raise ConfigError(f"scenario key {key!r} must be an integer, got {value!r}")
     return int(value)
 
 

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import DomainError, InsufficientDataError, UnsupportedOrderError
+from .errors import ConfigError, DomainError, InsufficientDataError, UnsupportedOrderError
 
 MAX_ORDER = 10
 
@@ -153,18 +153,25 @@ def coefficient_counts(n_samples: int, spec: WaveletSpec, j_max: int) -> np.ndar
     """Retained coefficient counts n_j for j = 1..j_max (0 once a level empties).
 
     Each level keeps the floor((S - T + 1)/2) fully-supported coefficients of
-    its S-long input.  Returns a writable copy of the per-geometry cached
-    counts.
+    its S-long input.  Returns a writable copy of the first j_max entries of
+    the cached count table, zero-padded past it.
     """
-    return _counts(n_samples, spec.support_length, j_max).copy()
+    table = _counts(n_samples, spec.support_length)
+    out = np.zeros(max(j_max, 0), dtype=np.int64)
+    kept = min(out.size, table.size)
+    out[:kept] = table[:kept]
+    return out
 
 
 @lru_cache(maxsize=32)
-def _counts(n_samples: int, support_length: int, j_max: int) -> np.ndarray:
-    """Read-only ``coefficient_counts`` of one (N, T, j_max) geometry."""
+def _counts(n_samples: int, support_length: int) -> np.ndarray:
+    """Read-only counts of one (N, T) geometry at every level that can hold a
+    coefficient: they at least halve per level, so bit_length(N) levels."""
+    if n_samples > np.iinfo(np.int64).max:
+        raise ConfigError(f"N={n_samples} exceeds the int64 range of the coefficient counts")
     counts = []
     s = n_samples
-    for _ in range(j_max):
+    for _ in range(max(n_samples, 0).bit_length()):
         s = max((s - support_length + 1) >> 1, 0)
         counts.append(s)
     return _freeze(np.array(counts, dtype=np.int64))
@@ -172,14 +179,7 @@ def _counts(n_samples: int, support_length: int, j_max: int) -> np.ndarray:
 
 def max_feasible_level(n_samples: int, spec: WaveletSpec) -> int:
     """Deepest level j with n_j >= 1 (0 when even level 1 is empty)."""
-    return _max_level(n_samples, spec.support_length)
-
-
-@lru_cache(maxsize=32)
-def _max_level(n_samples: int, support_length: int) -> int:
-    # counts at least halve per level, so no level below bit_length(N) is kept
-    depth = max(n_samples, 0).bit_length()
-    return int(np.count_nonzero(_counts(n_samples, support_length, depth)))
+    return int(np.count_nonzero(_counts(n_samples, spec.support_length)))
 
 
 @dataclass
@@ -193,8 +193,6 @@ class WaveletPyramid:
 
     details: list[np.ndarray]
     counts: np.ndarray
-    n_samples: int
-    spec: WaveletSpec
 
     @property
     def j_max(self) -> int:
@@ -252,7 +250,7 @@ def dwt_pyramid(panel: np.ndarray, spec: WaveletSpec, j_max: int | None = None) 
         both = windows @ filters
         details.append(np.ascontiguousarray(both[:, :, 0]).T)
         approx = both[:, :, 1]
-    return WaveletPyramid(details=details, counts=counts, n_samples=n_samples, spec=spec)
+    return WaveletPyramid(details=details, counts=counts)
 
 
 def psi_hat_sq(lam, spec: WaveletSpec):

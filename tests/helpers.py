@@ -76,11 +76,9 @@ def reference_pyramid(x, spec, j_max):
     return details
 
 
-def make_pyramid(details, spec=None, n_samples=0):
-    spec = spec or WaveletSpec(vanishing_moments=4)
+def make_pyramid(details):
     counts = np.array([d.shape[0] for d in details], dtype=np.int64)
-    return WaveletPyramid(details=[np.asarray(d, float) for d in details],
-                          counts=counts, n_samples=n_samples, spec=spec)
+    return WaveletPyramid(details=[np.asarray(d, float) for d in details], counts=counts)
 
 
 def random_scalogram(rng, p=2, j0=1, j1=6, base=40) -> Scalogram:

@@ -1,5 +1,6 @@
 """Fractional differencing, ARFIMA simulation, and model covariance tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -85,6 +86,9 @@ def test_validate_long_run_cov():
         validate_long_run_cov(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
     with pytest.raises(CovarianceError):
         validate_long_run_cov(np.eye(3)[:2])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(CovarianceError, match="omega contains non-finite entries"):
+            validate_long_run_cov(np.array([[1.0, bad], [bad, 1.0]]))
 
 
 def test_symmetry_tolerance_is_that_of_allclose():
@@ -140,6 +144,50 @@ def test_embedding_cross_covariance_matches_ma_sums(d_l, d_m, h):
     assert embedded == pytest.approx(oracle, rel=2e-6, abs=1e-14)
     if h >= 0:
         assert embedded == pytest.approx(gamma_closed_form(d_l, d_m, 0.7, h), rel=1e-12, abs=1e-15)
+
+
+def per_pair_spectrum(d_s, omega, n):
+    """The embedding spectrum built pair by pair: each gamma_lm from its own
+    scalar gamma(0) and cumulative product, wrapped into the circulant."""
+    p = len(d_s)
+    omega = np.reshape(omega, (p, p))
+    lags = np.arange(n, dtype=np.float64)
+    gamma = np.empty((p, p, n + 1))
+    for ell, d_l in enumerate(d_s):
+        for m, d_m in enumerate(d_s):
+            gamma0 = omega[ell, m] * math.gamma(1.0 - d_l - d_m)
+            gamma0 /= math.gamma(1.0 - d_l) * math.gamma(1.0 - d_m)
+            gamma[ell, m] = gamma0 * np.concatenate(
+                ([1.0], np.cumprod((lags + d_l) / (lags + 1.0 - d_m))))
+    circulant = np.empty((p, p, 2 * n))
+    for ell in range(p):
+        for m in range(p):
+            circulant[ell, m, :n] = gamma[ell, m, :n]
+            circulant[ell, m, n] = 0.5 * (gamma[ell, m, n] + gamma[m, ell, n])
+            circulant[ell, m, n + 1 :] = gamma[m, ell, n - 1 : 0 : -1]
+    return np.moveaxis(np.fft.rfft(circulant, axis=-1), -1, 0)
+
+
+@pytest.mark.parametrize("p, n", [(1, 1), (1, 64), (2, 2), (3, 37), (6, 512)])
+def test_embedding_spectrum_is_the_per_pair_recursion_bit_for_bit(p, n):
+    """Over stationary exponents of both signs, zero among them or all zero."""
+    rng = np.random.default_rng(p * 1000 + n)
+    with_zero = rng.uniform(-0.45, 0.45, p)
+    with_zero[0] = 0.0
+    for d_s in (rng.uniform(-0.45, 0.45, p), with_zero, np.zeros(p), -rng.uniform(0, 0.45, p)):
+        omega = omega_from_rho(0.3 / p, p) * rng.uniform(0.5, 2.0)
+        got = arfima._embedding_spectrum(tuple(d_s.tolist()), tuple(omega.ravel()), n)
+        assert got.tobytes() == per_pair_spectrum(d_s.tolist(), omega, n).tobytes()
+
+
+def test_spec_is_frozen_and_keeps_its_memory_split():
+    d = np.array([0.25, 1.375, -0.2])
+    spec = ArfimaSpec(d=d, omega=np.eye(3), n_samples=64)
+    d[0] = 0.4  # the spec holds its own read-only copy
+    assert spec.d.tolist() == [0.25, 1.375, -0.2] and not spec.d.flags.writeable
+    assert spec._stationary == (0.25, 0.375, -0.2) and spec._orders == (0, 1, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.d = d
 
 
 def test_draws_match_closed_form_lag_covariances():

@@ -587,3 +587,67 @@ def test_mc_rejects_unreadable_d_and_omega(tmp_path, capsys, fmt, text, data):
     assert run_cli("mc", "--scenario", str(path)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: invalid scenario:")
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("j0 = -3\n", 2, "error: invalid scenario: j0 must be at least 1"),
+    ("M = 11\n", 2, "error: invalid scenario: vanishing moments must be an integer in [1, 10], "
+                    "got 11"),
+    ("N = 64\nj0 = 6\n", 3, "error: finest scale j0=6 infeasible for N=64 (max 3)"),
+    ('{"d": [0.2, 0.2], "univariate": 1}', 2,
+     "error: invalid scenario: scenario key 'univariate' must be true or false, got 1"),
+    ("N = 100000000000000000000\n", 2, "error: invalid scenario: N=100000000000000000000 "
+                                       "exceeds the int64 range of the coefficient counts"),
+], ids=["j0", "M", "short", "univariate", "huge_N"])
+def test_mc_rejects_a_bad_scenario_file_when_loading_it(tmp_path, capsys, monkeypatch,
+                                                         text, code, message):
+    calls = []
+    monkeypatch.setattr(cli, "run_scenario", calls.append)
+    path = tmp_path / ("bad.json" if text.startswith("{") else "bad.cfg")
+    path.write_text(text if text.startswith("{") else "d = 0.2, 0.2\nreps = 2\n" + text)
+    assert run_cli("mc", "--scenario", str(path), "--output", str(tmp_path / "out")) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [message]
+    assert calls == [] and not list(tmp_path.glob("out*"))
+
+
+def test_simulate_takes_rho_or_omega_file_not_both(tmp_path, capsys):
+    om_path = tmp_path / "omega.csv"
+    om_path.write_text("a,b\n1.0,0.5\n0.5,2.0\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--d", "0.2,0.2", "--rho", "0.4", "--omega-file", str(om_path),
+                "--N", "16")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "not allowed with argument" in err
+
+
+def test_mc_prints_the_report_to_stdout(capsys):
+    assert run_cli("mc", "--scenario", "scenarios/table1_row3.cfg", "--reps", "2") == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert captured.err == "" and report["n_replications"] == 2
+    assert report["scenario"]["reps"] == 2
+    assert [rec["quantity"] for rec in report["records"]][:2] == ["d_1", "d_2"]
+
+
+def test_mc_rejects_malformed_scenario_json(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"d": [0.2, 0.2], "reps": }')
+    assert run_cli("mc", "--scenario", str(path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid scenario JSON: Expecting value")
+
+
+def test_atomic_write_leaves_no_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise PermissionError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(PermissionError, match="rename refused"):
+        cli.atomic_write_text(target, "new\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    assert target.read_text() == "old\n"

@@ -643,6 +643,44 @@ def test_closed_form_start_matches_polyfit():
     assert start[2] == start[3] == 0.25
 
 
+def test_indefinite_hessian_falls_back_to_the_gradient_step(monkeypatch):
+    """Bivariate scalograms whose correlation and variances jump from scale
+    to scale make R nonconvex: at the start its Hessian is indefinite, the
+    Cholesky test fails and the search steps along -gradient instead.  It
+    still ends at the bounded L-BFGS-B minimum."""
+    failures = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        try:
+            return cholesky(a)
+        except np.linalg.LinAlgError:
+            failures.append(None)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    rng = np.random.default_rng(1)
+    box, tested = search_box(WSPEC), 0
+    while tested < 5:
+        n_scales = int(rng.integers(2, 6))
+        counts = np.array([max(256 >> j, 2) for j in range(1, n_scales + 1)])
+        mats = []
+        for n_j in counts:
+            r, scale = rng.uniform(-0.999, 0.999), np.exp(rng.normal(0.0, 3.0, 2))
+            mats.append(n_j * np.outer(scale, scale) * np.array([[1.0, r], [r, 1.0]]))
+        scal = Scalogram(np.array(mats), counts, 1, n_scales)
+        hess = _objective_derivatives(scal, _log_regression_init(scal, box))[2]
+        if np.linalg.eigvalsh(hess).min() >= 0:
+            continue
+        failures.clear()
+        d_hat, value, diag = estimate_d(scal, EstimationConfig(), WSPEC)
+        d_ref, value_ref = lbfgsb_search(scal, box)
+        assert failures and diag["converged"] is True
+        assert value <= value_ref + 1e-9
+        assert_allclose(d_hat, d_ref, atol=1e-6)
+        tested += 1
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.6])
 def test_active_bounds_name_the_channels_held_at_the_box(rho):
     """Channel 1's wavelet variance falls like 2^(-6j): its optimum lies

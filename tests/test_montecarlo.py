@@ -1,11 +1,12 @@
 """Monte-Carlo harness: reproducibility, aggregation identities, scenario I/O."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -54,8 +55,7 @@ def test_report_is_bit_reproducible():
 
 
 def test_report_does_not_depend_on_the_geometry_caches():
-    for cache in (wavelets._counts, wavelets._max_level, estimator._scale_terms,
-                  estimator._pair_indices):
+    for cache in (wavelets._counts, estimator._scale_terms, estimator._pair_indices):
         cache.cache_clear()
     cold = run_scenario(small_scenario(replications=4), keep_raw=True)
     warm = run_scenario(small_scenario(replications=4), keep_raw=True)
@@ -105,16 +105,11 @@ def test_workers_do_not_change_results():
     assert report_payload(serial) == report_payload(parallel)
 
 
-def test_infeasible_scale_range_raises_before_any_replication(monkeypatch):
+def test_infeasible_scale_range_raises_before_any_replication():
     # j0 beyond the feasible depth is the estimator's own error, raised once,
-    # not "all replications failed": no replication is dispatched
-    calls = []
-    monkeypatch.setattr(montecarlo, "_replication_worker", calls.append)
-    bad = small_scenario(n_samples=64, j0=3, j1=None, replications=4)
-    for workers in (1, 2):
-        with pytest.raises(ScaleRangeError, match="j0=3, j1=3 leaves fewer than two scales"):
-            run_scenario(bad, workers=workers)
-    assert calls == []
+    # when the scenario is built, not "all replications failed"
+    with pytest.raises(ScaleRangeError, match="j0=3, j1=3 leaves fewer than two scales"):
+        small_scenario(n_samples=64, j0=3, j1=None, replications=4)
 
 
 def test_non_embeddable_scenario_fails_once(monkeypatch):
@@ -137,13 +132,12 @@ def test_replication_reads_both_fits_from_one_pyramid(monkeypatch, path):
     each with its own pyramid, bit for bit."""
     scenario = load_scenario(path)
     spec, config = scenario.wavelet_spec(), scenario.estimation_config()
-    plan = montecarlo._Plan.of(scenario, scenario.arfima_spec(scenario.seed))
     built = []
     dwt_pyramid = estimator.dwt_pyramid
     for module in (estimator, montecarlo):
         monkeypatch.setattr(module, "dwt_pyramid", lambda *a: built.append(a) or dwt_pyramid(*a))
     for seed in np.random.SeedSequence(scenario.seed).spawn(40):
-        out = montecarlo._run_replication(plan, seed)
+        out = montecarlo._run_replication(scenario, seed)
         assert len(built) == 1
         built.clear()
         panel = simulate_arfima(scenario.arfima_spec(seed))
@@ -194,21 +188,22 @@ def test_failures_are_counted_by_reason(monkeypatch, tmp_path):
 
 def test_all_non_converged_names_the_reason(monkeypatch):
     scenario = small_scenario(replications=4)
-    plan = montecarlo._Plan.of(scenario, scenario.arfima_spec(scenario.seed))
     monkeypatch.setattr(estimator, "NEWTON_MAX_ITERATIONS", 1)
     seed = np.random.SeedSequence(scenario.seed).spawn(1)[0]
-    assert montecarlo._replication_worker((plan, seed)) == "non_converged"
+    assert montecarlo._replication_worker((scenario, seed)) == "non_converged"
     with pytest.raises(ScenarioError, match="all replications failed: {'non_converged': 4}"):
         run_scenario(scenario)
 
 
 @pytest.mark.parametrize("replications", [1, 7])
 def test_model_is_validated_once_per_run(monkeypatch, replications):
-    scenario = small_scenario(replications=replications)
+    # once when the scenario is built, and never while it runs
     calls = []
     validate = arfima.validate_long_run_cov
     monkeypatch.setattr(arfima, "validate_long_run_cov",
                         lambda omega: calls.append(None) or validate(omega))
+    scenario = small_scenario(replications=replications)
+    assert len(calls) == 1
     run_scenario(scenario)
     assert len(calls) == 1
 
@@ -279,6 +274,58 @@ def test_scenario_takes_integral_floats():
     assert small_scenario(j1=None).j1 is None
 
 
+def test_scenario_is_frozen():
+    """A scenario, its model and its estimation settings cannot change after
+    their checks: no field takes a new value, no array a new entry."""
+    source = np.array([0.2, 0.2])
+    scenario = small_scenario(d=source)
+    source[0] = 0.4  # the scenario holds its own copy
+    assert scenario.d.tolist() == [0.2, 0.2]
+    for obj in (scenario, scenario.model, scenario.estimation_config()):
+        for name in (f.name for f in dataclasses.fields(obj)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+    for array in (scenario.d, scenario.omega, scenario.model.d, scenario.model.omega):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.n_samples = 300.5
+
+
+def test_scenario_keeps_its_model_and_scale_ranges():
+    scenario = small_scenario(j1=None, include_univariate=np.True_)
+    assert scenario.include_univariate is True
+    model = scenario.model
+    assert model.d.tobytes() == scenario.d.tobytes()
+    assert model.omega.tobytes() == scenario.omega.tobytes()
+    assert (model.n_samples, model.seed, model.moment_cap) == (256, 314, 4)
+    assert scenario.joint_scales == (1, 5) and scenario.univariate_scales == (1, 5)
+    # replace() builds, and checks, a new scenario with its own model and ranges
+    longer = dataclasses.replace(scenario, n_samples=4096)
+    assert longer.model.n_samples == 4096 and longer.model is not model
+    assert longer.joint_scales == (1, 9) and longer.univariate_scales == (1, 9)
+    assert "model" not in repr(scenario) and "scales" not in repr(scenario)
+    with pytest.raises(ValueError):
+        dataclasses.replace(scenario, model=model)
+
+
+@pytest.mark.parametrize("settings_, error, message", [
+    ({"j0": -3}, ScenarioError, "invalid scenario: j0 must be at least 1"),
+    ({"vanishing_moments": 11}, ScenarioError,
+     r"invalid scenario: vanishing moments must be an integer in \[1, 10\], got 11"),
+    ({"n_samples": 64, "j0": 6, "j1": None}, ScaleRangeError,
+     r"finest scale j0=6 infeasible for N=64 \(max 3\)"),
+    ({"include_univariate": 1}, ScenarioError,
+     "invalid scenario: scenario key 'univariate' must be true or false, got 1"),
+    ({"n_samples": 10**20}, ScenarioError,
+     "invalid scenario: N=100000000000000000000 exceeds the int64 range"),
+    ({"replications": 0}, ScenarioError, "invalid scenario: replication count must be at least 1"),
+])
+def test_scenario_fails_when_it_is_built(settings_, error, message):
+    with pytest.raises(error, match=message):
+        small_scenario(**settings_)
+
+
 @pytest.mark.parametrize("value, expected", [
     (True, True), (False, False), ("false", False), ("No", False), (" off ", False),
     ("true", True), ("yes", True), ("ON", True),
@@ -324,31 +371,48 @@ junk_values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3)
                                optional={key: junk_values for key in FILE_KEYS[2:]}))
 def test_scenario_parser_raises_only_documented_errors(mapping):
     """Junk values under the known keys give a Scenario or a ScenarioError /
-    CovarianceError (exit 2 / 4 from ``mc``), never another exception."""
+    ScaleRangeError / CovarianceError (exit 2 / 3 / 4 from ``mc``), never
+    another exception."""
     try:
         scenario = parse_scenario_mapping(mapping)
-    except (ScenarioError, CovarianceError):
+    except (ScenarioError, ScaleRangeError, CovarianceError):
         return
     assert isinstance(scenario, Scenario)
 
 
 @st.composite
-def scenarios(draw):
-    """Valid scenarios: stationary d, a constant correlation, any settings."""
+def scenario_settings(draw, valid_range=False):
+    """Scenario keywords: stationary d, a constant correlation, any settings;
+    with ``valid_range``, only j0 >= 1 and j1 > j0."""
     p = draw(st.integers(1, 3))
     d = draw(st.lists(st.floats(-0.45, 0.45), min_size=p, max_size=p))
-    return Scenario(
+    if valid_range:
+        j0 = draw(st.integers(1, 8))
+        j1 = draw(st.none() | st.integers(j0 + 1, 20))
+    else:
+        j0, j1 = draw(st.integers(-3, 20)), draw(st.none() | st.integers(-3, 20))
+    return dict(
         d=d,
         omega=omega_from_rho(draw(st.floats(-0.4, 0.9)) / p, p),
         n_samples=draw(st.integers(1, 10**6)),
         replications=draw(st.integers(1, 10**4)),
         seed=draw(st.integers(0, 2**64)),
         vanishing_moments=draw(st.integers(1, 10)),
-        j0=draw(st.integers(-3, 20)),
-        j1=draw(st.none() | st.integers(-3, 20)),
+        j0=j0,
+        j1=j1,
         include_univariate=draw(st.booleans()),
         label=draw(st.text(max_size=8)),
     )
+
+
+@st.composite
+def scenarios(draw):
+    """Scenarios a Scenario accepts; the rare sample too short for its
+    scale range is rejected."""
+    try:
+        return Scenario(**draw(scenario_settings(valid_range=True)))
+    except ScaleRangeError:
+        reject()
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -365,6 +429,32 @@ def test_echo_parses_back_to_the_same_scenario(scenario):
             assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
         else:
             assert got == expected and type(got) is type(expected)
+    assert rebuilt.joint_scales == scenario.joint_scales
+    assert rebuilt.univariate_scales == scenario.univariate_scales
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(settings_=scenario_settings())
+def test_scenario_accepts_or_raises_a_documented_error(settings_):
+    """Any settings build a Scenario, whose scale ranges are those the
+    estimator resolves, or raise when it is built: ScenarioError (exit 2)
+    for a j0 below 1 or a j1 not above j0, ScaleRangeError (exit 3) for a
+    range the sample length cannot hold, nothing else."""
+    j0, j1 = settings_["j0"], settings_["j1"]
+    bad_config = j0 < 1 or (j1 is not None and j1 <= j0)
+    try:
+        scenario = Scenario(**settings_)
+    except ScenarioError:
+        assert bad_config
+        return
+    except ScaleRangeError:
+        assert not bad_config
+        return
+    assert not bad_config
+    spec, config = scenario.wavelet_spec(), scenario.estimation_config()
+    for scales, p in ((scenario.joint_scales, scenario.n_channels),
+                      (scenario.univariate_scales, 1)):
+        assert scales == estimator.resolve_scales(scenario.n_samples, spec, config, p)
 
 
 def test_load_scenario_keyvalue(tmp_path):

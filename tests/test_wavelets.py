@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 from helpers import brute_force_pyramid, reference_pyramid
 
 from wavewhittle import wavelets
-from wavewhittle.errors import DomainError, InsufficientDataError, UnsupportedOrderError
+from wavewhittle.errors import ConfigError, DomainError, InsufficientDataError, UnsupportedOrderError
 from wavewhittle.wavelets import (
     DAUBECHIES_ALPHA,
     MAX_ORDER,
@@ -128,12 +128,32 @@ def test_count_law_recursion():
 def test_counts_are_writable_copies_of_a_read_only_cache():
     spec = WaveletSpec(vanishing_moments=4)
     with pytest.raises(ValueError):
-        wavelets._counts(512, spec.support_length, 6)[0] = 0
+        wavelets._counts(512, spec.support_length)[0] = 0
     counts = coefficient_counts(512, spec, 6)
     pyramid = dwt_pyramid(np.random.default_rng(0).standard_normal(512), spec, 6)
     counts[0] = pyramid.counts[0] = 0
     assert list(coefficient_counts(512, spec, 6)) == [253, 123, 58, 26, 10, 2]
     assert max_feasible_level(512, spec) == 6
+
+
+def test_counts_read_one_table_per_geometry():
+    """Every depth is a prefix of one table, zero-padded past its last level."""
+    spec = WaveletSpec(vanishing_moments=4)
+    wavelets._counts.cache_clear()
+    assert list(coefficient_counts(512, spec, 12)) == [253, 123, 58, 26, 10, 2] + [0] * 6
+    assert list(coefficient_counts(512, spec, 3)) == [253, 123, 58]
+    assert coefficient_counts(512, spec, 0).shape == (0,)
+    assert coefficient_counts(512, spec, 12).dtype == np.int64
+    assert wavelets._counts.cache_info().currsize == 1
+    assert list(coefficient_counts(0, spec, 2)) == [0, 0]
+    assert max_feasible_level(0, spec) == 0
+
+
+def test_counts_beyond_int64_raise_a_config_error():
+    spec = WaveletSpec(vanishing_moments=4)
+    with pytest.raises(ConfigError, match="N=100000000000000000000 exceeds the int64 range"):
+        max_feasible_level(10**20, spec)
+    assert max_feasible_level(2**63 - 1, spec) == 60
 
 
 def test_max_feasible_level_by_definition():
@@ -235,6 +255,20 @@ def test_pyramid_rejects_non_finite():
     bad[10] = np.nan
     with pytest.raises(ValueError):
         dwt_pyramid(bad, spec, 2)
+
+
+def test_pyramid_rejects_a_panel_of_more_than_two_dimensions():
+    with pytest.raises(ValueError, match=r"panel must be a 1-D series or an \(N, p\) matrix"):
+        dwt_pyramid(np.zeros((64, 2, 2)), WaveletSpec(vanishing_moments=2), 2)
+
+
+def test_pyramid_level_is_one_based_and_bounded():
+    x = np.random.default_rng(4).standard_normal((128, 2))
+    pyramid = dwt_pyramid(x, WaveletSpec(vanishing_moments=2), 3)
+    assert pyramid.level(1) is pyramid.details[0] and pyramid.level(3) is pyramid.details[2]
+    for j in (0, 4, -1):
+        with pytest.raises(IndexError, match=f"scale {j} not in pyramid range 1..3"):
+            pyramid.level(j)
 
 
 def test_coefficients_window_locality():
