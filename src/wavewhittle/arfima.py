@@ -23,12 +23,16 @@ stationary exponent.
 
 The factor depends only on (stationary exponents, omega, N), and every
 replication of a Monte-Carlo scenario shares those, so the last
-FACTOR_CACHE_SIZE factors are kept, read-only.  Each holds
-(N+1) * p^2 * 16 bytes (4.2 MB at N = 65536, p = 2).  A draw besides holds
-(2N+2) p doubles of bins, one 2N-sample irfft buffer and the N p panel
-(2.1, 1.0 and 1.0 MB at N = 65536, p = 2).  A spectrum that is not
-positive definite at some frequency has no such factor: the draw raises
-CovarianceError and is never clipped.  For one channel with |d| < 1/2 the
+FACTOR_CACHE_SIZE = 2 factors are kept, read-only: one per scenario, and
+room for two scenarios run in turn.  Each holds (N+1) * p^2 * 16 bytes
+(4.2 MB at N = 65536, p = 2; 1.06 GB at N = 8192, p = 90).  A draw besides
+holds (2N+2) p doubles of bins, one 2N-sample irfft buffer and the N p panel
+(2.1, 1.0 and 1.0 MB at N = 65536, p = 2).  Building a factor first needs a
+(p, p, 2N) float64 circulant; a model whose circulant is larger than the
+address space, or whose build runs out of memory, raises ConfigError
+instead of being drawn.  A spectrum that is not positive definite at some
+frequency has no such factor: the draw raises CovarianceError and is never
+clipped.  For one channel with |d| < 1/2 the
 embedding is always nonnegative (Craigmile 2003, JTSA 24); for several
 channels it is not (d = (0, 0.49), rho = 0.99, N = 512 fails).
 """
@@ -42,11 +46,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, CovarianceError, VanishingMomentError
-from .wavelets import WaveletSpec, _freeze, spectral_k
+from .wavelets import WaveletSpec, _freeze, _integer, spectral_k
 
 # Embedding factors simulate_arfima keeps, one per (stationary exponents,
-# omega, N): every replication of a Monte-Carlo scenario reuses the same key.
-FACTOR_CACHE_SIZE = 8
+# omega, N).  Every replication of a Monte-Carlo scenario reuses one key; two
+# keys let a caller alternate the two Table 1 models (their exponents, 0.2
+# and 1.2 - 1 = 0.19999999999999996, differ in the last bit) without rebuilds.
+FACTOR_CACHE_SIZE = 2
 
 
 def split_memory(d: float) -> tuple[float, int]:
@@ -96,11 +102,14 @@ def correlation_from_cov(omega: np.ndarray) -> np.ndarray:
 class ArfimaSpec:
     """Configuration of one ARFIMA(0, d, 0) draw.
 
-    ``seed`` is a nonnegative integer or a SeedSequence.  ``moment_cap``
-    optionally enforces d < M for a wavelet analysis planned downstream.
-    Invalid settings raise ConfigError (a ValueError), CovarianceError or
-    VanishingMomentError.  Immutable: ``d`` and ``omega`` are read-only
-    float64 copies, and the ``split_memory`` of each d is kept.
+    ``d`` is a number or a 1-D list of numbers.  ``n_samples`` is a positive
+    integer and ``seed`` a nonnegative integer or a SeedSequence; an integral
+    float such as 300.0 counts, a fraction or a boolean does not.
+    ``moment_cap`` optionally enforces d < M for a wavelet analysis planned
+    downstream.  Invalid settings raise ConfigError (a ValueError),
+    CovarianceError or VanishingMomentError.  Immutable: ``d`` and ``omega``
+    are read-only float64 copies, ``n_samples`` and an integer ``seed`` are
+    ints, and the ``split_memory`` of each d is kept.
     """
 
     d: np.ndarray
@@ -114,6 +123,8 @@ class ArfimaSpec:
 
     def __post_init__(self):
         d = _freeze(np.atleast_1d(np.array(self.d, dtype=np.float64)))
+        if d.ndim != 1:
+            raise ConfigError(f"d must be a number or a list of numbers, got {self.d!r}")
         omega = _freeze(np.array(self.omega, dtype=np.float64))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "omega", omega)
@@ -126,10 +137,13 @@ class ArfimaSpec:
                 f"omega shape {omega.shape} does not match {d.size} channels"
             )
         validate_long_run_cov(omega)
+        object.__setattr__(self, "n_samples", _integer("n_samples", self.n_samples))
         if self.n_samples < 1:
             raise ConfigError("n_samples must be positive")
-        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not isinstance(self.seed, np.random.SeedSequence):
+            object.__setattr__(self, "seed", _integer("seed", self.seed))
+            if self.seed < 0:
+                raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.moment_cap is not None and np.any(d >= self.moment_cap):
             raise VanishingMomentError(
                 f"memory parameters {d} must stay below the vanishing-moment cap "
@@ -184,21 +198,38 @@ def _embedding_spectrum(d_s: tuple, omega: tuple, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _embedding_factor(d_s: tuple, omega: tuple, n: int) -> np.ndarray:
     """Read-only (p, p, N+1) lower Cholesky factor of the embedding spectrum,
-    frequency last; raises np.linalg.LinAlgError if it is not positive definite."""
+    frequency last; raises np.linalg.LinAlgError if it is not positive
+    definite, and MemoryError if it cannot be built in memory."""
+    if _circulant_bytes(len(d_s), n) > np.iinfo(np.intp).max:
+        raise MemoryError  # numpy would raise ValueError: array is too big
     factor = np.linalg.cholesky(_embedding_spectrum(d_s, omega, n)).transpose(1, 2, 0).copy()
     factor.flags.writeable = False
     return factor
+
+
+def _circulant_bytes(p: int, n: int) -> int:
+    """Bytes of the (p, p, 2N) float64 circulant, the first array a factor build allocates."""
+    return p * p * 2 * n * 8
 
 
 def embedding_factor(spec: ArfimaSpec) -> np.ndarray:
     """The cached circulant-embedding factor of ``spec`` (module docstring).
 
     Raises CovarianceError, naming d, omega, N and the smallest eigenvalue of
-    the embedding, when the embedding is not positive definite.
+    the embedding, when the embedding is not positive definite.  Raises
+    ConfigError, naming N, p and the bytes of the circulant, when the model
+    is too large to simulate: the circulant exceeds the address space
+    (checked before anything is allocated) or the build runs out of memory.
     """
-    key = (spec._stationary, tuple(spec.omega.ravel().tolist()), int(spec.n_samples))
+    key = (spec._stationary, tuple(spec.omega.ravel().tolist()), spec.n_samples)
     try:
         return _embedding_factor(*key)
+    except MemoryError:
+        p, n = spec.n_channels, spec.n_samples
+        raise ConfigError(
+            f"N={n} with p={p} channels is too large to simulate: its circulant "
+            f"embedding alone needs {_circulant_bytes(p, n)} bytes"
+        ) from None
     except np.linalg.LinAlgError:
         smallest = float(np.linalg.eigvalsh(_embedding_spectrum(*key)).min())
         raise CovarianceError(

@@ -150,8 +150,17 @@ def write_panel(path, panel: np.ndarray, names=None) -> None:
     atomic_write_text(path, panel_csv(panel, names))
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _cell(value) -> str:
+    """A number in a report CSV: empty when missing or non-finite, else ``.10g``."""
+    return "" if value is None or not math.isfinite(value) else f"{value:.10g}"
+
+
 def _matrix_list(m: np.ndarray) -> list:
-    return [[None if not np.isfinite(v) else float(v) for v in row] for row in m]
+    return [[v if math.isfinite(v) else None for v in row] for row in m.tolist()]
 
 
 def _histogram_csv(values: np.ndarray) -> str:
@@ -159,30 +168,37 @@ def _histogram_csv(values: np.ndarray) -> str:
     n_bins = min(50, max(5, int(math.ceil(2 * math.sqrt(finite.size)))))
     counts, edges = np.histogram(finite, bins=n_bins)
     lines = ["bin_left,count"]
-    for left, count in zip(edges[:-1], counts):
-        lines.append(f"{left:.10g},{int(count)}")
-    lines.append(f"{edges[-1]:.10g},0")
+    # the last edge closes the last bin, with a count of 0
+    for left, count in zip(edges.tolist(), counts.tolist() + [0]):
+        lines.append(f"{_cell(left)},{count}")
     return "\n".join(lines) + "\n"
 
 
 def _corr_grid_csv(names, correlation: np.ndarray) -> str:
     lines = ["channel," + ",".join(names)]
-    for name, row in zip(names, correlation):
-        cells = ",".join("" if not np.isfinite(v) else f"{v:.10g}" for v in row)
-        lines.append(f"{name},{cells}")
+    for name, row in zip(names, correlation.tolist()):
+        lines.append(",".join([name, *map(_cell, row)]))
     return "\n".join(lines) + "\n"
 
 
 def _estimate_csv(names, result) -> str:
     lines = ["quantity,row,col,value"]
-    for i, v in enumerate(result.d_hat, start=1):
-        lines.append(f"d,{i},,{v:.10g}")
+    for i, v in enumerate(result.d_hat.tolist(), start=1):
+        lines.append(f"d,{i},,{_cell(v)}")
+    omega, correlation = result.omega.tolist(), result.correlation.tolist()
     p = len(names)
     for i in range(p):
         for j in range(i, p):
-            for label, mat in (("omega", result.omega), ("correlation", result.correlation)):
-                v = mat[i, j]
-                lines.append(f"{label},{i + 1},{j + 1}," + ("" if not np.isfinite(v) else f"{v:.10g}"))
+            for label, mat in (("omega", omega), ("correlation", correlation)):
+                lines.append(f"{label},{i + 1},{j + 1},{_cell(mat[i][j])}")
+    return "\n".join(lines) + "\n"
+
+
+def _mc_csv(records) -> str:
+    columns = ("truth", "bias", "std", "rmse", "ratio_mu")
+    lines = ["quantity," + ",".join(columns)]
+    for rec in records:
+        lines.append(",".join([rec["quantity"], *(_cell(rec[c]) for c in columns)]))
     return "\n".join(lines) + "\n"
 
 
@@ -199,8 +215,6 @@ def cmd_estimate(args) -> int:
     config = EstimationConfig(j0=args.j0, j1=args.j1)
     result = estimate_panel(panel, spec, config)
 
-    warnings = dict(result.warnings)
-    warnings["non_convergence"] = not result.diagnostics["converged"]
     report = {
         "config": {
             "command": "estimate",
@@ -223,10 +237,10 @@ def cmd_estimate(args) -> int:
         "omega": _matrix_list(result.omega),
         "correlation": _matrix_list(result.correlation),
         "counts": result.counts.tolist(),
-        "warnings": warnings,  # pairs are tuples, which json writes as 2-lists
+        "warnings": result.warnings,  # pairs are tuples, which json writes as 2-lists
         "diagnostics": result.diagnostics,
     }
-    payload = json.dumps(report, indent=2) + "\n"
+    payload = _json_text(report)
     if args.output:
         if args.format == "csv":
             atomic_write_text(args.output, _estimate_csv(names, result))
@@ -265,7 +279,7 @@ def cmd_simulate(args) -> int:
     }
     if args.output:
         write_panel(args.output, panel)
-        atomic_write_text(_stem(args.output) + "_config.json", json.dumps(echo, indent=2) + "\n")
+        atomic_write_text(_stem(args.output) + "_config.json", _json_text(echo))
     else:
         sys.stdout.write(panel_csv(panel))
     return EXIT_OK
@@ -279,11 +293,12 @@ def cmd_mc(args) -> int:
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     report = run_scenario(scenario, workers=args.workers)
+    payload = _json_text(report.to_dict())
     if args.output:
-        report.write_json(args.output + ".json")
-        report.write_csv(args.output + ".csv")
+        atomic_write_text(args.output + ".json", payload)
+        atomic_write_text(args.output + ".csv", _mc_csv(report.records))
     else:
-        sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        sys.stdout.write(payload)
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ from .wavelets import (
     WaveletPyramid,
     WaveletSpec,
     _freeze,
+    _integer,
     coefficient_counts,
     dwt_pyramid,
     in_k_domain,
@@ -213,13 +214,18 @@ def _objective_derivatives(scal: Scalogram, d: np.ndarray):
 class EstimationConfig:
     """Scale range for the Whittle minimization; immutable.
 
-    ``j1 = None`` uses the deepest scale with at least p coefficients.
+    ``j0`` and ``j1`` must be integers (an integral float such as 3.0
+    becomes 3; a fraction or a boolean is a ConfigError).  ``j1 = None``
+    uses the deepest scale with at least p coefficients.
     """
 
     j0: int = 1
     j1: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "j0", _integer("j0", self.j0))
+        if self.j1 is not None:
+            object.__setattr__(self, "j1", _integer("j1", self.j1))
         if self.j0 < 1:
             raise ConfigError("j0 must be at least 1")
         if self.j1 is not None and self.j1 <= self.j0:
@@ -491,7 +497,7 @@ def _scalogram(x: np.ndarray, spec: WaveletSpec, config: EstimationConfig, n_cha
 def estimate_panel(panel: np.ndarray, spec: WaveletSpec, config: EstimationConfig) -> MwwEstimate:
     """Full estimation pipeline on an (N, p) sample panel.
 
-    ``warnings`` holds the lists of ``estimate_omega`` plus ``zero_channels``.
+    ``warnings`` holds the lists of ``estimate_omega``, ``zero_channels`` and ``non_convergence``.
     """
     x = np.asarray(panel, dtype=np.float64)
     if x.ndim == 1:
@@ -506,6 +512,7 @@ def _fit_panel(
     d_hat, value, diagnostics = estimate_d(scal, config, spec)
     omega, correlation, g_matrix, warnings = estimate_omega(scal, d_hat, spec)
     warnings["zero_channels"] = _zero_channels(x, scal)
+    warnings["non_convergence"] = not diagnostics["converged"]
     if config.j1 is not None and scal.j1 != config.j1:
         diagnostics["requested_j1"] = config.j1
     return MwwEstimate(

@@ -3,7 +3,8 @@
 A Scenario bundles the simulation template and estimation settings; running
 it yields per-quantity bias / standard deviation / RMSE records plus the
 multivariate-to-univariate RMSE ratios computed on shared panels (paired
-design).  Reports serialize to JSON and CSV.  Everything is deterministic
+design).  ``MCReport.to_dict()`` is a report's data; writing it to files is
+the CLI's job (``wavewhittle mc``).  Everything is deterministic
 given the root seed: replication seeds are spawned from a SeedSequence and
 aggregation follows replication order, so worker counts never change results.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +25,7 @@ from .errors import (ConfigError, CovarianceError, ScaleRangeError, ScenarioErro
                      WavewhittleError)
 from .estimator import (EstimationConfig, _fit_panel, _fit_univariate, _pair_indices,
                         resolve_scales, scalogram)
-from .wavelets import WaveletSpec, _freeze, dwt_pyramid
+from .wavelets import WaveletSpec, _integer, dwt_pyramid
 
 
 def omega_from_rho(rho: float, p: int = 2) -> np.ndarray:
@@ -87,23 +87,21 @@ class Scenario:
         def store(name, value):
             object.__setattr__(self, name, value)
 
-        d = np.atleast_1d(np.array(self.d, dtype=np.float64))
-        if d.ndim != 1:
-            raise ConfigError(f"d must be a number or a list of numbers, got {self.d!r}")
-        store("d", _freeze(d))
-        store("omega", _freeze(np.array(self.omega, dtype=np.float64)))
         for key, name in SCENARIO_KEYS.items():
             value = getattr(self, name)
             if name in _INTEGER_FIELDS and not (name == "j1" and value is None):
-                store(name, _integer(key.lower(), value))
+                store(name, _integer(f"scenario key {key.lower()!r}", value))
         if not isinstance(self.include_univariate, (bool, np.bool_)):
             raise ConfigError(
                 f"scenario key 'univariate' must be true or false, got {self.include_univariate!r}"
             )
         store("include_univariate", bool(self.include_univariate))
         store("label", str(self.label))
-        # the root seed obeys the same rule as the seed of a single draw
+        # the root seed obeys the same rule as the seed of a single draw; the
+        # model's read-only float64 copies of d and omega are the scenario's
         store("model", self.arfima_spec(self.seed))
+        store("d", self.model.d)
+        store("omega", self.model.omega)
         if self.replications < 1:
             raise ConfigError("replication count must be at least 1")
         spec, config = self.wavelet_spec(), self.estimation_config()
@@ -177,24 +175,6 @@ class MCReport:
         if self.raw is not None:
             out["raw"] = {k: np.asarray(v).tolist() for k, v in self.raw.items()}
         return out
-
-    def write_json(self, path) -> None:
-        from .cli import atomic_write_text
-
-        atomic_write_text(path, json.dumps(self.to_dict(), indent=2) + "\n")
-
-    def write_csv(self, path) -> None:
-        from .cli import atomic_write_text
-
-        lines = ["quantity,truth,bias,std,rmse,ratio_mu"]
-        for rec in self.records:
-            ratio = rec.get("ratio_mu")
-            lines.append(
-                f"{rec['quantity']},{rec['truth']:.10g},{rec['bias']:.10g},"
-                f"{rec['std']:.10g},{rec['rmse']:.10g},"
-                + (f"{ratio:.10g}" if ratio is not None else "")
-            )
-        atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _run_replication(scenario: Scenario, seed) -> dict:
@@ -380,16 +360,6 @@ def parse_scenario_mapping(data: dict) -> Scenario:
         except (ValueError, TypeError, OverflowError) as exc:
             raise ScenarioError(f"invalid scenario: {exc}") from exc
     return Scenario(**fields)
-
-
-def _integer(key: str, value) -> int:
-    """``value`` as an int; a fraction, a boolean or text is an error, not truncated."""
-    integral = isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer()
-    )
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"scenario key {key!r} must be an integer, got {value!r}")
-    return int(value)
 
 
 def load_scenario(path) -> Scenario:

@@ -27,6 +27,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -114,6 +115,17 @@ def daubechies_filters(vanishing_moments: int) -> tuple[np.ndarray, np.ndarray]:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a fraction, a boolean or text is a ConfigError
+    naming ``name``, never truncated.  An integral float such as 300.0 counts."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def qmf(h: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from wavewhittle.arfima import (
     validate_long_run_cov,
 )
 from wavewhittle.errors import ConfigError, CovarianceError, VanishingMomentError
+from wavewhittle.estimator import EstimationConfig
 from wavewhittle.montecarlo import omega_from_rho
 from wavewhittle.wavelets import WaveletSpec, dwt_pyramid, spectral_k
 
@@ -188,6 +189,11 @@ def test_spec_is_frozen_and_keeps_its_memory_split():
     assert spec._stationary == (0.25, 0.375, -0.2) and spec._orders == (0, 1, 0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.d = d
+    # an integral float or a numpy integer becomes an int; a SeedSequence stays
+    spec = ArfimaSpec(d=0.2, omega=np.eye(1), n_samples=64.0, seed=np.int64(3))
+    assert (type(spec.n_samples), type(spec.seed), spec.d.shape) == (int, int, (1,))
+    seed = np.random.SeedSequence(3)
+    assert ArfimaSpec(d=0.2, omega=np.eye(1), n_samples=64, seed=seed).seed is seed
 
 
 def test_draws_match_closed_form_lag_covariances():
@@ -378,6 +384,25 @@ def test_simulation_validation_errors():
         ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=64, ar=np.array([0.5]))
     with pytest.raises(TypeError):
         ArfimaSpec(d=[0.2], omega=np.eye(1), n_samples=64, truncation=640)
+
+
+@pytest.mark.parametrize("cls, kwargs, message", [
+    (ArfimaSpec, {"n_samples": 300.5}, "n_samples must be an integer, got 300.5"),
+    (ArfimaSpec, {"n_samples": True}, "n_samples must be an integer, got True"),
+    (ArfimaSpec, {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    (ArfimaSpec, {"seed": True}, "seed must be an integer, got True"),
+    (ArfimaSpec, {"d": [[0.2, 0.2]], "omega": np.eye(2)},
+     r"d must be a number or a list of numbers, got \[\[0.2, 0.2\]\]"),
+    (EstimationConfig, {"j0": 1.5}, "j0 must be an integer, got 1.5"),
+    (EstimationConfig, {"j0": True}, "j0 must be an integer, got True"),
+    (EstimationConfig, {"j1": 5.5}, "j1 must be an integer, got 5.5"),
+])
+def test_configurations_are_checked_when_built(cls, kwargs, message):
+    """A fraction, a boolean or a 2-D d is a ConfigError when the object is
+    built, not a raw error at the draw or a silent truncation."""
+    base = {"d": [0.2], "omega": np.eye(1), "n_samples": 64} if cls is ArfimaSpec else {}
+    with pytest.raises(ConfigError, match=message):
+        cls(**{**base, **kwargs})
 
 
 # ---------------------------------------------------------------------------

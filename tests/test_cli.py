@@ -1,7 +1,9 @@
 """CLI behaviour: exit codes, file formats, determinism, thin-shell property."""
 
+import ast
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -14,7 +16,7 @@ from numpy.testing import assert_allclose
 
 import wavewhittle.cli as cli
 from helpers import scan_panel_oracle
-from wavewhittle import errors, montecarlo
+from wavewhittle import arfima, errors, montecarlo
 from wavewhittle.cli import main, read_panel, write_panel
 from wavewhittle.errors import PanelFormatError
 from wavewhittle.estimator import EstimationConfig, estimate_panel
@@ -651,3 +653,72 @@ def test_atomic_write_leaves_no_temp_file_when_the_rename_fails(tmp_path, monkey
         cli.atomic_write_text(target, "new\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
     assert target.read_text() == "old\n"
+
+
+def imported_modules(tree):
+    """Absolute names of the modules a ``wavewhittle`` module's AST imports,
+    with each ``from X import name`` also read as module ``X.name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("wavewhittle." * (node.level > 0) + (node.module or "")).rstrip(".")
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_only_cli_imports_cli():
+    """The library returns values and ``cli`` writes every file: no module
+    below ``cli`` imports it, so the package has no import cycle."""
+    package = os.path.dirname(cli.__file__)
+    importers = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "cli.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                if "wavewhittle.cli" in set(imported_modules(ast.parse(fh.read()))):
+                    importers.append(name)
+    assert importers == []
+
+
+def test_mc_csv_cells():
+    """Every number is written .10g; a missing or non-finite one is an empty cell."""
+    records = [
+        {"quantity": "d_1", "truth": 0.2, "bias": -0.012345678912345, "std": 0.05,
+         "rmse": 0.0515, "ratio_mu": 0.875},
+        {"quantity": "omega_1_2", "truth": 0.4, "bias": 1e-12, "std": math.inf,
+         "rmse": math.nan, "ratio_mu": None},
+    ]
+    assert cli._mc_csv(records) == (
+        "quantity,truth,bias,std,rmse,ratio_mu\n"
+        "d_1,0.2,-0.01234567891,0.05,0.0515,0.875\n"
+        "omega_1_2,0.4,1e-12,,,\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--d", "0.2", "--N", str(10**18)],
+    ["mc", "--scenario", "{huge}"],
+])
+def test_model_too_large_to_simulate_exits_2(tmp_path, capsys, argv):
+    """Refused before anything is allocated: the (p, p, 2N) circulant would
+    exceed the address space."""
+    scenario = tmp_path / "huge.cfg"
+    scenario.write_text(f"d = 0.2, 0.2\nreps = 2\nN = {10**18}\n")
+    assert run_cli(*[arg.format(huge=scenario) for arg in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    p = 1 if argv[0] == "simulate" else 2
+    assert err == [f"error: N={10**18} with p={p} channels is too large to simulate: its "
+                   f"circulant embedding alone needs {p * p * 2 * 10**18 * 8} bytes"]
+
+
+def test_factor_build_out_of_memory_exits_2(monkeypatch, capsys):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(arfima, "_embedding_spectrum", out_of_memory)
+    arfima._embedding_factor.cache_clear()
+    assert run_cli("simulate", "--d", "0.2", "--N", "97") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: N=97 with p=1 channels is too large to simulate: its circulant "
+        "embedding alone needs 1552 bytes"
+    ]

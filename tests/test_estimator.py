@@ -335,6 +335,19 @@ def test_estimate_d_nonconvergence_flagged(monkeypatch):
     assert np.all(np.isfinite(d_hat))
 
 
+def test_non_convergence_is_the_last_warning(monkeypatch):
+    """``estimate_panel`` itself reports non-convergence, as the last
+    warning, so a report's JSON key order is that of the CLI before."""
+    panel = simulate_arfima(ArfimaSpec(d=[0.2, 0.3], omega=np.eye(2), n_samples=512, seed=5))
+    est = estimate_panel(panel, WSPEC, EstimationConfig())
+    assert list(est.warnings) == ["degenerate_pairs", "undefined_pairs", "invalid_channels",
+                                  "out_of_range_correlation", "zero_channels", "non_convergence"]
+    assert est.warnings["non_convergence"] is False and est.diagnostics["converged"] is True
+    monkeypatch.setattr(estimator, "NEWTON_MAX_ITERATIONS", 1)
+    est = estimate_panel(panel, WSPEC, EstimationConfig())
+    assert est.warnings["non_convergence"] is True and est.diagnostics["converged"] is False
+
+
 def test_estimate_d_converged_at_roundoff(monkeypatch):
     """A search that ends where no step lowers R, with a projected gradient
     just above GRAD_TOL but a Newton decrement below what R resolves, sits at
@@ -767,3 +780,5 @@ def test_config_validation():
         EstimationConfig(j0=0)
     with pytest.raises(ConfigError):
         EstimationConfig(j0=3, j1=3)
+    config = EstimationConfig(j0=np.int64(2), j1=5.0)
+    assert (config.j0, config.j1) == (2, 5) and type(config.j1) is int

@@ -10,7 +10,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from wavewhittle import arfima, estimator, montecarlo, wavelets
+from wavewhittle import arfima, cli, estimator, montecarlo, wavelets
 from wavewhittle.arfima import simulate_arfima
 from wavewhittle.errors import CovarianceError, LikelihoodError, ScaleRangeError, ScenarioError
 from wavewhittle.estimator import estimate_panel, estimate_univariate_each
@@ -165,6 +165,22 @@ def test_failure_counting_excludes_bad_replications():
     assert report.n_replications == 6
 
 
+def run_mc_cli(monkeypatch, scenario, base):
+    """``wavewhittle mc --output base`` on a file holding ``scenario``'s echo;
+    returns the MCReport that the command wrote to base.json and base.csv."""
+    reports = []
+
+    def run(*args, **kwargs):
+        reports.append(run_scenario(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    path = base.parent / "scenario.json"
+    path.write_text(json.dumps(scenario.echo()), encoding="utf-8")
+    assert cli.main(["mc", "--scenario", str(path), "--output", str(base)]) == 0
+    return reports[0]
+
+
 def test_failures_are_counted_by_reason(monkeypatch, tmp_path):
     """Every third replication raises, every third hits a one-iteration cap."""
     fit_panel, cap = montecarlo._fit_panel, estimator.NEWTON_MAX_ITERATIONS
@@ -178,10 +194,9 @@ def test_failures_are_counted_by_reason(monkeypatch, tmp_path):
         return fit_panel(*args)
 
     monkeypatch.setattr(montecarlo, "_fit_panel", flaky)
-    report = run_scenario(small_scenario(replications=9))
+    report = run_mc_cli(monkeypatch, small_scenario(replications=9), tmp_path / "report")
     assert report.failures == {"LikelihoodError": 3, "non_converged": 3}
     assert sum(report.failures.values()) == report.n_failures == 6
-    report.write_json(tmp_path / "report.json")
     saved = json.loads((tmp_path / "report.json").read_text())
     assert saved["failures"] == report.failures and saved["n_failures"] == 6
 
@@ -497,18 +512,31 @@ def test_load_scenario_bad_line(tmp_path):
         load_scenario(path)
 
 
-def test_report_files_roundtrip(tmp_path):
-    report = run_scenario(small_scenario(replications=4))
+def test_report_files_roundtrip(monkeypatch, tmp_path):
+    report = run_mc_cli(monkeypatch, small_scenario(replications=4), tmp_path / "rep")
     jpath = tmp_path / "rep.json"
     cpath = tmp_path / "rep.csv"
-    report.write_json(jpath)
-    report.write_csv(cpath)
     loaded = json.loads(jpath.read_text())
     assert loaded["n_replications"] == 4
     assert loaded["scenario"]["seed"] == 314
     lines = cpath.read_text().strip().splitlines()
     assert lines[0] == "quantity,truth,bias,std,rmse,ratio_mu"
     assert len(lines) == 1 + len(report.records)
+
+
+def test_factor_cache_holds_both_table1_models():
+    """The two Table 1 models have different factor keys (1.2 - 1 is
+    0.19999999999999996, not 0.2); draws alternating between them build each
+    factor once, and fill the cache."""
+    models = [load_scenario(f"scenarios/{name}.cfg").model
+              for name in ("table1_row3", "table1_nonstationary")]
+    assert models[0]._stationary != models[1]._stationary
+    arfima._embedding_factor.cache_clear()
+    for _ in range(3):
+        for model in models:
+            simulate_arfima(model)
+    info = arfima._embedding_factor.cache_info()
+    assert info.misses == 2 and info.currsize == arfima.FACTOR_CACHE_SIZE
 
 
 def test_bundled_scenarios_parse():
