@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .arfima import (
     ArfimaSpec,
-    correlation_from_cov,
     model_wavelet_cov,
     simulate_arfima,
 )
@@ -31,6 +30,7 @@ from .estimator import (
     EstimationConfig,
     MwwEstimate,
     Scalogram,
+    correlation_from_cov,
     estimate_d,
     estimate_omega,
     estimate_panel,

@@ -93,9 +93,13 @@ def validate_long_run_cov(omega: np.ndarray) -> np.ndarray:
     return chol
 
 
-def correlation_from_cov(omega: np.ndarray) -> np.ndarray:
-    scale = np.sqrt(np.diag(omega))
-    return omega / np.outer(scale, scale)
+def _float_array(name: str, value) -> np.ndarray:
+    """``value`` as a new float64 array; what numpy cannot convert (text, a
+    ragged nesting) is a ConfigError naming ``name``, with numpy's reason."""
+    try:
+        return np.array(value, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{name} is not an array of numbers: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -103,12 +107,14 @@ class ArfimaSpec:
     """Configuration of one ARFIMA(0, d, 0) draw.
 
     ``d`` is a number or a 1-D list of numbers.  ``n_samples`` is a positive
-    integer and ``seed`` a nonnegative integer or a SeedSequence; an integral
-    float such as 300.0 counts, a fraction or a boolean does not.
-    ``moment_cap`` optionally enforces d < M for a wavelet analysis planned
-    downstream.  Invalid settings raise ConfigError (a ValueError),
-    CovarianceError or VanishingMomentError.  Immutable: ``d`` and ``omega``
-    are read-only float64 copies, ``n_samples`` and an integer ``seed`` are
+    integer, ``seed`` a nonnegative integer or a SeedSequence, and
+    ``moment_cap``, which optionally enforces d < M for a wavelet analysis
+    planned downstream, an integer; an integral float such as 300.0 counts,
+    a fraction or a boolean does not.  Invalid settings raise ConfigError (a
+    ValueError), CovarianceError or VanishingMomentError; a ``d`` or
+    ``omega`` that numpy cannot read as numbers (text, ragged rows) is a
+    ConfigError naming it.  Immutable: ``d`` and ``omega`` are read-only
+    float64 copies, ``n_samples``, ``moment_cap`` and an integer ``seed`` are
     ints, and the ``split_memory`` of each d is kept.
     """
 
@@ -122,10 +128,10 @@ class ArfimaSpec:
     _orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = _freeze(np.atleast_1d(np.array(self.d, dtype=np.float64)))
+        d = _freeze(np.atleast_1d(_float_array("d", self.d)))
         if d.ndim != 1:
             raise ConfigError(f"d must be a number or a list of numbers, got {self.d!r}")
-        omega = _freeze(np.array(self.omega, dtype=np.float64))
+        omega = _freeze(_float_array("omega", self.omega))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "omega", omega)
         if d.size == 0:
@@ -144,11 +150,13 @@ class ArfimaSpec:
             object.__setattr__(self, "seed", _integer("seed", self.seed))
             if self.seed < 0:
                 raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.moment_cap is not None and np.any(d >= self.moment_cap):
-            raise VanishingMomentError(
-                f"memory parameters {d} must stay below the vanishing-moment cap "
-                f"M={self.moment_cap}"
-            )
+        if self.moment_cap is not None:
+            object.__setattr__(self, "moment_cap", _integer("moment_cap", self.moment_cap))
+            if np.any(d >= self.moment_cap):
+                raise VanishingMomentError(
+                    f"memory parameters {d} must stay below the vanishing-moment cap "
+                    f"M={self.moment_cap}"
+                )
         stationary, orders = zip(*(split_memory(value) for value in d.tolist()))
         object.__setattr__(self, "_stationary", stationary)
         object.__setattr__(self, "_orders", orders)

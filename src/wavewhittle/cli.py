@@ -10,8 +10,10 @@ type carries (``WavewhittleError.exit_code``):
     4  invalid (non positive definite) covariance
 
 CSV files are RFC-4180 style: header row mandatory, UTF-8, '.' decimals,
-missing values rejected.  Output files are written atomically (temp file
-plus rename) and carry a full configuration echo sufficient to re-run.
+missing values rejected.  Every CSV this module writes goes through
+``_csv_text``, in the dialect it reads.  Output files are written
+atomically (temp file plus rename) and carry a full configuration echo
+sufficient to re-run.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -97,53 +100,54 @@ def _scan_panel(fh) -> tuple[list[str], np.ndarray]:
     """Row-by-row ``csv.reader`` parse that raises at the first bad cell."""
     reader = csv.reader(fh)
     try:
-        return _scan_rows(reader)
+        header = next(reader, None)
+        if header is None:
+            raise PanelFormatError("empty panel file (header row is mandatory)", line=1)
+        names = [name.strip() for name in header]
+        if not names or any(not name for name in names):
+            raise PanelFormatError("blank channel name in header", line=1)
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise PanelFormatError(
+                    f"expected {len(names)} columns, got {len(row)}", line=lineno, column=len(row)
+                )
+            values = []
+            for colno, cell in enumerate(row, start=1):
+                cell = cell.strip()
+                if not cell:
+                    raise PanelFormatError("missing value", line=lineno, column=colno)
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise PanelFormatError(
+                        f"not a number: {cell!r}", line=lineno, column=colno
+                    ) from None
+                if not math.isfinite(value):
+                    raise PanelFormatError("non-finite value", line=lineno, column=colno)
+                values.append(value)
+            rows.append(values)
     except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
         raise PanelFormatError(f"unreadable CSV: {exc}", line=reader.line_num) from None
-
-
-def _scan_rows(reader) -> tuple[list[str], np.ndarray]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise PanelFormatError("empty panel file (header row is mandatory)", line=1)
-    names = [name.strip() for name in header]
-    if not names or any(not name for name in names):
-        raise PanelFormatError("blank channel name in header", line=1)
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(names):
-            raise PanelFormatError(
-                f"expected {len(names)} columns, got {len(row)}", line=lineno, column=len(row)
-            )
-        values = []
-        for colno, cell in enumerate(row, start=1):
-            cell = cell.strip()
-            if not cell:
-                raise PanelFormatError("missing value", line=lineno, column=colno)
-            try:
-                value = float(cell)
-            except ValueError:
-                raise PanelFormatError(
-                    f"not a number: {cell!r}", line=lineno, column=colno
-                ) from None
-            if not math.isfinite(value):
-                raise PanelFormatError("non-finite value", line=lineno, column=colno)
-            values.append(value)
-        rows.append(values)
     if not rows:
         raise PanelFormatError("panel has a header but no data rows", line=2)
     return names, np.asarray(rows, dtype=np.float64)
 
 
+def _csv_text(rows) -> str:
+    """``rows`` as CSV in the dialect ``read_panel`` reads: LF line ends, and
+    a cell that holds a comma, a quote or a line feed quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def panel_csv(panel: np.ndarray, names=None) -> str:
     names = names or [f"ch{i + 1}" for i in range(panel.shape[1])]
-    lines = [",".join(names)]
-    for row in panel:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    # str() of a float is its repr: every digit
+    return _csv_text([names, *np.asarray(panel, dtype=np.float64).tolist()])
 
 
 def write_panel(path, panel: np.ndarray, names=None) -> None:
@@ -167,39 +171,32 @@ def _histogram_csv(values: np.ndarray) -> str:
     finite = values[np.isfinite(values)]
     n_bins = min(50, max(5, int(math.ceil(2 * math.sqrt(finite.size)))))
     counts, edges = np.histogram(finite, bins=n_bins)
-    lines = ["bin_left,count"]
     # the last edge closes the last bin, with a count of 0
-    for left, count in zip(edges.tolist(), counts.tolist() + [0]):
-        lines.append(f"{_cell(left)},{count}")
-    return "\n".join(lines) + "\n"
+    rows = zip(map(_cell, edges.tolist()), counts.tolist() + [0])
+    return _csv_text([("bin_left", "count"), *rows])
 
 
 def _corr_grid_csv(names, correlation: np.ndarray) -> str:
-    lines = ["channel," + ",".join(names)]
-    for name, row in zip(names, correlation.tolist()):
-        lines.append(",".join([name, *map(_cell, row)]))
-    return "\n".join(lines) + "\n"
+    rows = [[name, *map(_cell, row)] for name, row in zip(names, correlation.tolist())]
+    return _csv_text([["channel", *names], *rows])
 
 
 def _estimate_csv(names, result) -> str:
-    lines = ["quantity,row,col,value"]
-    for i, v in enumerate(result.d_hat.tolist(), start=1):
-        lines.append(f"d,{i},,{_cell(v)}")
+    rows = [("quantity", "row", "col", "value")]
+    rows += [("d", i, "", _cell(v)) for i, v in enumerate(result.d_hat.tolist(), start=1)]
     omega, correlation = result.omega.tolist(), result.correlation.tolist()
     p = len(names)
     for i in range(p):
         for j in range(i, p):
             for label, mat in (("omega", omega), ("correlation", correlation)):
-                lines.append(f"{label},{i + 1},{j + 1},{_cell(mat[i][j])}")
-    return "\n".join(lines) + "\n"
+                rows.append((label, i + 1, j + 1, _cell(mat[i][j])))
+    return _csv_text(rows)
 
 
 def _mc_csv(records) -> str:
     columns = ("truth", "bias", "std", "rmse", "ratio_mu")
-    lines = ["quantity," + ",".join(columns)]
-    for rec in records:
-        lines.append(",".join([rec["quantity"], *(_cell(rec[c]) for c in columns)]))
-    return "\n".join(lines) + "\n"
+    rows = [[rec["quantity"], *(_cell(rec[c]) for c in columns)] for rec in records]
+    return _csv_text([("quantity", *columns), *rows])
 
 
 def _stem(path: str) -> str:
@@ -328,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--format", choices=("json", "csv"), default="json")
     est.add_argument("--M", type=int, default=4, help="vanishing moments (default 4)")
     est.add_argument("--j0", type=int, default=1, help="finest scale (default 1)")
-    est.add_argument("--j1", type=int, default=None, help="coarsest scale (default: deepest feasible)")
+    est.add_argument("--j1", type=int, default=None,
+                     help="coarsest scale (default: the deepest with at least as many "
+                     "coefficients as channels)")
     est.add_argument("--demean", action="store_true", help="remove per-channel means first")
     est.set_defaults(func=cmd_estimate)
 

@@ -84,14 +84,6 @@ class Scalogram:
         """Count-weighted mean scale <J> = (1/n) sum_j j n_j."""
         return self._geometry[0]
 
-    @cached_property
-    def _centred_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The constants of R and its derivatives: the read-only centred
-        scales c_j = j - <J> as a (J, 1) column and (3, J) weights 1, c_j and
-        c_j^2 divided by n, and the (J, p^2) view of ``matrices``."""
-        _, c, weights, _ = self._geometry
-        return c, weights, self.matrices.reshape(c.size, -1)
-
 
 @lru_cache(maxsize=32)
 def _scale_terms(j0: int, j1: int, counts: tuple) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -176,11 +168,12 @@ def _profile_logdet(g_bar: np.ndarray) -> float:
 def _centred_sums(scal: Scalogram, d: np.ndarray) -> np.ndarray:
     """G_bar, H and Q at d as a (3, p, p) array: the sums over scales of
     Lam_{j-<J>}(d)^-1 I(j) Lam_{j-<J>}(d)^-1 / n with the weights 1, c_j and
-    c_j^2 (``Scalogram._centred_terms``)."""
-    c, weights, flat = scal._centred_terms
+    c_j^2 (``Scalogram._geometry``)."""
+    _, c, weights, _ = scal._geometry
     factors = np.exp2(c * -d)
     p = d.size
-    scaled = (factors[:, :, None] * factors[:, None, :]).reshape(c.size, p * p) * flat
+    scaled = (factors[:, :, None] * factors[:, None, :]).reshape(c.size, p * p)
+    scaled *= scal.matrices.reshape(c.size, p * p)
     return (weights @ scaled).reshape(3, p, p)
 
 
@@ -413,12 +406,7 @@ def estimate_omega(
     omega = np.full((p, p), np.nan)
     omega[r, c] = omega[c, r] = g_matrix[r, c] / (cosine[defined] * k_norm)
 
-    diag = np.diagonal(omega).copy()
-    invalid = ~(diag > 0)
-    diag[invalid] = np.nan
-    scale = np.sqrt(diag)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        correlation = omega / np.outer(scale, scale)
+    correlation = correlation_from_cov(omega)
     corr = correlation[rows, cols]
     out_of_range = upper & np.isfinite(corr) & (np.abs(corr) > 1.05)
 
@@ -428,10 +416,20 @@ def estimate_omega(
     warnings = {
         "degenerate_pairs": pairs(upper & (np.abs(cosine) < DEGENERACY_THRESHOLD)),
         "undefined_pairs": pairs(~defined),
-        "invalid_channels": np.flatnonzero(invalid).tolist(),
+        "invalid_channels": np.flatnonzero(~(np.diagonal(omega) > 0)).tolist(),
         "out_of_range_correlation": pairs(out_of_range),
     }
     return omega, correlation, g_matrix, warnings
+
+
+def correlation_from_cov(omega: np.ndarray) -> np.ndarray:
+    """omega_lm / sqrt(omega_ll omega_mm); NaN in every row and column of a
+    channel whose variance is not positive (or NaN)."""
+    variance = np.diagonal(omega).copy()
+    variance[~(variance > 0)] = np.nan
+    scale = np.sqrt(variance)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return omega / np.outer(scale, scale)
 
 
 @dataclass
@@ -542,12 +540,13 @@ def estimate_univariate_each(
     every channel not converged.
     """
     scal = _scalogram(np.asarray(panel, dtype=np.float64), spec, config, 1)
-    return _fit_univariate(scal, spec)
+    d_hats, diagnostics = _fit_univariate(scal, spec)
+    return d_hats, [dict(diagnostics) for _ in range(scal.n_channels)]
 
 
-def _fit_univariate(scal: Scalogram, spec: WaveletSpec) -> tuple[np.ndarray, list[dict]]:
-    """``estimate_univariate_each`` on the scalogram over the p = 1 scale range."""
+def _fit_univariate(scal: Scalogram, spec: WaveletSpec) -> tuple[np.ndarray, dict]:
+    """``estimate_univariate_each``'s one fit and its one diagnostics dict."""
     variances = np.diagonal(scal.matrices, axis1=1, axis2=2)
     diagonal = replace(scal, matrices=variances[:, :, None] * np.eye(scal.n_channels))
     d_hats, _, diagnostics = _projected_newton(diagonal, spec)
-    return d_hats, [dict(diagnostics) for _ in range(scal.n_channels)]
+    return d_hats, diagnostics

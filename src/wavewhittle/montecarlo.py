@@ -20,11 +20,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arfima import ArfimaSpec, _draw, correlation_from_cov, embedding_factor
+from .arfima import ArfimaSpec, _draw, embedding_factor
 from .errors import (ConfigError, CovarianceError, ScaleRangeError, ScenarioError,
                      WavewhittleError)
 from .estimator import (EstimationConfig, _fit_panel, _fit_univariate, _pair_indices,
-                        resolve_scales, scalogram)
+                        correlation_from_cov, resolve_scales, scalogram)
 from .wavelets import WaveletSpec, _integer, dwt_pyramid
 
 
@@ -55,10 +55,11 @@ class Scenario:
     integer fields must hold integers (``j1`` may be None), so a fraction, a
     boolean or text is an error and ``300.0`` becomes 300; the univariate
     flag must be a bool.  It keeps what the checks build: the validated
-    ``model`` that every replication draws with its own seed, and the scale
-    ranges of the joint (p channels) and univariate fits.  A scale range the
-    sample length cannot hold raises ScaleRangeError and an invalid omega
-    CovarianceError; every other failure is one ScenarioError.
+    ``model`` that every replication draws with its own seed, the wavelet
+    ``spec`` and estimation ``config`` that every replication fits with, and
+    the scale ranges of the joint (p channels) and univariate fits.  A scale
+    range the sample length cannot hold raises ScaleRangeError and an invalid
+    omega CovarianceError; every other failure is one ScenarioError.
     """
 
     d: np.ndarray
@@ -72,6 +73,8 @@ class Scenario:
     include_univariate: bool = True
     label: str = ""
     model: ArfimaSpec = field(init=False, repr=False, compare=False)
+    spec: WaveletSpec = field(init=False, repr=False, compare=False)
+    config: EstimationConfig = field(init=False, repr=False, compare=False)
     joint_scales: tuple[int, int] = field(init=False, repr=False, compare=False)
     univariate_scales: tuple[int, int] = field(init=False, repr=False, compare=False)
 
@@ -104,9 +107,10 @@ class Scenario:
         store("omega", self.model.omega)
         if self.replications < 1:
             raise ConfigError("replication count must be at least 1")
-        spec, config = self.wavelet_spec(), self.estimation_config()
-        store("joint_scales", resolve_scales(self.n_samples, spec, config, self.n_channels))
-        store("univariate_scales", resolve_scales(self.n_samples, spec, config, 1))
+        store("spec", WaveletSpec(vanishing_moments=self.vanishing_moments))
+        store("config", EstimationConfig(j0=self.j0, j1=self.j1))
+        for name, p in (("joint_scales", self.n_channels), ("univariate_scales", 1)):
+            store(name, resolve_scales(self.n_samples, self.spec, self.config, p))
 
     @property
     def n_channels(self) -> int:
@@ -122,10 +126,10 @@ class Scenario:
         return None
 
     def wavelet_spec(self) -> WaveletSpec:
-        return WaveletSpec(vanishing_moments=self.vanishing_moments)
+        return self.spec
 
     def estimation_config(self) -> EstimationConfig:
-        return EstimationConfig(j0=self.j0, j1=self.j1)
+        return self.config
 
     def arfima_spec(self, seed) -> ArfimaSpec:
         return ArfimaSpec(
@@ -178,7 +182,7 @@ class MCReport:
 
 
 def _run_replication(scenario: Scenario, seed) -> dict:
-    model, spec, config = scenario.model, scenario.wavelet_spec(), scenario.estimation_config()
+    model, spec, config = scenario.model, scenario.spec, scenario.config
     panel = _draw(model, embedding_factor(model), seed)
     # built as deep as the univariate fit reads, the deeper of the two
     pyramid = dwt_pyramid(panel, spec, scenario.univariate_scales[1])

@@ -12,7 +12,6 @@ import wavewhittle
 from wavewhittle import arfima
 from wavewhittle.arfima import (
     ArfimaSpec,
-    correlation_from_cov,
     embedding_factor,
     model_wavelet_cov,
     simulate_arfima,
@@ -20,7 +19,7 @@ from wavewhittle.arfima import (
     validate_long_run_cov,
 )
 from wavewhittle.errors import ConfigError, CovarianceError, VanishingMomentError
-from wavewhittle.estimator import EstimationConfig
+from wavewhittle.estimator import EstimationConfig, correlation_from_cov
 from wavewhittle.montecarlo import omega_from_rho
 from wavewhittle.wavelets import WaveletSpec, dwt_pyramid, spectral_k
 
@@ -194,6 +193,8 @@ def test_spec_is_frozen_and_keeps_its_memory_split():
     assert (type(spec.n_samples), type(spec.seed), spec.d.shape) == (int, int, (1,))
     seed = np.random.SeedSequence(3)
     assert ArfimaSpec(d=0.2, omega=np.eye(1), n_samples=64, seed=seed).seed is seed
+    cap = ArfimaSpec(d=0.2, omega=np.eye(1), n_samples=64, moment_cap=4.0).moment_cap
+    assert (type(cap), cap) == (int, 4)
 
 
 def test_draws_match_closed_form_lag_covariances():
@@ -396,10 +397,17 @@ def test_simulation_validation_errors():
     (EstimationConfig, {"j0": 1.5}, "j0 must be an integer, got 1.5"),
     (EstimationConfig, {"j0": True}, "j0 must be an integer, got True"),
     (EstimationConfig, {"j1": 5.5}, "j1 must be an integer, got 5.5"),
+    (ArfimaSpec, {"moment_cap": 2.5}, "moment_cap must be an integer, got 2.5"),
+    (ArfimaSpec, {"moment_cap": True}, "moment_cap must be an integer, got True"),
+    (ArfimaSpec, {"d": "abc"},
+     "d is not an array of numbers: could not convert string to float: 'abc'"),
+    (ArfimaSpec, {"d": [0.2, 0.2], "omega": [[1.0, 0.4], [0.4]]},
+     "omega is not an array of numbers: .*inhomogeneous"),
 ])
 def test_configurations_are_checked_when_built(cls, kwargs, message):
-    """A fraction, a boolean or a 2-D d is a ConfigError when the object is
-    built, not a raw error at the draw or a silent truncation."""
+    """A fraction, a boolean, a 2-D d or numbers numpy cannot read is a
+    ConfigError when the object is built, not a raw error at the draw or a
+    silent truncation."""
     base = {"d": [0.2], "omega": np.eye(1), "n_samples": 64} if cls is ArfimaSpec else {}
     with pytest.raises(ConfigError, match=message):
         cls(**{**base, **kwargs})
@@ -453,3 +461,7 @@ def test_correlation_from_cov():
     corr = correlation_from_cov(omega)
     assert_allclose(np.diag(corr), [1.0, 1.0])
     assert corr[0, 1] == pytest.approx(0.5)
+    # a channel whose variance is not positive has no correlations
+    for variance in (0.0, -1.0, np.nan):
+        corr = correlation_from_cov(np.array([[4.0, 1.0], [1.0, variance]]))
+        assert corr[0, 0] == 1.0 and np.isnan(corr[1]).all() and np.isnan(corr[:, 1]).all()

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, file formats, determinism, thin-shell property."""
 
 import ast
+import csv
 import json
 import math
 import os
@@ -171,6 +172,31 @@ def test_estimate_csv_format(tmp_path):
     assert lines[0] == "quantity,row,col,value"
     assert any(line.startswith("d,1,") for line in lines)
     assert (tmp_path / "report_config.json").exists()
+
+
+QUOTED_NAMES = ["a,b", 'q"x', "plain"]
+
+
+def test_panel_names_that_need_quoting_round_trip(tmp_path):
+    panel = np.random.default_rng(4).standard_normal((64, 3)) * 1e3
+    write_panel(tmp_path / "panel.csv", panel, QUOTED_NAMES)
+    names, back = read_panel(tmp_path / "panel.csv")
+    assert names == QUOTED_NAMES
+    assert back.tobytes() == panel.tobytes()
+
+
+def test_corr_grid_is_square_for_names_that_need_quoting(tmp_path):
+    """The correlation grid is (p+1) x (p+1) cells under csv.reader, its
+    header row and first column the channel names."""
+    panel = np.random.default_rng(5).standard_normal((512, 3))
+    write_panel(tmp_path / "panel.csv", panel, QUOTED_NAMES)
+    assert run_cli("estimate", "--input", str(tmp_path / "panel.csv"),
+                   "--output", str(tmp_path / "report.json")) == 0
+    with open(tmp_path / "report_corr.csv", newline="", encoding="utf-8") as fh:
+        grid = list(csv.reader(fh))
+    assert [len(row) for row in grid] == [4] * 4
+    assert grid[0] == ["channel", *QUOTED_NAMES]
+    assert [row[0] for row in grid[1:]] == QUOTED_NAMES
 
 
 def test_estimate_exit_codes(tmp_path):

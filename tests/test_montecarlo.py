@@ -149,6 +149,22 @@ def test_replication_reads_both_fits_from_one_pyramid(monkeypatch, path):
         built.clear()
 
 
+def test_replication_builds_no_settings(monkeypatch):
+    """A replication fits with the scenario's own spec and config; the
+    stand-alone accessors hand back the same objects."""
+    scenario = small_scenario()
+    built = []
+    for cls in (wavelets.WaveletSpec, estimator.EstimationConfig):
+        post_init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, post_init=post_init: built.append(self) or post_init(self))
+    for seed in np.random.SeedSequence(scenario.seed).spawn(3):
+        montecarlo._run_replication(scenario, seed)
+    assert built == []
+    assert scenario.wavelet_spec() is scenario.spec
+    assert scenario.estimation_config() is scenario.config
+
+
 def test_scenario_has_no_truncation():
     with pytest.raises(TypeError):
         small_scenario(truncation=2560)
@@ -315,13 +331,17 @@ def test_scenario_keeps_its_model_and_scale_ranges():
     assert model.omega.tobytes() == scenario.omega.tobytes()
     assert (model.n_samples, model.seed, model.moment_cap) == (256, 314, 4)
     assert scenario.joint_scales == (1, 5) and scenario.univariate_scales == (1, 5)
+    assert scenario.spec.vanishing_moments == 4
+    assert (scenario.config.j0, scenario.config.j1) == (1, None)
     # replace() builds, and checks, a new scenario with its own model and ranges
     longer = dataclasses.replace(scenario, n_samples=4096)
     assert longer.model.n_samples == 4096 and longer.model is not model
     assert longer.joint_scales == (1, 9) and longer.univariate_scales == (1, 9)
-    assert "model" not in repr(scenario) and "scales" not in repr(scenario)
+    assert not any(name in repr(scenario) for name in ("model", "scales", "spec", "config"))
     with pytest.raises(ValueError):
         dataclasses.replace(scenario, model=model)
+    with pytest.raises(ValueError):
+        dataclasses.replace(scenario, config=scenario.config)
 
 
 @pytest.mark.parametrize("settings_, error, message", [
