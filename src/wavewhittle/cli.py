@@ -21,17 +21,17 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
 import os
 import sys
 import tempfile
-import warnings
 
 import numpy as np
 
-from . import __version__
+from . import __version__, plaincsv
 from .arfima import ArfimaSpec, simulate_arfima
 from .errors import ConfigError, PanelFormatError, WavewhittleError
 from .estimator import EstimationConfig, estimate_panel
@@ -60,40 +60,58 @@ def read_panel(path) -> tuple[list[str], np.ndarray]:
 
     The header row is mandatory.  Any file ``csv.reader`` reads is accepted,
     quoted cells included.  Raises PanelFormatError with the 1-based line and
-    column of the first malformed, missing or non-finite cell.
+    column of the first malformed, missing or non-finite cell, and of a blank
+    channel name or one that holds a carriage return.
 
-    The body is parsed in one ``np.loadtxt`` call.  When the header is quoted
-    or has a blank name, or that call fails, or its result has no rows, the
-    wrong width or a non-finite value, the file is read again row by row:
-    that scan locates the error, or reads cells ``loadtxt`` does not (quoted
-    cells, ``1_0``).  Both paths accept the same files with the same values.
+    The file is read once, as bytes.  Its header is split by ``csv.reader``;
+    a body in the plain dialect (ASCII, ``,`` between cells, ``\n`` or
+    ``\r\n`` after each row, cells ``[+-]?digits[.digits][(e|E)[+-]?digits]``
+    with no padding) is parsed by ``plaincsv.parse_body`` in row-aligned
+    blocks of about 256 KB.  Its values are bit-identical to ``float(cell)``:
+    a mantissa of at most 19 significant digits is scaled by an exact 10**k,
+    k <= 27, in the 64-bit significand of the x87 long double, so it is
+    rounded once before float64; a cell beyond those limits, one whose
+    result lands on a float64 halfway point, and every cell on a host
+    without that long double is read by ``float(cell)``.  A quoted or blank
+    header, a body outside the dialect, a ``float(cell)`` that raises or is
+    not finite, and a body without rows go to the row-by-row ``csv.reader``
+    scan, which locates the error or reads what the dialect leaves out
+    (quoted cells, padding, ``1_0``).  Both paths accept the same files with
+    the same values.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise PanelFormatError(f"cannot open panel file: {exc}") from exc
-    with fh:
-        header = fh.readline()
-        # a quoted header may span lines, which only the scan follows
-        names = [] if '"' in header else [n.strip() for n in next(csv.reader([header]), [])]
-        if names and all(names):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # empty body
-                    panel = np.loadtxt(
-                        fh, delimiter=",", dtype=np.float64, comments=None, ndmin=2
-                    )
-            except ValueError:
-                pass
-            else:
-                if (
-                    panel.shape[0] >= 1
-                    and panel.shape[1] == len(names)
-                    and np.isfinite(panel).all()
-                ):
-                    return names, panel
-        fh.seek(0)
-        return _scan_panel(fh)
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    header = fh.readline()
+    # a quoted header may span lines, which only the scan follows
+    if '"' not in header:
+        try:
+            names = _channel_names(next(csv.reader([header]), []))
+        except (csv.Error, PanelFormatError):  # e.g. a name over csv.field_size_limit()
+            pass  # the scan raises it
+        else:
+            panel = plaincsv.parse_body(data, len(header.encode("utf-8")), len(names))
+            if panel is not None:
+                return names, panel
+    fh.seek(0)
+    return _scan_panel(fh)
+
+
+def _channel_names(header: list[str]) -> list[str]:
+    """The stripped names of a header row, checked.
+
+    A name that holds a carriage return is refused: ``_csv_text`` quotes only
+    a \n, so the name would end a row early in the report files."""
+    names = [name.strip() for name in header]
+    if not names or any(not name for name in names):
+        raise PanelFormatError("blank channel name in header", line=1)
+    for column, name in enumerate(names, start=1):
+        if "\r" in name:
+            raise PanelFormatError("carriage return in channel name", line=1, column=column)
+    return names
 
 
 def _scan_panel(fh) -> tuple[list[str], np.ndarray]:
@@ -103,9 +121,7 @@ def _scan_panel(fh) -> tuple[list[str], np.ndarray]:
         header = next(reader, None)
         if header is None:
             raise PanelFormatError("empty panel file (header row is mandatory)", line=1)
-        names = [name.strip() for name in header]
-        if not names or any(not name for name in names):
-            raise PanelFormatError("blank channel name in header", line=1)
+        names = _channel_names(header)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -359,9 +375,15 @@ def _position(exc: PanelFormatError) -> str:
     return f" ({', '.join(parts)})" if parts else ""
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (a build takes about a millisecond).
+    It keeps the ``cmd_*`` functions it was built with."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except WavewhittleError as exc:

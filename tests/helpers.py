@@ -274,12 +274,13 @@ def per_pair_omega(scal, d_hat, spec):
     return omega, warnings
 
 
-# The row-by-row read_panel that the one-call loadtxt parse must match.
+# The row-by-row read_panel that the vectorized parse of plain panels must match.
 def scan_panel_oracle(path) -> tuple[list[str], np.ndarray]:
     """Read a CSV sample panel; returns (channel names, (N, p) array).
 
     Raises PanelFormatError with 1-based line/column on any malformed,
-    missing or non-finite cell.  The header row is mandatory.
+    missing or non-finite cell, and on a blank channel name or one holding a
+    carriage return.  The header row is mandatory.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -294,6 +295,9 @@ def scan_panel_oracle(path) -> tuple[list[str], np.ndarray]:
         names = [name.strip() for name in header]
         if not names or any(not name for name in names):
             raise PanelFormatError("blank channel name in header", line=1)
+        for column, name in enumerate(names, start=1):
+            if "\r" in name:
+                raise PanelFormatError("carriage return in channel name", line=1, column=column)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:

@@ -2,9 +2,12 @@
 
 import ast
 import csv
+import decimal
+import fractions
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -17,7 +20,7 @@ from numpy.testing import assert_allclose
 
 import wavewhittle.cli as cli
 from helpers import scan_panel_oracle
-from wavewhittle import arfima, errors, montecarlo
+from wavewhittle import arfima, errors, montecarlo, plaincsv
 from wavewhittle.cli import main, read_panel, write_panel
 from wavewhittle.errors import PanelFormatError
 from wavewhittle.estimator import EstimationConfig, estimate_panel
@@ -268,7 +271,7 @@ def test_estimate_reports_parse_position(tmp_path, capsys):
 
 
 def test_oversized_cell_is_positioned(tmp_path, capsys):
-    # longer than csv.field_size_limit(), and not a number for loadtxt either
+    # longer than csv.field_size_limit(), and not a number either
     bad = tmp_path / "long.csv"
     bad.write_text("ch1,ch2\n1.0,2.0\n3.0," + "1" * 140_000 + "x\n")
     with pytest.raises(PanelFormatError) as exc:
@@ -279,6 +282,22 @@ def test_oversized_cell_is_positioned(tmp_path, capsys):
     # the error has a line but no column, so only the line is printed
     assert len(err) == 1 and "field larger than field limit" in err[0]
     assert err[0].endswith("(131072) (line 3)")
+
+
+def test_oversized_channel_name_exits_2(tmp_path, capsys):
+    path = tmp_path / "panel.csv"
+    path.write_text("a," + "b" * 140_000 + "\n1,2\n")
+    assert run_cli("estimate", "--input", str(path)) == 2
+    assert capsys.readouterr().err.endswith("field limit (131072) (line 1)\n")
+
+
+def test_oversized_number_is_refused(tmp_path):
+    # a valid number, but longer than csv.field_size_limit(): csv.reader refuses it
+    path = tmp_path / "long.csv"
+    path.write_text("ch1,ch2\n1.0,2.0\n0." + "1" * 140_000 + ",2\n")
+    with pytest.raises(PanelFormatError, match="field larger than field limit") as exc:
+        read_panel(path)
+    assert exc.value.line == 3
 
 
 def test_estimate_demean_flag(tmp_path):
@@ -486,6 +505,15 @@ PANEL_CORPUS = {
     "no_trailing_newline": "a,b\n1,2\n3,4",
     "single_column": "x\n1\n2\n3\n",
     "single_row": "a,b,c\n1,2,3\n",
+    "two_to_the_53_plus_one": "a,b\n9007199254740993,-9007199254740993\n",
+    "1e23": "a,b\n1e23,1E+23\n",
+    "one_tenth": "a\n0.1\n",
+    "smallest_normal": "a,b\n2.2250738585072014e-308,-2.2250738585072014E-308\n",
+    "cell_of_25_characters": "a,b\n-1.2345678901234567890123,2\n",
+    "crlf_exponents": "a,b\r\n1e5,-2.5E-3\r\n+3.e+2,.4E0\r\n-0,6e-30\r\n",
+    "carriage_return_in_quoted_name": 'a,"b\rc"\n1,2\n',
+    "long_cell_then_bare_cr": "a,b\n1,2\n" + "1" * 30 + "\r,2\n",
+    "long_padded_cell": "a,b\n1," + "2" * 30 + " \n",
 }
 
 
@@ -545,6 +573,155 @@ def test_plain_panel_skips_the_scan(tmp_path, monkeypatch):
     assert panel.tobytes() == expected[1].tobytes()
 
 
+def _no_scan(fh):
+    raise AssertionError("a plain panel should be read without the scan")
+
+
+def test_crlf_panel_skips_the_scan(tmp_path, monkeypatch):
+    values = np.random.default_rng(4).standard_normal((64, 3)) * 10.0 ** np.arange(-12, 15, 9)
+    path = tmp_path / "panel.csv"
+    path.write_bytes(cli.panel_csv(values).replace("\n", "\r\n").encode())
+    expected = scan_panel_oracle(path)
+    monkeypatch.setattr(cli, "_scan_panel", _no_scan)
+    names, panel = read_panel(path)
+    assert names == expected[0]
+    assert panel.tobytes() == expected[1].tobytes() == values.tobytes()
+
+
+def _decimal(value: fractions.Fraction, digits: int = 0) -> str:
+    """The decimal of a fraction whose denominator is a power of two: exact,
+    or rounded to ``digits`` significant digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits or 400
+        exact = decimal.Decimal(value.numerator) / value.denominator
+    return format(exact, "f") if -5 < exact.adjusted() < 19 else format(exact, "e")
+
+
+def _near_halfway(count: int) -> list[str]:
+    """19-digit decimals next to a float64 halfway point h, close enough that
+    rounding to a 64-bit significand gives h; rounding h again to float64 then
+    goes to the even neighbour, which is wrong for half of them."""
+    rng = random.Random(17)
+    cells = []
+    while len(cells) < count:
+        binade = rng.randrange(-27, 143)  # 2**binade <= h < 2**(binade + 1)
+        odd = 2 * rng.randrange(2 ** 52, 2 ** 53) + 1
+        h = odd * fractions.Fraction(2) ** (binade - 53)
+        text = _decimal(h, 19)
+        gap = abs(fractions.Fraction(decimal.Decimal(text)) - h)
+        if 0 < gap < fractions.Fraction(2) ** (binade - 64):
+            cells.append(text)
+    return cells
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=19)
+# float64 halfway points: x + ulp(x)/2 and odd 54-bit integers times 2**k,
+# written out in full or rounded to 17-19 digits, and 19-digit neighbours
+# that round onto one in 64 bits
+HALFWAY_CELLS = st.one_of(
+    st.tuples(
+        st.one_of(
+            st.floats(min_value=2.0 ** -80, max_value=2.0 ** 80).map(
+                lambda x: fractions.Fraction(x) + fractions.Fraction(math.ulp(x)) / 2),
+            st.tuples(st.integers(2 ** 52, 2 ** 53 - 1), st.integers(-3, 10)).map(
+                lambda t: (2 * t[0] + 1) * fractions.Fraction(2) ** t[1]),
+        ),
+        st.sampled_from([0, 17, 18, 19]),
+    ).map(lambda t: _decimal(*t)),
+    st.sampled_from(_near_halfway(64)),
+)
+PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.17g}"),
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 20)).map(
+        lambda t: f"{t[0]:.{t[1]}e}"),
+    st.tuples(st.sampled_from(["", "+", "-"]), _DIGITS, st.integers(0, 19),
+              st.sampled_from(["", "e", "E"]), st.sampled_from(["", "+", "-"]),
+              st.integers(0, 30)).map(
+        lambda t: t[0] + t[1][:t[2]] + "." + t[1][t[2]:]
+        + (t[3] + t[4] + str(t[5]) if t[3] else "")),
+    st.tuples(_DIGITS, st.integers(-30, 30)).map(lambda t: f"{t[0]}e{t[1]}"),
+    HALFWAY_CELLS,
+    st.text("0123456789", min_size=20, max_size=40),
+    st.sampled_from(["-0", "0", "+0.0", "-.0e0", "1e23", "9007199254740993", "0.1",
+                     "2.2250738585072014e-308", "5e-324", "1.7976931348623157e308"]),
+)
+
+
+@pytest.mark.parametrize("extended", [plaincsv._EXTENDED, False], ids=["host", "float_only"])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cells=st.lists(PLAIN_CELLS, min_size=1, max_size=24), width=st.integers(1, 4),
+       crlf=st.booleans())
+def test_block_parser_matches_float(extended, cells, width, crlf):
+    """Each cell of a plain body reads as float(cell), bit for bit, with the
+    long double path on (where the host has it) and with every cell sent to
+    float()."""
+    cells = cells[: len(cells) // width * width] or cells[:1] * width
+    rows = [",".join(cells[i:i + width]) for i in range(0, len(cells), width)]
+    body = ("\r\n" if crlf else "\n").join(rows) + "\n"
+    expected = np.array([float(c) for c in cells]).reshape(-1, width)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plaincsv, "_EXTENDED", extended)
+        got = plaincsv.parse_body(body.encode(), 0, width)
+    if not np.isfinite(expected).all():
+        assert got is None  # the scan reports the cell
+    else:
+        assert got is not None and got.tobytes() == expected.tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cells=st.lists(st.text("0123456789+-.eE", max_size=6), min_size=1, max_size=6))
+def test_block_parser_refuses_what_float_refuses(cells):
+    """Cells of the dialect's characters that float() refuses ("1-2", "1..2",
+    "e5", "1e", "") or reads as inf leave the body to the scan."""
+    try:
+        expected = np.array([float(c) for c in cells])
+    except ValueError:
+        expected = None
+    got = plaincsv.parse_body(("\n".join(cells) + "\n").encode(), 0, 1)
+    if expected is None or not np.isfinite(expected).all():
+        assert got is None
+    else:
+        assert got is not None and got.ravel().tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("block_bytes", [1, 7, 30, 64])
+@pytest.mark.parametrize("tail", ["", "1,2,3\n", "1,x,3\n", "1,2\n"])
+def test_blocks_meet_at_row_ends(tmp_path, monkeypatch, block_bytes, tail):
+    """Blocks of a few dozen bytes read as the whole body does, and a fault in
+    the last block sends the whole file to the scan."""
+    values = np.random.default_rng(5).standard_normal((40, 3)) * 10.0 ** np.arange(-5, 10, 5)
+    lines = cli.panel_csv(values).splitlines(keepends=True)
+    lines[7::3] = [line.replace("\n", "\r\n") for line in lines[7::3]]
+    path = tmp_path / "panel.csv"
+    path.write_bytes(("".join(lines) + tail).encode())
+    monkeypatch.setattr(plaincsv, "_BLOCK_BYTES", block_bytes)
+    if tail in ("", "1,2,3\n"):
+        monkeypatch.setattr(cli, "_scan_panel", _no_scan)
+    _assert_reads_like_scan(path)
+
+
+def test_carriage_return_in_channel_name_exits_2(tmp_path, capsys):
+    path = tmp_path / "panel.csv"
+    rows = np.random.default_rng(6).standard_normal((512, 2)).tolist()
+    path.write_text('c,"a\rb"\n' + "".join(f"{x!r},{y!r}\n" for x, y in rows), newline="")
+    assert run_cli("estimate", "--input", str(path)) == 2
+    assert capsys.readouterr().err == (
+        "error: carriage return in channel name (line 1, column 2)\n")
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    build, builds = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert run_cli("estimate", "--input", str(tmp_path / "missing.csv")) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+
+
 def test_bad_cell_deep_in_wide_panel_is_located(tmp_path, capsys):
     values = np.random.default_rng(17).standard_normal((4096, 20))
     lines = [",".join(f"ch{c + 1}" for c in range(20))]
@@ -565,7 +742,7 @@ def test_header_only_panel_has_no_data_rows(tmp_path):
     path = tmp_path / "header.csv"
     path.write_text("ch1,ch2\n")
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # loadtxt's empty-input UserWarning would raise here
+        warnings.simplefilter("error")
         with pytest.raises(PanelFormatError, match="no data rows") as exc:
             read_panel(path)
     assert exc.value.line == 2
