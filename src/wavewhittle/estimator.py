@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _gufuncs
 
 from .errors import ConfigError, LikelihoodError, ScaleRangeError
 from .wavelets import (
@@ -159,10 +160,57 @@ def objective_R(scal: Scalogram, d) -> float:
 
 
 def _profile_logdet(g_bar: np.ndarray) -> float:
-    sign, logdet = np.linalg.slogdet(g_bar)
-    if sign <= 0 or not np.isfinite(logdet):
+    sign, logdet = _Lapack.slogdet(g_bar)
+    if sign <= 0 or not math.isfinite(logdet):
         return math.inf
     return float(logdet)
+
+
+def _lapack_failed(err, flag):
+    raise np.linalg.LinAlgError("singular or not positive definite matrix")
+
+
+class _Lapack:
+    """The float64 LAPACK gufuncs of numpy.linalg, called without its wrappers.
+
+    A numpy.linalg call spends ~5 us in Python checking shapes, choosing a
+    signature and converting its result: 3-4 times the LAPACK work on the
+    2 x 2 matrices of a bivariate fit, which makes ~20 such calls.  These
+    methods call the private gufuncs that numpy.linalg itself calls, with the
+    same float64 signatures, on the float64 arrays the fit builds, so every
+    result is bit-identical to numpy.linalg's.  A LAPACK factorization that
+    fails sets the floating-point invalid flag and fills its output with NaN;
+    numpy.linalg turns that flag into LinAlgError under its own errstate, and
+    ``inv``, ``cholesky`` and ``solve`` use the same one, so they raise
+    exactly where numpy.linalg does.  ``slogdet`` reports a singular matrix
+    as sign 0, as numpy.linalg's does, and a NaN entry as a NaN logdet
+    without numpy.linalg's RuntimeWarning.
+    """
+
+    # numpy.linalg's errstate: only the invalid flag counts, and it raises
+    _raising = {"call": _lapack_failed, "invalid": "call",
+                "over": "ignore", "divide": "ignore", "under": "ignore"}
+
+    @staticmethod
+    def slogdet(a: np.ndarray):
+        with np.errstate(all="ignore"):
+            return _gufuncs.slogdet(a, signature="d->dd")
+
+    @staticmethod
+    def inv(a: np.ndarray) -> np.ndarray:
+        with np.errstate(**_Lapack._raising):
+            return _gufuncs.inv(a, signature="d->d")
+
+    @staticmethod
+    def cholesky(a: np.ndarray) -> np.ndarray:
+        """The lower Cholesky factor: the fit's positive-definiteness test."""
+        with np.errstate(**_Lapack._raising):
+            return _gufuncs.cholesky_lo(a, signature="d->d")
+
+    @staticmethod
+    def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        with np.errstate(**_Lapack._raising):
+            return _gufuncs.solve1(a, b, signature="dd->d")
 
 
 def _centred_sums(scal: Scalogram, d: np.ndarray) -> np.ndarray:
@@ -194,7 +242,7 @@ def _objective_derivatives(scal: Scalogram, d: np.ndarray):
     logdet = _profile_logdet(g_bar)
     if not math.isfinite(logdet):
         return math.inf, np.zeros(p), np.zeros((p, p))
-    a = np.linalg.inv(g_bar)
+    a = _Lapack.inv(g_bar)
     b = h @ a
     hess = a * q
     hess.ravel()[:: p + 1] += hess.sum(axis=1)
@@ -263,7 +311,7 @@ def _log_regression_init(scal: Scalogram, box: tuple[float, float]) -> np.ndarra
             slope = (w * dx * dy).sum(axis=0) / (w * dx * dx).sum(axis=0)
     init = np.where(n >= 2, 0.5 * slope, 0.25)
     margin = 1e-3 * (box[1] - box[0])
-    return np.clip(init, box[0] + margin, box[1] - margin)
+    return _project(init, box[0] + margin, box[1] - margin)
 
 
 def estimate_d(scal: Scalogram, config: EstimationConfig, spec: WaveletSpec):
@@ -303,39 +351,45 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
     x = _log_regression_init(scal, (lo, hi))
     value, grad, hess = _objective_derivatives(scal, x)
     evaluations, iterations, converged = 1, 0, False
-    free = np.ones(x.size, dtype=bool)
+    free = all_free = np.ones(x.size, dtype=bool)
     while math.isfinite(value) and iterations < NEWTON_MAX_ITERATIONS:
         iterations += 1
-        free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
-        reduced = hess if free.all() else np.where(free & free[:, None], hess, np.eye(x.size))
-        directions = []
-        decrement = math.inf  # g^T H^-1 g on the free block, if it is PD
+        descent = -grad
+        if lo < x.min() and x.max() < hi:
+            free, reduced = all_free, hess
+        else:
+            free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+            reduced = hess if free.all() else np.where(free & free[:, None], hess, np.eye(x.size))
+        searches, newton = [], None
         try:
-            np.linalg.cholesky(reduced)
+            _Lapack.cholesky(reduced)
         except np.linalg.LinAlgError:
             pass
         else:
-            newton = np.linalg.solve(reduced, -grad)
-            decrement = float(-(grad * free) @ newton)
+            newton = _Lapack.solve(reduced, descent)
             trial = _project(x + newton, lo, hi)
-            if np.abs(trial - x).max() <= STEP_TOL:
+            step = trial - x
+            if np.abs(step).max() <= STEP_TOL:
                 # the confirming evaluation: only its value is read
                 x = trial
                 value = objective_R(scal, x)
                 evaluations += 1
                 converged = math.isfinite(value)
                 break
-            directions.append(newton)
-        directions.append(-grad)
-        for direction in directions:
-            accepted, count = _backtrack(scal, x, value, grad, direction, (lo, hi))
+            searches.append((newton, trial, step))
+        searches.append((descent,))
+        for search in searches:
+            accepted, count = _backtrack(scal, x, value, grad, (lo, hi), *search)
             evaluations += count
             if accepted is not None:
                 x, value, grad, hess = accepted
                 break
         else:
-            converged = (np.abs(x - _project(x - grad, lo, hi)).max() <= GRAD_TOL
-                         or decrement / 2 <= DECREMENT_TOL * max(1.0, abs(value)))
+            # the Newton decrement g^T H^-1 g / 2 on the free block, if it is PD
+            converged = (np.abs(x - _project(x + descent, lo, hi)).max() <= GRAD_TOL
+                         or newton is not None
+                         and float((descent * free) @ newton) / 2
+                         <= DECREMENT_TOL * max(1.0, abs(value)))
             break
     diagnostics = {
         "method": "newton",
@@ -352,24 +406,28 @@ def _project(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def _backtrack(scal: Scalogram, x, value, grad, direction, box):
+def _backtrack(scal: Scalogram, x, value, grad, box, direction, trial=None, step=None):
     """Halve the step along ``direction``, projected on the box, until R falls
-    by ARMIJO times the decrease its gradient predicts.
+    by ARMIJO times the decrease its gradient predicts.  ``trial`` and
+    ``step`` are the projected point and step at alpha = 1, when the caller
+    has them.
 
     Returns ((d, R, gradient, Hessian) at the accepted point, evaluation
     count), or (None, count) once the step is at most STEP_TOL.
     """
     alpha, evaluations = 1.0, 0
-    while True:
-        trial = _project(x + alpha * direction, *box)
+    if trial is None:
+        trial = _project(x + direction, *box)
         step = trial - x
-        if np.abs(step).max() <= STEP_TOL:
-            return None, evaluations
+    while np.abs(step).max() > STEP_TOL:
         trial_value, trial_grad, trial_hess = _objective_derivatives(scal, trial)
         evaluations += 1
         if trial_value < value and trial_value <= value + ARMIJO * grad @ step:
             return (trial, trial_value, trial_grad, trial_hess), evaluations
         alpha *= 0.5
+        trial = _project(x + alpha * direction, *box)
+        step = trial - x
+    return None, evaluations
 
 
 @lru_cache(maxsize=32)

@@ -157,8 +157,9 @@ class MCReport:
     n_failures: int
     runtime_seconds: float
     raw: dict | None = None
-    # failed replications by reason (the WavewhittleError class name, or
-    # "non_converged"); the counts sum to n_failures
+    # failed replications by reason (the WavewhittleError class name,
+    # "non_converged" or "non_converged_univariate"); the counts sum to
+    # n_failures
     failures: dict[str, int] = field(default_factory=dict)
 
     def record(self, quantity: str) -> dict:
@@ -194,20 +195,27 @@ def _run_replication(scenario: Scenario, seed) -> dict:
         "converged": est.diagnostics["converged"],
     }
     if scenario.include_univariate:
-        out["d_univariate"], _ = _fit_univariate(
+        out["d_univariate"], diagnostics = _fit_univariate(
             scalogram(pyramid, *scenario.univariate_scales), spec)
+        out["converged_univariate"] = diagnostics["converged"]
     return out
 
 
 def _replication_worker(args):
     """One replication's estimates, or the reason it failed: the class name
-    of the WavewhittleError it raised, or "non_converged"."""
+    of the WavewhittleError it raised, "non_converged" when its joint fit did
+    not converge, or "non_converged_univariate" when only its univariate fit
+    did not.  Either way both fits are dropped: the design is paired."""
     scenario, seed = args
     try:
         out = _run_replication(scenario, seed)
     except WavewhittleError as exc:
         return type(exc).__name__
-    return out if out["converged"] else "non_converged"
+    if not out["converged"]:
+        return "non_converged"
+    if not out.get("converged_univariate", True):
+        return "non_converged_univariate"
+    return out
 
 
 def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -> MCReport:

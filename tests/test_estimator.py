@@ -8,6 +8,7 @@ central differences.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -656,13 +657,72 @@ def test_closed_form_start_matches_polyfit():
     assert start[2] == start[3] == 0.25
 
 
+def lapack_cases(p: int) -> dict[str, np.ndarray]:
+    """p x p matrices of every kind the fit's LAPACK calls can meet."""
+    rng = np.random.default_rng(p)
+    root = rng.normal(size=(p, p))
+    spd = root @ root.T + p * np.eye(p)
+    cases = {
+        "spd": spd,
+        "indefinite": root @ np.diag(np.r_[-1.0, np.ones(p - 1)]) @ root.T,
+        "zero": np.zeros((p, p)),
+        "rank_deficient": root[:, 1:] @ root[:, 1:].T,
+        "nan_corner": spd.copy(),
+        "nan_last": spd.copy(),
+        "inf_corner": spd.copy(),
+    }
+    cases["nan_corner"][0, 0] = np.nan
+    cases["nan_last"][-1, -1] = np.nan
+    cases["inf_corner"][0, 0] = np.inf
+    if p > 1:
+        cases["zero_row"] = spd.copy()
+        cases["zero_row"][-1] = cases["zero_row"][:, -1] = 0.0
+        cases["nan_pair"] = spd.copy()
+        cases["nan_pair"][0, -1] = cases["nan_pair"][-1, 0] = np.nan
+    return cases
+
+
+def linalg_outcome(call, *args):
+    """The bytes of what ``call`` returns, or "LinAlgError" if it raises it."""
+    try:
+        out = call(*args)
+    except np.linalg.LinAlgError:
+        return "LinAlgError"
+    return [np.asarray(part).dtype.str + np.asarray(part).tobytes().hex() for part in
+            (out if isinstance(out, tuple) else (out,))]
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_lapack_adapter_matches_numpy_linalg(p):
+    """Each adapter call returns numpy.linalg's bits, raises LinAlgError
+    exactly where numpy.linalg does (slogdet flags failure as sign <= 0 in
+    its bits) and warns on nothing, numpy.linalg's own NaN warning included."""
+    lapack = estimator._Lapack
+    b = np.random.default_rng(100 + p).normal(size=p)
+    pairs = [(np.linalg.slogdet, lapack.slogdet), (np.linalg.inv, lapack.inv),
+             (np.linalg.cholesky, lapack.cholesky),
+             (lambda a: np.linalg.solve(a, b), lambda a: lapack.solve(a, b))]
+    for name, a in lapack_cases(p).items():
+        for reference, adapted in pairs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                expected = linalg_outcome(reference, a)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert linalg_outcome(adapted, a) == expected, (name, reference)
+    cases = lapack_cases(p)
+    assert linalg_outcome(lapack.cholesky, cases["indefinite"]) == "LinAlgError"
+    assert linalg_outcome(lapack.inv, cases["zero"]) == "LinAlgError"
+    assert linalg_outcome(lapack.solve, cases["spd"], b) != "LinAlgError"
+
+
 def test_indefinite_hessian_falls_back_to_the_gradient_step(monkeypatch):
     """Bivariate scalograms whose correlation and variances jump from scale
     to scale make R nonconvex: at the start its Hessian is indefinite, the
     Cholesky test fails and the search steps along -gradient instead.  It
     still ends at the bounded L-BFGS-B minimum."""
     failures = []
-    cholesky = np.linalg.cholesky
+    cholesky = estimator._Lapack.cholesky
 
     def spy(a):
         try:
@@ -671,7 +731,7 @@ def test_indefinite_hessian_falls_back_to_the_gradient_step(monkeypatch):
             failures.append(None)
             raise
 
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    monkeypatch.setattr(estimator._Lapack, "cholesky", spy)
     rng = np.random.default_rng(1)
     box, tested = search_box(WSPEC), 0
     while tested < 5:
@@ -692,6 +752,17 @@ def test_indefinite_hessian_falls_back_to_the_gradient_step(monkeypatch):
         assert value <= value_ref + 1e-9
         assert_allclose(d_hat, d_ref, atol=1e-6)
         tested += 1
+
+
+def test_backtracking_gives_up_on_a_nan_direction():
+    """A NaN direction gives NaN steps, which never fall to STEP_TOL: the
+    search reports no step at once instead of halving forever."""
+    scal = Scalogram(np.array([4.0, 2.0, 1.0])[:, None, None] * np.eye(2),
+                     np.array([4, 2, 1]), 1, 3)
+    x = np.array([0.1, 0.2])
+    value, grad, _ = _objective_derivatives(scal, x)
+    assert estimator._backtrack(scal, x, value, grad, search_box(WSPEC),
+                                np.array([np.nan, 0.0])) == (None, 0)
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.6])

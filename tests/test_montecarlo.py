@@ -217,6 +217,36 @@ def test_failures_are_counted_by_reason(monkeypatch, tmp_path):
     assert saved["failures"] == report.failures and saved["n_failures"] == 6
 
 
+def test_non_converged_univariate_fit_drops_the_replication(monkeypatch, tmp_path):
+    """Every third univariate fit hits a one-iteration cap: its replication
+    is a failure of its own reason, and its converged joint fit is dropped
+    with it, so both columns of the M/U ratio come from the same panels."""
+    scenario = small_scenario(replications=9)
+    clean = run_scenario(scenario, keep_raw=True)
+    fit_univariate, cap = montecarlo._fit_univariate, estimator.NEWTON_MAX_ITERATIONS
+    calls = []
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) % 3 == 1:
+            monkeypatch.setattr(estimator, "NEWTON_MAX_ITERATIONS", 1)
+        try:
+            return fit_univariate(*args)
+        finally:
+            monkeypatch.setattr(estimator, "NEWTON_MAX_ITERATIONS", cap)
+
+    monkeypatch.setattr(montecarlo, "_fit_univariate", flaky)
+    report = run_mc_cli(monkeypatch, scenario, tmp_path / "report")
+    assert report.failures == {"non_converged_univariate": 3} and report.n_failures == 3
+    saved = json.loads((tmp_path / "report.json").read_text())
+    assert saved["failures"] == report.failures
+    calls.clear()
+    raw = run_scenario(scenario, keep_raw=True).raw
+    kept = [i for i in range(9) if i % 3 != 0]
+    for key in ("d", "omega", "correlation", "d_univariate"):
+        assert raw[key].tobytes() == clean.raw[key][kept].tobytes()
+
+
 def test_all_non_converged_names_the_reason(monkeypatch):
     scenario = small_scenario(replications=4)
     monkeypatch.setattr(estimator, "NEWTON_MAX_ITERATIONS", 1)
