@@ -32,10 +32,8 @@ import tempfile
 import numpy as np
 
 from . import __version__, plaincsv
-from .arfima import ArfimaSpec, simulate_arfima
 from .errors import ConfigError, PanelFormatError, WavewhittleError
 from .estimator import EstimationConfig, estimate_panel
-from .montecarlo import load_scenario, omega_from_rho, run_scenario
 from .wavelets import WaveletSpec
 
 EXIT_OK = 0
@@ -268,6 +266,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .arfima import ArfimaSpec, simulate_arfima  # loaded here: an estimate needs neither
+    from .montecarlo import omega_from_rho
+
     d = np.asarray(_csv_floats(args.d), dtype=np.float64)
     if args.omega_file:
         omega = read_panel(args.omega_file)[1]
@@ -299,6 +300,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    from .montecarlo import load_scenario, run_scenario
+
     scenario = load_scenario(args.scenario)
     # replace() builds a new Scenario, which checks each override
     if args.reps is not None:

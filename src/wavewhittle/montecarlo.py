@@ -15,7 +15,6 @@ import json
 import math
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import (ConfigError, CovarianceError, ScaleRangeError, ScenarioErro
                      WavewhittleError)
 from .estimator import (EstimationConfig, _fit_panel, _fit_univariate, _pair_indices,
                         correlation_from_cov, resolve_scales, scalogram)
-from .wavelets import WaveletSpec, _integer, dwt_pyramid
+from .wavelets import WaveletSpec, _integer, _psi_bands, dwt_pyramid
 
 
 def omega_from_rho(rho: float, p: int = 2) -> np.ndarray:
@@ -194,7 +193,8 @@ def _run_replication(scenario: Scenario, seed) -> dict:
         "correlation": est.correlation,
         "converged": est.diagnostics["converged"],
     }
-    if scenario.include_univariate:
+    # a failed joint fit drops the replication, so its univariate fit is not run
+    if scenario.include_univariate and out["converged"]:
         out["d_univariate"], diagnostics = _fit_univariate(
             scalogram(pyramid, *scenario.univariate_scales), spec)
         out["converged_univariate"] = diagnostics["converged"]
@@ -204,8 +204,9 @@ def _run_replication(scenario: Scenario, seed) -> dict:
 def _replication_worker(args):
     """One replication's estimates, or the reason it failed: the class name
     of the WavewhittleError it raised, "non_converged" when its joint fit did
-    not converge, or "non_converged_univariate" when only its univariate fit
-    did not.  Either way both fits are dropped: the design is paired."""
+    not converge (its univariate fit is then not run), or
+    "non_converged_univariate" when only its univariate fit did not.  Either
+    way both fits are dropped: the design is paired."""
     scenario, seed = args
     try:
         out = _run_replication(scenario, seed)
@@ -230,11 +231,15 @@ def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -
     is bit reproducible for a fixed scenario regardless of ``workers``.
     """
     t_start = time.perf_counter()
-    # builds the cached factor (forked workers inherit it) or raises
+    # builds the cached factor or raises, and fills the K band cache of the
+    # fits' M, so that forked workers inherit both
     embedding_factor(scenario.model)
+    _psi_bands(scenario.vanishing_moments)
     seeds = np.random.SeedSequence(scenario.seed).spawn(scenario.replications)
     jobs = [(scenario, s) for s in seeds]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costs ~20 ms to import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication_worker, jobs, chunksize=8))
     else:

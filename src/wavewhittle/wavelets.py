@@ -276,7 +276,26 @@ def psi_hat_sq(lam, spec: WaveletSpec):
     ``psi_hat_sq(0) == 0`` exactly.  Accepts scalars or arrays; defined for
     every finite frequency.
     """
-    m = spec.vanishing_moments
+    out = _cascade(np.atleast_1d(np.asarray(lam, dtype=np.float64)), 0.0,
+                   spec.vanishing_moments)
+    if np.isscalar(lam) or np.asarray(lam).ndim == 0:
+        return float(out[0])
+    return out
+
+
+def _cascade(a, b, vanishing_moments: int) -> np.ndarray:
+    """``psi_hat_sq`` at lam = a + b, broadcast, exact in the sum.
+
+    Level k of the product needs sin and cos of lam/2^(k+1); angle addition,
+    ``sin(x + y) = sin x cos y + cos x sin y``, takes them from those of a
+    and b alone, so a grid of panel midpoints a against the offsets b that
+    every panel shares costs one sin and one cos per midpoint and per offset,
+    not per node.  The cos^2 factors of the cos^2M(w/2) gains telescope
+    through sin 2x = 2 sin x cos x:
+    ``prod_{k=2..D} cos^2(w/2^(k-1)) = (sin w / (2^(D-1) sin(w/2^(D-1))))^2``,
+    w = lam/4, whose 0/0 at lam = 0 is its limit 1.
+    """
+    m = vanishing_moments
     coeffs = [math.comb(m - 1 + k, k) for k in range(m)]
 
     def halfband(y: np.ndarray) -> np.ndarray:
@@ -285,18 +304,22 @@ def psi_hat_sq(lam, spec: WaveletSpec):
             acc = acc * y + c
         return acc
 
-    w = np.atleast_1d(np.asarray(lam, dtype=np.float64)) / 4.0
+    a = np.asarray(a, dtype=np.float64) / 4.0
+    b = np.asarray(b, dtype=np.float64) / 4.0
+    for level in range(1, CASCADE_DEPTH + 1):  # level k is at w / 2^(k-1)
+        sin_a, cos_a, sin_b, cos_b = np.sin(a), np.cos(a), np.sin(b), np.cos(b)
+        sine = sin_a * cos_b + cos_a * sin_b
+        if level == 1:
+            sin_w = sine
+            out = halfband((cos_a * cos_b - sin_a * sin_b) ** 2)
+        else:
+            out = out * halfband(sine * sine)
+        a = a / 2.0
+        b = b / 2.0
+    deepest = 2.0 ** (CASCADE_DEPTH - 1) * sine
+    cos_product = np.divide(sin_w, deepest, out=np.ones_like(deepest), where=deepest != 0.0)
     # the M-th powers of every factor are taken once, on their product
-    vanishing = np.sin(w) ** 2
-    out = halfband(np.cos(w) ** 2)
-    for _ in range(2, CASCADE_DEPTH + 1):
-        w = w / 2.0
-        vanishing = vanishing * np.cos(w) ** 2
-        out = out * halfband(np.sin(w) ** 2)
-    out = vanishing**m * out
-    if np.isscalar(lam) or np.asarray(lam).ndim == 0:
-        return float(out[0])
-    return out
+    return (sin_w * cos_product) ** (2 * m) * out
 
 
 def in_k_domain(delta, spec: WaveletSpec) -> np.ndarray:
@@ -339,26 +362,39 @@ class _PsiBands:
     n_up: int  # number of bands t >= 0
 
 
+def _band_quadrature(vanishing_moments: int):
+    """Nodes, weights and |psi_hat|^2 values of every band, in ``_PsiBands``
+    order.
+
+    Band t >= 0 is the 2^t pi-wide panels [pi k, pi (k + 1)], k = 2^t..2^(t+1)
+    - 1, and band t < 0 the one panel [pi 2^t, pi 2^(t+1)].  All 4095 upward
+    panels share the 16 Gauss-Legendre offsets (pi/2) x_q about their
+    midpoints, so ``_cascade`` samples them as midpoints against offsets.
+    """
+    cap = CASCADE_DEPTH - 5
+    x, w = np.polynomial.legendre.leggauss(_BAND_NODES)
+    up = math.pi * (np.arange(1, 1 << (cap + 1)) + 0.5), np.array([0.5 * math.pi])
+    low_halves = 0.5 * math.pi * 2.0 ** np.arange(-1, _BAND_CAP_LO, -1)
+    lam, weights, psi = [], [], []
+    for mids, halves in (up, (3.0 * low_halves, low_halves)):  # midpoints, half-widths
+        mids, offsets = mids[:, None], halves[:, None] * x
+        nodes = mids + offsets
+        lam.append(nodes.ravel())
+        weights.append(np.broadcast_to(halves[:, None] * w, nodes.shape).ravel())
+        psi.append(_cascade(mids, offsets, vanishing_moments).ravel())
+    return np.concatenate(lam), np.concatenate(weights), np.concatenate(psi)
+
+
 @lru_cache(maxsize=None)
 def _psi_bands(vanishing_moments: int) -> _PsiBands:
     # beyond ~2^CASCADE_DEPTH the truncated cascade product stops decaying,
     # so bands must stay well below that
     cap = CASCADE_DEPTH - 5
     order = np.array(list(range(cap + 1)) + list(range(-1, _BAND_CAP_LO, -1)))
-    x, w = np.polynomial.legendre.leggauss(_BAND_NODES)
-    lam, wts = [], []
-    for t in order.tolist():
-        lo = math.pi * 2.0**t
-        n_sub = 1 << max(t, 0)
-        edges = lo + (lo / n_sub) * np.arange(n_sub + 1)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halves = 0.5 * np.diff(edges)
-        lam.append((mids[:, None] + halves[:, None] * x[None, :]).ravel())
-        wts.append((halves[:, None] * w[None, :]).ravel())
-    sizes = [a.size for a in lam]
-    starts = np.cumsum([0] + sizes[:-1])
-    lam = np.concatenate(lam)
-    term = np.concatenate(wts) * psi_hat_sq(lam, WaveletSpec(vanishing_moments))
+    sizes = _BAND_NODES << np.maximum(order, 0)
+    starts = np.cumsum(sizes) - sizes
+    lam, weights, psi = _band_quadrature(vanishing_moments)
+    term = weights * psi
     centers = np.log(math.pi * 2.0 ** (order + 0.5))
     u = np.log(lam) - np.repeat(centers, sizes)
     moments = np.empty((TAYLOR_TERMS, order.size))

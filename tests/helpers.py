@@ -8,6 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import Bounds, minimize
 
+from wavewhittle import wavelets
 from wavewhittle.arfima import split_memory
 from wavewhittle.errors import DomainError, PanelFormatError
 from wavewhittle.estimator import (
@@ -203,6 +204,28 @@ def lbfgsb_search(scal: Scalogram, box):
         options={"ftol": 1e-12, "gtol": 1e-7},
     )
     return np.asarray(res.x), float(res.fun)
+
+
+def factor_psi_hat_sq(lam, m):
+    """|psi_hat|^2 as the cascade product taken factor by factor: per level
+    one sin and one cos of lam/2^(k+1), and the cos^2 factors multiplied in
+    one at a time; reads the module's CASCADE_DEPTH at call time."""
+    coeffs = [math.comb(m - 1 + k, k) for k in range(m)]
+
+    def halfband(y):
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * y + c
+        return acc
+
+    w = np.atleast_1d(np.asarray(lam, dtype=np.float64)) / 4.0
+    vanishing = np.sin(w) ** 2
+    out = halfband(np.cos(w) ** 2)
+    for _ in range(2, wavelets.CASCADE_DEPTH + 1):
+        w = w / 2.0
+        vanishing = vanishing * np.cos(w) ** 2
+        out = out * halfband(np.sin(w) ** 2)
+    return vanishing**m * out
 
 
 @lru_cache(maxsize=None)

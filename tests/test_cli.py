@@ -807,7 +807,7 @@ def test_mc_rejects_unreadable_d_and_omega(tmp_path, capsys, fmt, text, data):
 def test_mc_rejects_a_bad_scenario_file_when_loading_it(tmp_path, capsys, monkeypatch,
                                                          text, code, message):
     calls = []
-    monkeypatch.setattr(cli, "run_scenario", calls.append)
+    monkeypatch.setattr(montecarlo, "run_scenario", calls.append)
     path = tmp_path / ("bad.json" if text.startswith("{") else "bad.cfg")
     path.write_text(text if text.startswith("{") else "d = 0.2, 0.2\nreps = 2\n" + text)
     assert run_cli("mc", "--scenario", str(path), "--output", str(tmp_path / "out")) == code

@@ -190,7 +190,7 @@ def run_mc_cli(monkeypatch, scenario, base):
         reports.append(run_scenario(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(cli, "run_scenario", run)
+    monkeypatch.setattr(montecarlo, "run_scenario", run)
     path = base.parent / "scenario.json"
     path.write_text(json.dumps(scenario.echo()), encoding="utf-8")
     assert cli.main(["mc", "--scenario", str(path), "--output", str(base)]) == 0
@@ -254,6 +254,34 @@ def test_all_non_converged_names_the_reason(monkeypatch):
     assert montecarlo._replication_worker((scenario, seed)) == "non_converged"
     with pytest.raises(ScenarioError, match="all replications failed: {'non_converged': 4}"):
         run_scenario(scenario)
+
+
+def test_failed_joint_fit_skips_the_univariate_fit(monkeypatch):
+    scenario = small_scenario(replications=3)
+    monkeypatch.setattr(estimator, "NEWTON_MAX_ITERATIONS", 1)
+
+    def spy(*args):
+        pytest.fail("the univariate fit ran after a failed joint fit")
+
+    monkeypatch.setattr(montecarlo, "_fit_univariate", spy)
+    seed = np.random.SeedSequence(scenario.seed).spawn(1)[0]
+    out = montecarlo._run_replication(scenario, seed)
+    assert not out["converged"] and "d_univariate" not in out
+    assert montecarlo._replication_worker((scenario, seed)) == "non_converged"
+    with pytest.raises(ScenarioError, match="all replications failed: {'non_converged': 3}"):
+        run_scenario(scenario)
+
+
+def test_pool_workers_inherit_the_band_cache():
+    """The parent fills the K band cache of the scenario's M before it forks,
+    so a fresh pool's workers do not each build it."""
+    scenario = small_scenario(replications=2, vanishing_moments=3)
+    wavelets._psi_bands.cache_clear()
+    pooled = run_scenario(scenario, workers=2)
+    hits = wavelets._psi_bands.cache_info().hits
+    wavelets._psi_bands(scenario.vanishing_moments)
+    assert wavelets._psi_bands.cache_info().hits == hits + 1
+    assert report_payload(pooled) == report_payload(run_scenario(scenario, workers=1))
 
 
 @pytest.mark.parametrize("replications", [1, 7])

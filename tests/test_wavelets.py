@@ -9,6 +9,7 @@ expansion replaces.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from wavewhittle.wavelets import (
     spectral_k,
 )
 
-from helpers import direct_spectral_k
+from helpers import direct_spectral_k, factor_psi_hat_sq
 
 SQRT2 = math.sqrt(2.0)
 
@@ -322,6 +323,42 @@ def render_wavelet(m, grid_per_unit=2**10, iterations=40):
 def test_psi_hat_zero_frequency():
     spec = WaveletSpec(vanishing_moments=4)
     assert psi_hat_sq(0.0, spec) == 0.0
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_psi_hat_zero_frequency_is_exact_and_silent(m):
+    # the closed-form cos^2 product is 0/0 at lam = 0; its guard must neither
+    # warn nor leave a NaN
+    spec = WaveletSpec(vanishing_moments=m)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        assert psi_hat_sq(0.0, spec) == 0.0
+        values = psi_hat_sq(np.array([0.0, -0.0, 1.0]), spec)
+    assert values[0] == 0.0 and values[1] == 0.0 and values[2] > 0.0
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_psi_hat_matches_the_factor_by_factor_product(m):
+    # from 0 to the top of the K band cache, and around the zeros 4 pi n of
+    # sin(lam/4), where the closed form's quotient is smallest
+    spec = WaveletSpec(vanishing_moments=m)
+    top = math.pi * 2.0 ** (wavelets.CASCADE_DEPTH - 4)
+    zeros = 4.0 * math.pi * np.arange(1, int(top / (4.0 * math.pi)) + 1)
+    offsets = np.array([-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6])
+    lam = np.concatenate([np.linspace(0.0, top, 200_001), (zeros[:, None] * (1.0 + offsets)).ravel(),
+                          np.nextafter(zeros, 0.0), np.nextafter(zeros, np.inf)])
+    oracle = factor_psi_hat_sq(lam, m)
+    assert np.max(np.abs(psi_hat_sq(lam, spec) - oracle)) <= 1e-13 * oracle.max()
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_band_cache_samples_psi_hat_sq(m):
+    # the cache evaluates |psi_hat|^2 at panel midpoint + shared offset by
+    # angle addition; it must agree with psi_hat_sq at the summed node
+    lam, weights, psi = wavelets._band_quadrature(m)
+    assert lam.shape == weights.shape == psi.shape == (66_464,)
+    expected = psi_hat_sq(lam, WaveletSpec(vanishing_moments=m))
+    assert np.max(np.abs(psi - expected)) <= 1e-14 * expected.max()
 
 
 def test_psi_hat_parseval():
