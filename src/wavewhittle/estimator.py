@@ -8,7 +8,7 @@ p = 1 reduces to the univariate wavelet Whittle estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -20,11 +20,11 @@ from .wavelets import (
     WaveletSpec,
     _freeze,
     _integer,
+    _spectral_k,
     coefficient_counts,
     dwt_pyramid,
     in_k_domain,
     max_feasible_level,
-    spectral_k,
 )
 
 LOG2 = math.log(2.0)
@@ -80,18 +80,30 @@ class Scalogram:
         """The constants of its scale range and counts (``_scale_terms``)."""
         return _scale_terms(self.j0, self.j1, tuple(self.counts.tolist()))
 
+    @cached_property
+    def _flat(self) -> np.ndarray:
+        """``matrices`` as a (J, p^2) array, row j holding I(j) row-major."""
+        return self.matrices.reshape(len(self.matrices), -1)
+
     @property
     def mean_scale(self) -> float:
         """Count-weighted mean scale <J> = (1/n) sum_j j n_j."""
         return self._geometry[0]
 
+    def _leading(self, j1: int) -> Scalogram:
+        """The scalogram of scales j0..j1, j1 at most its own: a view of its
+        leading levels, equal bit for bit to one summed over j0..j1."""
+        levels = j1 - self.j0 + 1
+        return Scalogram(self.matrices[:levels], self.counts[:levels], self.j0, j1)
+
 
 @lru_cache(maxsize=32)
 def _scale_terms(j0: int, j1: int, counts: tuple) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """What a scalogram's scales j0..j1 and counts n_j fix, computed once per
-    geometry and read-only: <J>, the centred scales c_j = j - <J> as a (J, 1)
-    column, the (3, J) weights 1, c_j and c_j^2 divided by n, and the
-    regression weights n_j c_j / sum n_j c_j^2 of ``_log_regression_init``."""
+    geometry and read-only: <J>, the negated centred scales -c_j = <J> - j as
+    a (J, 1) column, the (3, J) weights 1, c_j and c_j^2 divided by n, and
+    the regression weights n_j c_j / sum n_j c_j^2 of
+    ``_log_regression_init``."""
     n_j = np.array(counts)
     mean = float((np.arange(j0, j1 + 1) * n_j).sum() / n_j.sum())
     c = np.arange(j0, j1 + 1, dtype=np.float64) - mean
@@ -99,7 +111,7 @@ def _scale_terms(j0: int, j1: int, counts: tuple) -> tuple[float, np.ndarray, np
     regression = n_j * c
     with np.errstate(divide="ignore", invalid="ignore"):  # a single scale has none
         regression /= (regression * c).sum()
-    return mean, _freeze(c[:, None]), _freeze(weights), _freeze(regression)
+    return mean, _freeze(-c[:, None]), _freeze(weights), _freeze(regression)
 
 
 def scalogram(pyramid: WaveletPyramid, j0: int, j1: int) -> Scalogram:
@@ -217,11 +229,11 @@ def _centred_sums(scal: Scalogram, d: np.ndarray) -> np.ndarray:
     """G_bar, H and Q at d as a (3, p, p) array: the sums over scales of
     Lam_{j-<J>}(d)^-1 I(j) Lam_{j-<J>}(d)^-1 / n with the weights 1, c_j and
     c_j^2 (``Scalogram._geometry``)."""
-    _, c, weights, _ = scal._geometry
-    factors = np.exp2(c * -d)
+    _, negated, weights, _ = scal._geometry
+    factors = np.exp2(negated * d)
     p = d.size
-    scaled = (factors[:, :, None] * factors[:, None, :]).reshape(c.size, p * p)
-    scaled *= scal.matrices.reshape(c.size, p * p)
+    scaled = (factors[:, :, None] * factors[:, None, :]).reshape(negated.size, p * p)
+    scaled *= scal._flat
     return (weights @ scaled).reshape(3, p, p)
 
 
@@ -410,16 +422,18 @@ def _backtrack(scal: Scalogram, x, value, grad, box, direction, trial=None, step
     """Halve the step along ``direction``, projected on the box, until R falls
     by ARMIJO times the decrease its gradient predicts.  ``trial`` and
     ``step`` are the projected point and step at alpha = 1, when the caller
-    has them.
+    has them and has found that step not within STEP_TOL.
 
     Returns ((d, R, gradient, Hessian) at the accepted point, evaluation
-    count), or (None, count) once the step is at most STEP_TOL.
+    count), or (None, count) once the step is at most STEP_TOL (or NaN).
     """
     alpha, evaluations = 1.0, 0
     if trial is None:
         trial = _project(x + direction, *box)
         step = trial - x
-    while np.abs(step).max() > STEP_TOL:
+        if not np.abs(step).max() > STEP_TOL:
+            return None, evaluations
+    while True:
         trial_value, trial_grad, trial_hess = _objective_derivatives(scal, trial)
         evaluations += 1
         if trial_value < value and trial_value <= value + ARMIJO * grad @ step:
@@ -427,7 +441,8 @@ def _backtrack(scal: Scalogram, x, value, grad, box, direction, trial=None, step
         alpha *= 0.5
         trial = _project(x + alpha * direction, *box)
         step = trial - x
-    return None, evaluations
+        if not np.abs(step).max() > STEP_TOL:
+            return None, evaluations
 
 
 @lru_cache(maxsize=32)
@@ -452,19 +467,8 @@ def estimate_omega(
     ``config`` is not read; it stays in the signature for existing callers.
     """
     d_hat = np.atleast_1d(np.asarray(d_hat, dtype=np.float64))
-    p = d_hat.size
-    g_matrix = g_hat(scal, d_hat)
-    rows, cols, upper = _pair_indices(p)
-    cosine = np.cos(np.pi * (d_hat[rows] - d_hat[cols]) / 2.0)
-    delta = d_hat[rows] + d_hat[cols]
-    # the cosine vanishes where d_l - d_m is congruent to 1 mod 2
-    defined = ~(np.abs(cosine) < 1e-12) & in_k_domain(delta, spec)
-    k_norm = spectral_k(delta[defined], spec) / (2.0 * math.pi)
-    r, c = rows[defined], cols[defined]
-    omega = np.full((p, p), np.nan)
-    omega[r, c] = omega[c, r] = g_matrix[r, c] / (cosine[defined] * k_norm)
-
-    correlation = correlation_from_cov(omega)
+    omega, correlation, g_matrix, cosine, defined = _omega(scal, d_hat, spec)
+    rows, cols, upper = _pair_indices(d_hat.size)
     corr = correlation[rows, cols]
     out_of_range = upper & np.isfinite(corr) & (np.abs(corr) > 1.05)
 
@@ -478,6 +482,25 @@ def estimate_omega(
         "out_of_range_correlation": pairs(out_of_range),
     }
     return omega, correlation, g_matrix, warnings
+
+
+def _omega(scal: Scalogram, d_hat: np.ndarray, spec: WaveletSpec):
+    """``estimate_omega``'s numbers without its warnings, at the float64
+    vector d_hat: (omega, correlation, g_matrix), and for the upper-triangle
+    pairs the cosines and which pairs omega defines."""
+    p = d_hat.size
+    g_matrix = g_hat(scal, d_hat)
+    rows, cols, _ = _pair_indices(p)
+    cosine = np.cos(np.pi * (d_hat[rows] - d_hat[cols]) / 2.0)
+    delta = d_hat[rows] + d_hat[cols]
+    # the cosine vanishes where d_l - d_m is congruent to 1 mod 2
+    defined = ~(np.abs(cosine) < 1e-12) & in_k_domain(delta, spec)
+    # every defined exponent is inside K's domain: spectral_k's check would repeat this
+    k_norm = _spectral_k(delta[defined], spec) / (2.0 * math.pi)
+    r, c = rows[defined], cols[defined]
+    omega = np.full((p, p), np.nan)
+    omega[r, c] = omega[c, r] = g_matrix[r, c] / (cosine[defined] * k_norm)
+    return omega, correlation_from_cov(omega), g_matrix, cosine, defined
 
 
 def correlation_from_cov(omega: np.ndarray) -> np.ndarray:
@@ -558,13 +581,7 @@ def estimate_panel(panel: np.ndarray, spec: WaveletSpec, config: EstimationConfi
     x = np.asarray(panel, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    return _fit_panel(x, _scalogram(x, spec, config, x.shape[1]), spec, config)
-
-
-def _fit_panel(
-    x: np.ndarray, scal: Scalogram, spec: WaveletSpec, config: EstimationConfig
-) -> MwwEstimate:
-    """``estimate_panel`` on the scalogram of the (N, p) panel x."""
+    scal = _scalogram(x, spec, config, x.shape[1])
     d_hat, value, diagnostics = estimate_d(scal, config, spec)
     omega, correlation, g_matrix, warnings = estimate_omega(scal, d_hat, spec)
     warnings["zero_channels"] = _zero_channels(x, scal)
@@ -603,8 +620,11 @@ def estimate_univariate_each(
 
 
 def _fit_univariate(scal: Scalogram, spec: WaveletSpec) -> tuple[np.ndarray, dict]:
-    """``estimate_univariate_each``'s one fit and its one diagnostics dict."""
-    variances = np.diagonal(scal.matrices, axis1=1, axis2=2)
-    diagonal = replace(scal, matrices=variances[:, :, None] * np.eye(scal.n_channels))
+    """``estimate_univariate_each``'s one fit and its one diagnostics dict,
+    on ``scal`` with its off-diagonals zeroed."""
+    p = scal.n_channels
+    matrices = np.zeros(scal.matrices.shape)
+    matrices.reshape(-1, p * p)[:, :: p + 1] = scal._flat[:, :: p + 1]
+    diagonal = Scalogram(matrices, scal.counts, scal.j0, scal.j1)
     d_hats, _, diagnostics = _projected_newton(diagonal, spec)
     return d_hats, diagnostics

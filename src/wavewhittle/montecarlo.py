@@ -22,8 +22,8 @@ import numpy as np
 from .arfima import ArfimaSpec, _draw, embedding_factor
 from .errors import (ConfigError, CovarianceError, ScaleRangeError, ScenarioError,
                      WavewhittleError)
-from .estimator import (EstimationConfig, _fit_panel, _fit_univariate, _pair_indices,
-                        correlation_from_cov, resolve_scales, scalogram)
+from .estimator import (EstimationConfig, _fit_univariate, _omega, _pair_indices,
+                        correlation_from_cov, estimate_d, resolve_scales, scalogram)
 from .wavelets import WaveletSpec, _integer, _psi_bands, dwt_pyramid
 
 
@@ -182,21 +182,26 @@ class MCReport:
 
 
 def _run_replication(scenario: Scenario, seed) -> dict:
+    """The estimates a replication's record keeps, equal bit for bit to those
+    of ``estimate_panel`` and ``estimate_univariate_each`` on its panel.
+
+    It builds one pyramid and one scalogram, over the univariate scales when
+    that fit runs: both ranges start at j0 and the joint one ends no deeper,
+    so the joint fit reads its leading levels.  It computes neither the
+    report's warnings nor its zero-channel scan.
+    """
     model, spec, config = scenario.model, scenario.spec, scenario.config
     panel = _draw(model, embedding_factor(model), seed)
-    # built as deep as the univariate fit reads, the deeper of the two
-    pyramid = dwt_pyramid(panel, spec, scenario.univariate_scales[1])
-    est = _fit_panel(panel, scalogram(pyramid, *scenario.joint_scales), spec, config)
-    out = {
-        "d": est.d_hat,
-        "omega": est.omega,
-        "correlation": est.correlation,
-        "converged": est.diagnostics["converged"],
-    }
+    j0, j1 = scenario.univariate_scales if scenario.include_univariate else scenario.joint_scales
+    scal = scalogram(dwt_pyramid(panel, spec, j1), j0, j1)
+    joint = scal._leading(scenario.joint_scales[1])
+    d_hat, _, diagnostics = estimate_d(joint, config, spec)
+    omega, correlation, *_ = _omega(joint, d_hat, spec)
+    out = {"d": d_hat, "omega": omega, "correlation": correlation,
+           "converged": diagnostics["converged"]}
     # a failed joint fit drops the replication, so its univariate fit is not run
     if scenario.include_univariate and out["converged"]:
-        out["d_univariate"], diagnostics = _fit_univariate(
-            scalogram(pyramid, *scenario.univariate_scales), spec)
+        out["d_univariate"], diagnostics = _fit_univariate(scal, spec)
         out["converged_univariate"] = diagnostics["converged"]
     return out
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DomainError, InsufficientDataError, UnsupportedOrderError
 
@@ -223,10 +222,12 @@ def dwt_pyramid(panel: np.ndarray, spec: WaveletSpec, j_max: int | None = None) 
     Retains the ``coefficient_counts(N, spec, j_max)`` fully-supported
     coefficients per channel and scale.  The computation is channel-major:
     one contiguous (p, N) copy of the panel (none for a Fortran-ordered
-    panel), then per level one product of its decimated windows, a strided
-    view, with the filter pair [g, h], which yields the details and the next
-    approximation at once.  Raises InsufficientDataError (carrying the
-    largest feasible level) when the series is too short for ``j_max``.
+    panel), then per level one product of its decimated windows with the
+    filter pair [g, h], which yields the details and the next approximation
+    at once.  The windows are a plain strided view of the level's input,
+    which is kept as one contiguous (p, S_j) array.  Raises
+    InsufficientDataError (carrying the largest feasible level) when the
+    series is too short for ``j_max``.
     """
     x = np.asarray(panel, dtype=np.float64)
     if x.ndim == 1:
@@ -255,13 +256,14 @@ def dwt_pyramid(panel: np.ndarray, spec: WaveletSpec, j_max: int | None = None) 
     approx = np.ascontiguousarray(x.T)  # (p, N), channel-major
     for n_j in counts.tolist():
         # the n_j decimated windows lying entirely inside the level, as one
-        # read-only (p, n_j, taps) view: window k starts at sample 2k
-        channel, sample = approx.strides
-        windows = as_strided(approx, (approx.shape[0], n_j, h.size),
-                             (channel, 2 * sample, sample), writeable=False)
+        # (p, n_j, taps) view of the contiguous approximation: window k
+        # starts at sample 2k
+        (p, size), sample = approx.shape, approx.itemsize
+        windows = np.ndarray((p, n_j, h.size), np.float64, approx, 0,
+                             (size * sample, 2 * sample, sample))
         both = windows @ filters
         details.append(np.ascontiguousarray(both[:, :, 0]).T)
-        approx = both[:, :, 1]
+        approx = np.ascontiguousarray(both[:, :, 1])
     return WaveletPyramid(details=details, counts=counts)
 
 
@@ -417,6 +419,11 @@ def spectral_k(delta, spec: WaveletSpec):
     the convergence domain.
     """
     _check_delta(delta, spec)
+    return _spectral_k(delta, spec)
+
+
+def _spectral_k(delta, spec: WaveletSpec):
+    """``spectral_k`` without its domain check, for exponents known to be inside."""
     d = np.asarray(delta, dtype=np.float64)
     bands = _psi_bands(spec.vanishing_moments)
     x = -d.reshape(-1, 1)

@@ -124,29 +124,51 @@ def test_non_embeddable_scenario_fails_once(monkeypatch):
     assert calls == []
 
 
+def assert_record_is_the_public_fit(monkeypatch, scenario, replications=40):
+    """A replication builds one pyramid and one scalogram, over the scales of
+    its deeper fit, and its record equals the stand-alone ``estimate_panel``
+    (d, omega, correlation) and ``estimate_univariate_each`` (d) on its
+    panel, bit for bit."""
+    spec, config = scenario.wavelet_spec(), scenario.estimation_config()
+    deepest = scenario.univariate_scales if scenario.include_univariate else scenario.joint_scales
+    built = []
+    for name in ("dwt_pyramid", "scalogram"):
+        original = getattr(estimator, name)
+        spy = lambda *a, original=original: built.append(a) or original(*a)
+        for module in (estimator, montecarlo):
+            monkeypatch.setattr(module, name, spy)
+    for seed in np.random.SeedSequence(scenario.seed).spawn(replications):
+        out = montecarlo._run_replication(scenario, seed)
+        assert len(built) == 2 and built[1][1:] == deepest
+        panel = simulate_arfima(scenario.arfima_spec(seed))
+        alone = estimate_panel(panel, spec, config)
+        assert out["converged"] is alone.diagnostics["converged"]
+        for key, value in (("d", alone.d_hat), ("omega", alone.omega),
+                           ("correlation", alone.correlation)):
+            assert out[key].tobytes() == value.tobytes()
+        if scenario.include_univariate:
+            d_univariate = estimate_univariate_each(panel, spec, config)[0]
+            assert out["d_univariate"].tobytes() == d_univariate.tobytes()
+        else:
+            assert "d_univariate" not in out
+        built.clear()
+
+
 @pytest.mark.parametrize("path", ["scenarios/table1_row3.cfg",
                                   "scenarios/table1_nonstationary.cfg"])
 def test_replication_reads_both_fits_from_one_pyramid(monkeypatch, path):
-    """A replication builds one pyramid, at the univariate depth, and its
-    joint and univariate estimates equal those of the stand-alone calls,
-    each with its own pyramid, bit for bit."""
-    scenario = load_scenario(path)
-    spec, config = scenario.wavelet_spec(), scenario.estimation_config()
-    built = []
-    dwt_pyramid = estimator.dwt_pyramid
-    for module in (estimator, montecarlo):
-        monkeypatch.setattr(module, "dwt_pyramid", lambda *a: built.append(a) or dwt_pyramid(*a))
-    for seed in np.random.SeedSequence(scenario.seed).spawn(40):
-        out = montecarlo._run_replication(scenario, seed)
-        assert len(built) == 1
-        built.clear()
-        panel = simulate_arfima(scenario.arfima_spec(seed))
-        alone = estimate_panel(panel, spec, config)
-        assert out["d"].tobytes() == alone.d_hat.tobytes()
-        assert out["omega"].tobytes() == alone.omega.tobytes()
-        d_univariate = estimate_univariate_each(panel, spec, config)[0]
-        assert out["d_univariate"].tobytes() == d_univariate.tobytes()
-        built.clear()
+    assert_record_is_the_public_fit(monkeypatch, load_scenario(path))
+
+
+@pytest.mark.parametrize("univariate", [True, False], ids=["univariate", "joint-only"])
+def test_replication_record_is_the_public_fit(monkeypatch, univariate):
+    """At p = 3, N = 512 and the default j1 the joint fit reads scales 1..5
+    and the univariate one 1..6: the joint fit takes the leading levels of
+    the one scalogram, which stops at 5 without the univariate fit."""
+    scenario = small_scenario(d=[0.1, 0.3, 0.4], omega=omega_from_rho(0.3, 3),
+                              n_samples=512, j1=None, include_univariate=univariate)
+    assert scenario.joint_scales == (1, 5) and scenario.univariate_scales == (1, 6)
+    assert_record_is_the_public_fit(monkeypatch, scenario, replications=20)
 
 
 def test_replication_builds_no_settings(monkeypatch):
@@ -199,7 +221,7 @@ def run_mc_cli(monkeypatch, scenario, base):
 
 def test_failures_are_counted_by_reason(monkeypatch, tmp_path):
     """Every third replication raises, every third hits a one-iteration cap."""
-    fit_panel, cap = montecarlo._fit_panel, estimator.NEWTON_MAX_ITERATIONS
+    estimate_d, cap = montecarlo.estimate_d, estimator.NEWTON_MAX_ITERATIONS
     calls = []
 
     def flaky(*args):
@@ -207,9 +229,9 @@ def test_failures_are_counted_by_reason(monkeypatch, tmp_path):
         if len(calls) % 3 == 1:
             raise LikelihoodError("singular G in criterion")
         monkeypatch.setattr(estimator, "NEWTON_MAX_ITERATIONS", 1 if len(calls) % 3 == 2 else cap)
-        return fit_panel(*args)
+        return estimate_d(*args)
 
-    monkeypatch.setattr(montecarlo, "_fit_panel", flaky)
+    monkeypatch.setattr(montecarlo, "estimate_d", flaky)
     report = run_mc_cli(monkeypatch, small_scenario(replications=9), tmp_path / "report")
     assert report.failures == {"LikelihoodError": 3, "non_converged": 3}
     assert sum(report.failures.values()) == report.n_failures == 6
