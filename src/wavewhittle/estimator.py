@@ -187,7 +187,8 @@ class _Lapack:
 
     A numpy.linalg call spends ~5 us in Python checking shapes, choosing a
     signature and converting its result: 3-4 times the LAPACK work on the
-    2 x 2 matrices of a bivariate fit, which makes ~20 such calls.  These
+    2 x 2 matrices of a bivariate joint fit, which makes ~17 such calls (the
+    univariate pass makes none).  These
     methods call the private gufuncs that numpy.linalg itself calls, with the
     same float64 signatures, on the float64 arrays the fit builds, so every
     result is bit-identical to numpy.linalg's.  A LAPACK factorization that
@@ -605,26 +606,149 @@ def estimate_panel(panel: np.ndarray, spec: WaveletSpec, config: EstimationConfi
 def estimate_univariate_each(
     panel: np.ndarray, spec: WaveletSpec, config: EstimationConfig
 ) -> tuple[np.ndarray, list[dict]]:
-    """Estimate d channel by channel: the p univariate criteria in one fit.
+    """Estimate d channel by channel: each channel's univariate criterion
+    minimized on its own (``_fit_univariate``).
 
-    With its off-diagonals zeroed, the scalogram's R is the sum of the p
-    univariate criteria and its Hessian is diagonal, so one Newton search
-    fits every channel.  The scale range is resolved as for p = 1.  Returns
-    the estimates and one diagnostics dict per channel, each describing that
-    joint fit: one channel with a singular criterion (e.g. all zero) marks
-    every channel not converged.
+    The scale range is resolved as for p = 1.  Returns the estimates and one
+    diagnostics dict per channel, the dict ``estimate_d`` gives for that
+    channel alone (``active_bounds`` is [0] when it is held at a box edge):
+    a channel whose criterion is singular (e.g. all zero) keeps its start
+    value and is the only one marked not converged.
     """
     scal = _scalogram(np.asarray(panel, dtype=np.float64), spec, config, 1)
-    d_hats, diagnostics = _fit_univariate(scal, spec)
-    return d_hats, [dict(diagnostics) for _ in range(scal.n_channels)]
+    return _fit_univariate(scal, spec)
 
 
-def _fit_univariate(scal: Scalogram, spec: WaveletSpec) -> tuple[np.ndarray, dict]:
-    """``estimate_univariate_each``'s one fit and its one diagnostics dict,
-    on ``scal`` with its off-diagonals zeroed."""
+def _fit_univariate(scal: Scalogram, spec: WaveletSpec) -> tuple[np.ndarray, list[dict]]:
+    """The univariate fit of every channel of ``scal``, on its diagonal:
+    the estimates and one diagnostics dict per channel.
+
+    Channel l minimizes R_l(d) = log G_l(d), the p = 1 objective, where
+    (G_l, H_l, Q_l) = sum_j (1, c_j, c_j^2) 4^(-c_j d) I_ll(j) / n.  Then
+    R_l' = -2 log(2) H_l / G_l, and R_l'' = 4 log(2)^2 (Q_l/G_l - (H_l/G_l)^2)
+    is the weighted variance of the scales, so never negative.  Each channel
+    runs its own search (``_scalar_newton``); one round evaluates the points
+    of every pending channel in one pass over the (P, J) diagonal.  That pass
+    is elementwise with one sum along each row, so a channel's estimate and
+    diagnostics are bit for bit those of the channel fitted alone.  No
+    LAPACK call.
+    """
+    if scal.j1 == scal.j0:
+        raise ConfigError("single-scale objective is flat in d; need j0 < j1")
+    lo, hi = search_box(spec)
     p = scal.n_channels
-    matrices = np.zeros(scal.matrices.shape)
-    matrices.reshape(-1, p * p)[:, :: p + 1] = scal._flat[:, :: p + 1]
-    diagonal = Scalogram(matrices, scal.counts, scal.j0, scal.j1)
-    d_hats, _, diagnostics = _projected_newton(diagonal, spec)
-    return d_hats, diagnostics
+    _, negated, weights, _ = scal._geometry
+    variances = np.ascontiguousarray(scal._flat[:, :: p + 1].T)
+    exponents = 2.0 * negated[:, 0]
+    searches = [_scalar_newton(x, lo, hi, NEWTON_MAX_ITERATIONS)
+                for x in _separable_start(variances, scal, (lo, hi))]
+    points = [search.send(None) for search in searches]
+    results = [None] * p
+    pending = range(p)
+    # an infinite variance makes its channel's sums NaN: that channel is singular
+    with np.errstate(invalid="ignore"):
+        moments = variances[:, None, :] * weights
+        while pending:
+            scaled = np.exp2(np.multiply.outer(points, exponents))
+            sums = np.add.reduce(moments * scaled[:, None, :], axis=2).tolist()
+            still = []
+            for ell in pending:
+                g, h, q = sums[ell]
+                if 0.0 < g < math.inf:
+                    ratio = h / g
+                    derivatives = (math.log(g), -2.0 * LOG2 * ratio,
+                                   4.0 * LOG2**2 * (q / g - ratio * ratio))
+                else:
+                    derivatives = (math.inf, 0.0, 0.0)
+                try:
+                    points[ell] = searches[ell].send(derivatives)
+                except StopIteration as stop:
+                    results[ell] = stop.value
+                else:
+                    still.append(ell)
+            pending = still
+    return np.array([d for d, _ in results]), [diagnostics for _, diagnostics in results]
+
+
+def _separable_start(variances: np.ndarray, scal: Scalogram, box: tuple[float, float]) -> list[float]:
+    """``_log_regression_init`` of each row of the (P, J) diagonal alone:
+    a row's slope is one sum along it, with no contraction across rows.  A
+    row with a non-finite log-variance (its slope is then not finite) takes
+    the start of its channel fitted alone."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.log2(variances / scal.counts)
+        slopes = np.add.reduce(y * scal._geometry[3], axis=1).tolist()
+    margin = 1e-3 * (box[1] - box[0])
+    lo, hi = box[0] + margin, box[1] - margin
+    start = []
+    for slope, row in zip(slopes, variances):
+        if math.isfinite(slope):
+            start.append(min(max(0.5 * slope, lo), hi))
+        else:
+            alone = Scalogram(row[:, None, None], scal.counts, scal.j0, scal.j1)
+            start.append(float(_log_regression_init(alone, box)[0]))
+    return start
+
+
+def _scalar_newton(x: float, lo: float, hi: float, cap: int):
+    """``_projected_newton`` at p = 1 in plain floats, from the start x.
+
+    A generator: it yields each point where it needs (R, R', R''), is sent
+    them back, and returns (d, diagnostics).  Same steps and stopping rules:
+    the Newton step when R'' > 0 (else the gradient step), each backtracked
+    by halving to the Armijo condition, then the gradient step if the Newton
+    one fails; a step within STEP_TOL stops on a confirming evaluation, and
+    a search that can lower R no further has converged when its projected
+    gradient is within GRAD_TOL or its Newton decrement R'^2 / 2R'' is within
+    DECREMENT_TOL * max(1, |R|).  At a box edge with R' pointing out, the
+    channel is held: its step is zero.
+    """
+    value, grad, hess = yield x
+    evaluations, iterations, converged, free = 1, 0, False, True
+    while math.isfinite(value) and iterations < cap:
+        iterations += 1
+        descent = -grad
+        free = lo < x < hi or not (x <= lo and grad > 0 or x >= hi and grad < 0)
+        curvature = hess if free else 1.0
+        directions, newton = [], None
+        if curvature > 0:
+            newton = descent / curvature
+            trial = min(max(x + newton, lo), hi)
+            if abs(trial - x) <= STEP_TOL:
+                # the confirming evaluation: only its value is read
+                x = trial
+                value = (yield x)[0]
+                evaluations += 1
+                converged = math.isfinite(value)
+                break
+            directions.append(newton)
+        directions.append(descent)
+        for direction in directions:
+            alpha = 1.0
+            trial = min(max(x + direction, lo), hi)
+            step = trial - x
+            while abs(step) > STEP_TOL:
+                trial_value, trial_grad, trial_hess = yield trial
+                evaluations += 1
+                if trial_value < value and trial_value <= value + ARMIJO * grad * step:
+                    break
+                alpha *= 0.5
+                trial = min(max(x + alpha * direction, lo), hi)
+                step = trial - x
+            else:
+                continue
+            x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
+            break
+        else:
+            converged = (abs(x - min(max(x + descent, lo), hi)) <= GRAD_TOL
+                         or newton is not None
+                         and descent * newton / 2 <= DECREMENT_TOL * max(1.0, abs(value)))
+            break
+    diagnostics = {
+        "method": "newton",
+        "converged": bool(converged),
+        "function_evaluations": evaluations,
+        "iterations": iterations,
+        "active_bounds": [] if free else [0],
+    }
+    return x, diagnostics

@@ -202,7 +202,7 @@ def _run_replication(scenario: Scenario, seed) -> dict:
     # a failed joint fit drops the replication, so its univariate fit is not run
     if scenario.include_univariate and out["converged"]:
         out["d_univariate"], diagnostics = _fit_univariate(scal, spec)
-        out["converged_univariate"] = diagnostics["converged"]
+        out["converged_univariate"] = all(channel["converged"] for channel in diagnostics)
     return out
 
 
@@ -210,7 +210,8 @@ def _replication_worker(args):
     """One replication's estimates, or the reason it failed: the class name
     of the WavewhittleError it raised, "non_converged" when its joint fit did
     not converge (its univariate fit is then not run), or
-    "non_converged_univariate" when only its univariate fit did not.  Either
+    "non_converged_univariate" when only the univariate fit of one or more
+    of its channels did not.  Either
     way both fits are dropped: the design is paired."""
     scenario, seed = args
     try:
