@@ -126,6 +126,8 @@ class ArfimaSpec:
     # per channel, the stationary exponent and the integration order of d
     _stationary: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # what the embedding factor depends on: (stationary exponents, omega, N)
+    _factor_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = _freeze(np.atleast_1d(_float_array("d", self.d)))
@@ -160,6 +162,8 @@ class ArfimaSpec:
         stationary, orders = zip(*(split_memory(value) for value in d.tolist()))
         object.__setattr__(self, "_stationary", stationary)
         object.__setattr__(self, "_orders", orders)
+        object.__setattr__(self, "_factor_key",
+                           (stationary, tuple(omega.ravel().tolist()), self.n_samples))
 
     @property
     def n_channels(self) -> int:
@@ -229,7 +233,7 @@ def embedding_factor(spec: ArfimaSpec) -> np.ndarray:
     is too large to simulate: the circulant exceeds the address space
     (checked before anything is allocated) or the build runs out of memory.
     """
-    key = (spec._stationary, tuple(spec.omega.ravel().tolist()), spec.n_samples)
+    key = spec._factor_key
     try:
         return _embedding_factor(*key)
     except MemoryError:
@@ -280,6 +284,8 @@ def _draw(spec: ArfimaSpec, factor: np.ndarray, seed) -> np.ndarray:
         spectrum[ell] *= factor[ell, ell]
         for m in range(ell):
             spectrum[ell] += np.multiply(factor[ell, m], spectrum[m], out=term)
+    # one irfft per channel into one reused 2N buffer: a batched irfft holds
+    # p such buffers and raised the peak RSS of an N = 65536, p = 2 run by 2 MB
     full = np.empty(2 * n)
     panel = np.empty((p, n))
     for ell in range(p):

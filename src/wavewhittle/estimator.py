@@ -23,7 +23,6 @@ from .wavelets import (
     _spectral_k,
     coefficient_counts,
     dwt_pyramid,
-    in_k_domain,
     max_feasible_level,
 )
 
@@ -187,17 +186,25 @@ class _Lapack:
 
     A numpy.linalg call spends ~5 us in Python checking shapes, choosing a
     signature and converting its result: 3-4 times the LAPACK work on the
-    2 x 2 matrices of a bivariate joint fit, which makes ~17 such calls (the
-    univariate pass makes none).  These
-    methods call the private gufuncs that numpy.linalg itself calls, with the
-    same float64 signatures, on the float64 arrays the fit builds, so every
-    result is bit-identical to numpy.linalg's.  A LAPACK factorization that
-    fails sets the floating-point invalid flag and fills its output with NaN;
-    numpy.linalg turns that flag into LinAlgError under its own errstate, and
-    ``inv``, ``cholesky`` and ``solve`` use the same one, so they raise
-    exactly where numpy.linalg does.  ``slogdet`` reports a singular matrix
-    as sign 0, as numpy.linalg's does, and a NaN entry as a NaN logdet
-    without numpy.linalg's RuntimeWarning.
+    2 x 2 matrices of a bivariate joint fit (the univariate pass makes no
+    LAPACK call).  These methods call the private gufuncs that numpy.linalg
+    itself calls, with the same float64 signatures, on the float64 arrays
+    the fit builds, so every result is bit-identical to numpy.linalg's.
+
+    How a failure is seen: a LAPACK factorization that fails fills its
+    output with NaN and sets the floating-point invalid flag, and nothing
+    else leaves that flag set after ``inv``, ``cholesky_lo`` or ``solve1``.
+    numpy.linalg turns the flag into LinAlgError under its own errstate
+    (``_raising``), so these calls raise exactly where numpy.linalg does.
+    ``slogdet`` reports a singular matrix as sign 0, as numpy.linalg's
+    does, and sets the flag only on a NaN entry, whose logdet is NaN.
+
+    The fit's two steps are fused calls, each under one errstate (entering
+    one costs ~1 us, about what the LAPACK work on a 2 x 2 matrix costs):
+    ``logdet_inv`` for every evaluation of the derivatives and
+    ``newton_step`` for every Newton iteration.  ``slogdet`` alone serves
+    ``objective_R``, and reports a NaN logdet without numpy.linalg's
+    RuntimeWarning.
     """
 
     # numpy.linalg's errstate: only the invalid flag counts, and it raises
@@ -210,19 +217,30 @@ class _Lapack:
             return _gufuncs.slogdet(a, signature="d->dd")
 
     @staticmethod
-    def inv(a: np.ndarray) -> np.ndarray:
+    def logdet_inv(a: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """(log det a, a^-1) when det a > 0 with a finite log, else
+        (inf, None): numpy.linalg.slogdet, then numpy.linalg.inv only where
+        that logdet is finite (``inv`` still raises where numpy.linalg's
+        does)."""
         with np.errstate(**_Lapack._raising):
-            return _gufuncs.inv(a, signature="d->d")
+            try:
+                sign, logdet = _gufuncs.slogdet(a, signature="d->dd")
+            except np.linalg.LinAlgError:  # a NaN entry, so a NaN logdet
+                return math.inf, None
+            if sign <= 0 or not math.isfinite(logdet):
+                return math.inf, None
+            return float(logdet), _gufuncs.inv(a, signature="d->d")
 
     @staticmethod
-    def cholesky(a: np.ndarray) -> np.ndarray:
-        """The lower Cholesky factor: the fit's positive-definiteness test."""
+    def newton_step(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+        """a^-1 b when a passes the positive-definiteness test (its lower
+        Cholesky factor exists), else None: numpy.linalg.cholesky, then
+        numpy.linalg.solve (which still raises where numpy.linalg's does)."""
         with np.errstate(**_Lapack._raising):
-            return _gufuncs.cholesky_lo(a, signature="d->d")
-
-    @staticmethod
-    def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        with np.errstate(**_Lapack._raising):
+            try:
+                _gufuncs.cholesky_lo(a, signature="d->d")
+            except np.linalg.LinAlgError:
+                return None
             return _gufuncs.solve1(a, b, signature="dd->d")
 
 
@@ -252,10 +270,9 @@ def _objective_derivatives(scal: Scalogram, d: np.ndarray):
     """
     g_bar, h, q = _centred_sums(scal, d)
     p = d.size
-    logdet = _profile_logdet(g_bar)
-    if not math.isfinite(logdet):
+    logdet, a = _Lapack.logdet_inv(g_bar)
+    if a is None:
         return math.inf, np.zeros(p), np.zeros((p, p))
-    a = _Lapack.inv(g_bar)
     b = h @ a
     hess = a * q
     hess.ravel()[:: p + 1] += hess.sum(axis=1)
@@ -373,13 +390,9 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
         else:
             free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
             reduced = hess if free.all() else np.where(free & free[:, None], hess, np.eye(x.size))
-        searches, newton = [], None
-        try:
-            _Lapack.cholesky(reduced)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            newton = _Lapack.solve(reduced, descent)
+        searches = []
+        newton = _Lapack.newton_step(reduced, descent)
+        if newton is not None:
             trial = _project(x + newton, lo, hi)
             step = trial - x
             if np.abs(step).max() <= STEP_TOL:
@@ -492,10 +505,13 @@ def _omega(scal: Scalogram, d_hat: np.ndarray, spec: WaveletSpec):
     p = d_hat.size
     g_matrix = g_hat(scal, d_hat)
     rows, cols, _ = _pair_indices(p)
-    cosine = np.cos(np.pi * (d_hat[rows] - d_hat[cols]) / 2.0)
-    delta = d_hat[rows] + d_hat[cols]
-    # the cosine vanishes where d_l - d_m is congruent to 1 mod 2
-    defined = ~(np.abs(cosine) < 1e-12) & in_k_domain(delta, spec)
+    d_rows, d_cols = d_hat[rows], d_hat[cols]
+    cosine = np.cos(np.pi * (d_rows - d_cols) / 2.0)
+    delta = d_rows + d_cols
+    # the cosine vanishes where d_l - d_m is congruent to 1 mod 2; K's domain
+    # is that of wavelets.in_k_domain
+    defined = (~(np.abs(cosine) < 1e-12) & (-spec.alpha < delta)
+               & (delta < spec.vanishing_moments))
     # every defined exponent is inside K's domain: spectral_k's check would repeat this
     k_norm = _spectral_k(delta[defined], spec) / (2.0 * math.pi)
     r, c = rows[defined], cols[defined]

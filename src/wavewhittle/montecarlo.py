@@ -16,6 +16,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .errors import (ConfigError, CovarianceError, ScaleRangeError, ScenarioErro
                      WavewhittleError)
 from .estimator import (EstimationConfig, _fit_univariate, _omega, _pair_indices,
                         correlation_from_cov, estimate_d, resolve_scales, scalogram)
-from .wavelets import WaveletSpec, _integer, _psi_bands, dwt_pyramid
+from .wavelets import WaveletSpec, _freeze, _integer, _psi_bands, dwt_pyramid
 
 
 def omega_from_rho(rho: float, p: int = 2) -> np.ndarray:
@@ -225,6 +226,21 @@ def _replication_worker(args):
     return out
 
 
+@lru_cache(maxsize=32)
+def _report_layout(p: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The joint quantities of a p-channel report, in record order (d, then
+    omega and corr over the upper-triangle pairs), and the read-only pair
+    indices that pick them: rows and cols of every pair l <= m, then of
+    every pair l < m."""
+    rows, cols, upper = _pair_indices(p)
+    upper_rows, upper_cols = _freeze(rows[upper]), _freeze(cols[upper])
+    quantities = ([f"d_{ell + 1}" for ell in range(p)]
+                  + [f"omega_{ell + 1}_{m + 1}" for ell, m in zip(rows.tolist(), cols.tolist())]
+                  + [f"corr_{ell + 1}_{m + 1}"
+                     for ell, m in zip(upper_rows.tolist(), upper_cols.tolist())])
+    return tuple(quantities), rows, cols, upper_rows, upper_cols
+
+
 def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -> MCReport:
     """Run all replications and aggregate bias / std / RMSE per quantity.
 
@@ -252,34 +268,38 @@ def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -
         results = [_replication_worker(job) for job in jobs]
 
     kept = [r for r in results if isinstance(r, dict)]
-    failures = dict(sorted(Counter(r for r in results if isinstance(r, str)).items()))
+    failures = {}
+    if len(kept) < len(results):
+        failures = dict(sorted(Counter(r for r in results if isinstance(r, str)).items()))
     if not kept:
         raise ScenarioError(f"all replications failed: {failures}")
 
     p = scenario.n_channels
+    quantities, rows, cols, upper_rows, upper_cols = _report_layout(p)
     d_hat = np.array([r["d"] for r in kept])
     omega_hat = np.array([r["omega"] for r in kept])
     corr_hat = np.array([r["correlation"] for r in kept])
-    rows, cols, upper = _pair_indices(p)
-    quantities = ([f"d_{ell + 1}" for ell in range(p)]
-                  + [f"omega_{ell + 1}_{m + 1}" for ell, m in zip(rows, cols)]
-                  + [f"corr_{ell + 1}_{m + 1}" for ell, m in zip(rows[upper], cols[upper])])
     truth = [scenario.d, scenario.omega[rows, cols],
-             correlation_from_cov(scenario.omega)[rows[upper], cols[upper]]]
-    values = [d_hat.T, omega_hat[:, rows, cols].T, corr_hat[:, rows[upper], cols[upper]].T]
+             correlation_from_cov(scenario.omega)[upper_rows, upper_cols]]
+    values = [d_hat.T, omega_hat[:, rows, cols].T, corr_hat[:, upper_rows, upper_cols].T]
     if scenario.include_univariate:
         d_uni = np.array([r["d_univariate"] for r in kept])
         truth.append(scenario.d)
         values.append(d_uni.T)
     # one (quantities, replications) C-contiguous array reduced along its
-    # rows sums each quantity in the same order as its own 1-D array
+    # rows sums each quantity in the same order as its own 1-D array; the
+    # mean and deviations below take np.mean's and np.std's own steps, so
+    # they give their bits
     values = np.concatenate(values)
     truth = np.concatenate(truth)
-    bias = (values.mean(axis=1) - truth).tolist()
-    std = values.std(axis=1).tolist()
+    mean = np.add.reduce(values, axis=1) / len(kept)
+    values -= mean[:, None]
+    np.square(values, out=values)
+    std = np.sqrt(np.add.reduce(values, axis=1) / len(kept)).tolist()
+    bias = (mean - truth).tolist()
     rmse = [math.hypot(b, s) for b, s in zip(bias, std)]
-    records = [{"quantity": name, "truth": float(truth[i]), "bias": bias[i], "std": std[i],
-                "rmse": rmse[i], "ratio_mu": None} for i, name in enumerate(quantities)]
+    records = [{"quantity": name, "truth": t, "bias": b, "std": s, "rmse": e, "ratio_mu": None}
+               for name, t, b, s, e in zip(quantities, truth.tolist(), bias, std, rmse)]
     if scenario.include_univariate:
         for rec, rmse_u in zip(records[:p], rmse[-p:]):
             if rmse_u == 0.0:

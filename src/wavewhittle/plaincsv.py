@@ -147,8 +147,9 @@ def _parse_block(buf: np.ndarray, data: bytes, base: int, width: int) -> np.ndar
     mantissa_len = mantissa_end - starts
     long_cell = mantissa_len > _WIN
 
-    # The window of each cell's mantissa, right-aligned, as 3 words (3, n).
-    window = np.lib.stride_tricks.sliding_window_view(buf, _WIN)
+    # The window of each cell's mantissa, right-aligned, as 3 words (3, n);
+    # row i of ``window`` is buf[i:i + _WIN], a plain strided view.
+    window = np.ndarray((buf.size - _WIN + 1, _WIN), np.uint8, buf, 0, (1, 1))
     words = window[mantissa_end - _WIN].view(_WORDS).T.astype(_U64, order="C")
     # The high bit of every '.' byte in the mantissa, by the exact zero-byte
     # test on words ^ '........'.

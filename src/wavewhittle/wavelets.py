@@ -160,6 +160,14 @@ class WaveletSpec:
         return daubechies_filters(self.vanishing_moments)
 
 
+@lru_cache(maxsize=None)
+def _filter_pair(vanishing_moments: int) -> np.ndarray:
+    """Read-only (2M, 2) matrix of the columns [g, h] that ``dwt_pyramid``
+    multiplies every level's windows by: built once per M."""
+    h, g = daubechies_filters(vanishing_moments)
+    return _freeze(np.stack([g, h], axis=1))
+
+
 def coefficient_counts(n_samples: int, spec: WaveletSpec, j_max: int) -> np.ndarray:
     """Retained coefficient counts n_j for j = 1..j_max (0 once a level empties).
 
@@ -168,10 +176,9 @@ def coefficient_counts(n_samples: int, spec: WaveletSpec, j_max: int) -> np.ndar
     the cached count table, zero-padded past it.
     """
     table = _counts(n_samples, spec.support_length)
-    out = np.zeros(max(j_max, 0), dtype=np.int64)
-    kept = min(out.size, table.size)
-    out[:kept] = table[:kept]
-    return out
+    if j_max <= table.size:
+        return table[:max(j_max, 0)].copy()
+    return np.concatenate([table, np.zeros(j_max - table.size, dtype=np.int64)])
 
 
 @lru_cache(maxsize=32)
@@ -248,8 +255,8 @@ def dwt_pyramid(panel: np.ndarray, spec: WaveletSpec, j_max: int | None = None) 
             largest_feasible=feasible,
         )
 
-    h, g = spec.filters()
-    filters = np.stack([g, h], axis=1)
+    filters = _filter_pair(spec.vanishing_moments)
+    taps = filters.shape[0]
     counts = coefficient_counts(n_samples, spec, j_max)
 
     details: list[np.ndarray] = []
@@ -259,7 +266,7 @@ def dwt_pyramid(panel: np.ndarray, spec: WaveletSpec, j_max: int | None = None) 
         # (p, n_j, taps) view of the contiguous approximation: window k
         # starts at sample 2k
         (p, size), sample = approx.shape, approx.itemsize
-        windows = np.ndarray((p, n_j, h.size), np.float64, approx, 0,
+        windows = np.ndarray((p, n_j, taps), np.float64, approx, 0,
                              (size * sample, 2 * sample, sample))
         both = windows @ filters
         details.append(np.ascontiguousarray(both[:, :, 0]).T)
@@ -427,11 +434,15 @@ def _spectral_k(delta, spec: WaveletSpec):
     d = np.asarray(delta, dtype=np.float64)
     bands = _psi_bands(spec.vanishing_moments)
     x = -d.reshape(-1, 1)
-    powers = np.ones((x.shape[0], TAYLOR_TERMS))  # (-delta)^k
-    powers[:, 1:] = np.cumprod(np.repeat(x, TAYLOR_TERMS - 1, axis=1), axis=1)
+    # (-delta)^k: the running products of 1, -delta, -delta, ...
+    powers = np.empty((x.shape[0], TAYLOR_TERMS))
+    powers[:, :1] = 1.0
+    powers[:, 1:] = x
+    np.multiply.accumulate(powers, axis=1, out=powers)
     parts = np.exp(x * bands.centers) * (powers @ bands.moments)
     prev, last = parts[:, bands.n_up - 2], parts[:, bands.n_up - 1]
-    tail = (prev != 0.0) & (0.0 < np.abs(last)) & (np.abs(last) < 0.95 * np.abs(prev))
+    magnitude = np.abs(last)
+    tail = (prev != 0.0) & (0.0 < magnitude) & (magnitude < 0.95 * np.abs(prev))
     ratio = np.where(tail, last, 0.0) / np.where(tail, prev, 1.0)
     total = 2.0 * (parts.sum(axis=1) + last * ratio / (1.0 - ratio))
     return float(total[0]) if d.ndim == 0 else total.reshape(d.shape)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from wavewhittle import estimator, wavelets
+from wavewhittle import estimator, montecarlo, wavelets
 from wavewhittle.arfima import ArfimaSpec, simulate_arfima
 from wavewhittle.errors import ConfigError, LikelihoodError, ScaleRangeError
 from wavewhittle.estimator import (
@@ -541,7 +541,7 @@ def test_univariate_pass_makes_no_lapack_call(monkeypatch):
         pytest.fail("the univariate pass called the joint search or LAPACK")
 
     monkeypatch.setattr(estimator, "_projected_newton", forbidden)
-    for name in ("slogdet", "inv", "cholesky", "solve"):
+    for name in ("slogdet", "logdet_inv", "newton_step"):
         monkeypatch.setattr(estimator._Lapack, name, staticmethod(forbidden))
     panel = simulate_arfima(ArfimaSpec(d=np.full(5, 0.3), omega=np.eye(5), n_samples=512, seed=3))
     panel[:, 2] = 0.0
@@ -689,25 +689,45 @@ def lapack_cases(p: int) -> dict[str, np.ndarray]:
 
 
 def linalg_outcome(call, *args):
-    """The bytes of what ``call`` returns, or "LinAlgError" if it raises it."""
+    """The bytes of what ``call`` returns (None as "None"), or "LinAlgError"
+    if it raises it."""
     try:
         out = call(*args)
     except np.linalg.LinAlgError:
         return "LinAlgError"
-    return [np.asarray(part).dtype.str + np.asarray(part).tobytes().hex() for part in
-            (out if isinstance(out, tuple) else (out,))]
+    return ["None" if part is None else np.asarray(part).dtype.str + np.asarray(part).tobytes().hex()
+            for part in (out if isinstance(out, tuple) else (out,))]
+
+
+def reference_logdet_inv(a):
+    """numpy.linalg's slogdet, then its inverse only where the logdet is
+    finite: what ``_Lapack.logdet_inv`` fuses."""
+    sign, logdet = np.linalg.slogdet(a)
+    if sign <= 0 or not math.isfinite(logdet):
+        return math.inf, None
+    return float(logdet), np.linalg.inv(a)
+
+
+def reference_newton_step(a, b):
+    """numpy.linalg's Cholesky test, then its solve only where the test
+    passes: what ``_Lapack.newton_step`` fuses."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.solve(a, b)
 
 
 @pytest.mark.parametrize("p", range(1, 9))
 def test_lapack_adapter_matches_numpy_linalg(p):
-    """Each adapter call returns numpy.linalg's bits, raises LinAlgError
-    exactly where numpy.linalg does (slogdet flags failure as sign <= 0 in
-    its bits) and warns on nothing, numpy.linalg's own NaN warning included."""
+    """Each adapter call returns numpy.linalg's bits, fails exactly where
+    numpy.linalg does (slogdet flags failure as sign <= 0 in its bits, the
+    fused calls by inf and None) and warns on nothing, numpy.linalg's own
+    NaN warning included."""
     lapack = estimator._Lapack
     b = np.random.default_rng(100 + p).normal(size=p)
-    pairs = [(np.linalg.slogdet, lapack.slogdet), (np.linalg.inv, lapack.inv),
-             (np.linalg.cholesky, lapack.cholesky),
-             (lambda a: np.linalg.solve(a, b), lambda a: lapack.solve(a, b))]
+    pairs = [(np.linalg.slogdet, lapack.slogdet), (reference_logdet_inv, lapack.logdet_inv),
+             (lambda a: reference_newton_step(a, b), lambda a: lapack.newton_step(a, b))]
     for name, a in lapack_cases(p).items():
         for reference, adapted in pairs:
             with warnings.catch_warnings():
@@ -717,27 +737,36 @@ def test_lapack_adapter_matches_numpy_linalg(p):
                 warnings.simplefilter("error")
                 assert linalg_outcome(adapted, a) == expected, (name, reference)
     cases = lapack_cases(p)
-    assert linalg_outcome(lapack.cholesky, cases["indefinite"]) == "LinAlgError"
-    assert linalg_outcome(lapack.inv, cases["zero"]) == "LinAlgError"
-    assert linalg_outcome(lapack.solve, cases["spd"], b) != "LinAlgError"
+    for name in ("spd", "indefinite", "zero"):
+        passes = name == "spd"
+        assert (lapack.logdet_inv(cases[name])[1] is not None) is passes, name
+        assert (lapack.newton_step(cases[name], b) is not None) is passes, name
+    assert lapack.logdet_inv(cases["zero"])[0] == math.inf
 
 
 def test_indefinite_hessian_falls_back_to_the_gradient_step(monkeypatch):
     """Bivariate scalograms whose correlation and variances jump from scale
     to scale make R nonconvex: at the start its Hessian is indefinite, the
-    Cholesky test fails and the search steps along -gradient instead.  It
-    still ends at the bounded L-BFGS-B minimum."""
-    failures = []
-    cholesky = estimator._Lapack.cholesky
+    Cholesky test in ``newton_step`` fails and the search steps along
+    -gradient instead.  It still ends at the bounded L-BFGS-B minimum."""
+    events = []
+    newton_step, backtrack = estimator._Lapack.newton_step, estimator._backtrack
 
-    def spy(a):
-        try:
-            return cholesky(a)
-        except np.linalg.LinAlgError:
-            failures.append(None)
-            raise
+    def newton_spy(a, b):
+        step = newton_step(a, b)
+        if step is None:
+            assert np.linalg.eigvalsh(a).min() < 0  # the PD test failed on an indefinite block
+        events.append(("newton", step is None))
+        return step
 
-    monkeypatch.setattr(estimator._Lapack, "cholesky", spy)
+    def backtrack_spy(scal, x, value, grad, box, direction, *trial):
+        accepted, count = backtrack(scal, x, value, grad, box, direction, *trial)
+        gradient_step = not trial and np.array_equal(direction, -grad)
+        events.append(("backtrack", gradient_step, accepted is not None))
+        return accepted, count
+
+    monkeypatch.setattr(estimator._Lapack, "newton_step", staticmethod(newton_spy))
+    monkeypatch.setattr(estimator, "_backtrack", backtrack_spy)
     rng = np.random.default_rng(1)
     box, tested = search_box(WSPEC), 0
     while tested < 5:
@@ -751,10 +780,12 @@ def test_indefinite_hessian_falls_back_to_the_gradient_step(monkeypatch):
         hess = _objective_derivatives(scal, _log_regression_init(scal, box))[2]
         if np.linalg.eigvalsh(hess).min() >= 0:
             continue
-        failures.clear()
+        events.clear()
         d_hat, value, diag = estimate_d(scal, EstimationConfig(), WSPEC)
         d_ref, value_ref = lbfgsb_search(scal, box)
-        assert failures and diag["converged"] is True
+        # the first iteration's PD test fails, and its gradient step is taken
+        assert events[:2] == [("newton", True), ("backtrack", True, True)]
+        assert diag["converged"] is True
         assert value <= value_ref + 1e-9
         assert_allclose(d_hat, d_ref, atol=1e-6)
         tested += 1
@@ -903,7 +934,8 @@ def test_omega_checks_the_k_domain_once(monkeypatch):
 
 def test_geometry_constants_are_read_only():
     scal = simulated_scalogram(seed=3)
-    for constant in (*scal._geometry[1:], *estimator._pair_indices(3)):
+    for constant in (*scal._geometry[1:], *estimator._pair_indices(3),
+                     *montecarlo._report_layout(3)[1:], wavelets._filter_pair(4)):
         with pytest.raises(ValueError):
             constant.flat[0] = 0
 

@@ -55,7 +55,8 @@ def test_report_is_bit_reproducible():
 
 
 def test_report_does_not_depend_on_the_geometry_caches():
-    for cache in (wavelets._counts, estimator._scale_terms, estimator._pair_indices):
+    for cache in (wavelets._counts, wavelets._filter_pair, estimator._scale_terms,
+                  estimator._pair_indices, montecarlo._report_layout):
         cache.cache_clear()
     cold = run_scenario(small_scenario(replications=4), keep_raw=True)
     warm = run_scenario(small_scenario(replications=4), keep_raw=True)
@@ -81,6 +82,44 @@ def test_single_replication_degenerate_stats():
     for rec in report.records:
         assert rec["std"] == 0.0
         assert rec["rmse"] == pytest.approx(abs(rec["bias"]), abs=1e-15)
+
+
+@pytest.mark.parametrize("univariate", [True, False])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("replications", [1, 2, 7])
+def test_records_are_numpy_statistics_of_the_raw_estimates(replications, p, univariate):
+    """Each record's bias, std and rmse are np.mean(raw) - truth, np.std(raw)
+    and their math.hypot, bit for bit, over the raw estimates the report
+    keeps; truth is the scenario's d, omega and correlation, and the M/U
+    ratio divides by the univariate rmse formed the same way."""
+    scenario = small_scenario(d=[0.2, 0.3, 0.1][:p], omega=omega_from_rho(0.4, p),
+                              replications=replications, include_univariate=univariate)
+    report = run_scenario(scenario, keep_raw=True)
+    assert report.n_failures == 0 and report.failures == {}
+    raw, corr = report.raw, estimator.correlation_from_cov(scenario.omega)
+    pairs = list(zip(*(index.tolist() for index in np.triu_indices(p))))
+    expected = {f"d_{ell + 1}": (raw["d"][:, ell], scenario.d[ell]) for ell in range(p)}
+    expected.update({f"omega_{ell + 1}_{m + 1}": (raw["omega"][:, ell, m], scenario.omega[ell, m])
+                     for ell, m in pairs})
+    expected.update({f"corr_{ell + 1}_{m + 1}": (raw["correlation"][:, ell, m], corr[ell, m])
+                     for ell, m in pairs if ell < m})
+    assert [rec["quantity"] for rec in report.records] == list(expected)
+
+    def statistics(values, truth):
+        values = np.ascontiguousarray(values)
+        bias, std = float(np.mean(values) - truth), float(np.std(values))
+        return float(truth), bias, std, math.hypot(bias, std)
+
+    for rec in report.records:
+        assert (rec["truth"], rec["bias"], rec["std"], rec["rmse"]) == statistics(
+            *expected[rec["quantity"]]), rec["quantity"]
+    for ell in range(p):
+        ratio = report.record(f"d_{ell + 1}")["ratio_mu"]
+        if univariate:
+            rmse_u = statistics(raw["d_univariate"][:, ell], scenario.d[ell])[3]
+            assert ratio == report.record(f"d_{ell + 1}")["rmse"] / rmse_u
+        else:
+            assert ratio is None
 
 
 def test_quantities_present():
