@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import _umath_linalg as _gufuncs
@@ -58,7 +58,10 @@ class Scalogram:
 
     Kept unnormalized (no division by n_j).  ``matrices[i]`` is the p x p
     matrix for scale j = j0 + i.  Treated as immutable: the derived
-    quantities below are computed once, on first use.
+    quantities are set once, when it is built: ``_geometry``, the constants
+    of its scale range and counts (``_scale_terms``), ``_count``, the total
+    number n of coefficients, and ``_flat``, ``matrices`` as a (J, p^2)
+    array, row j holding I(j) row-major.
     """
 
     matrices: np.ndarray
@@ -66,23 +69,17 @@ class Scalogram:
     j0: int
     j1: int
 
+    def __post_init__(self):
+        self._count, self._geometry = _scale_terms(self.j0, self.j1, tuple(self.counts.tolist()))
+        self._flat = self.matrices.reshape(len(self.matrices), -1)
+
     @property
     def n_channels(self) -> int:
         return self.matrices.shape[1]
 
     @property
     def n_coefficients(self) -> int:
-        return int(self.counts.sum())
-
-    @cached_property
-    def _geometry(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """The constants of its scale range and counts (``_scale_terms``)."""
-        return _scale_terms(self.j0, self.j1, tuple(self.counts.tolist()))
-
-    @cached_property
-    def _flat(self) -> np.ndarray:
-        """``matrices`` as a (J, p^2) array, row j holding I(j) row-major."""
-        return self.matrices.reshape(len(self.matrices), -1)
+        return self._count
 
     @property
     def mean_scale(self) -> float:
@@ -97,20 +94,24 @@ class Scalogram:
 
 
 @lru_cache(maxsize=32)
-def _scale_terms(j0: int, j1: int, counts: tuple) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+def _scale_terms(j0: int, j1: int, counts: tuple) -> tuple[int, tuple]:
     """What a scalogram's scales j0..j1 and counts n_j fix, computed once per
-    geometry and read-only: <J>, the negated centred scales -c_j = <J> - j as
-    a (J, 1) column, the (3, J) weights 1, c_j and c_j^2 divided by n, and
-    the regression weights n_j c_j / sum n_j c_j^2 of
-    ``_log_regression_init``."""
+    geometry: the coefficient count n, and the read-only geometry <J>, the
+    negated centred scales -c_j = <J> - j as a (J, 1) column, the (3, J)
+    weights 1, c_j and c_j^2 divided by n, the regression weights
+    n_j c_j / sum n_j c_j^2 of ``_log_regression_init`` and the negated
+    scales -j as a (J, 1) column."""
     n_j = np.array(counts)
     mean = float((np.arange(j0, j1 + 1) * n_j).sum() / n_j.sum())
-    c = np.arange(j0, j1 + 1, dtype=np.float64) - mean
-    weights = np.stack([np.ones_like(c), c, c * c]) / int(n_j.sum())
+    scales = np.arange(j0, j1 + 1, dtype=np.float64)
+    c = scales - mean
+    n = int(n_j.sum())
+    weights = np.stack([np.ones_like(c), c, c * c]) / n
     regression = n_j * c
     with np.errstate(divide="ignore", invalid="ignore"):  # a single scale has none
         regression /= (regression * c).sum()
-    return mean, _freeze(-c[:, None]), _freeze(weights), _freeze(regression)
+    return n, (mean, _freeze(-c[:, None]), _freeze(weights), _freeze(regression),
+               _freeze(-scales[:, None]))
 
 
 def scalogram(pyramid: WaveletPyramid, j0: int, j1: int) -> Scalogram:
@@ -121,12 +122,13 @@ def scalogram(pyramid: WaveletPyramid, j0: int, j1: int) -> Scalogram:
         )
     if pyramid.counts[j1 - 1] < 1:
         raise ScaleRangeError(f"no coefficients at requested coarsest scale {j1}")
-    mats = []
-    for j in range(j0, j1 + 1):
-        w = pyramid.level(j)
-        mats.append(w.T @ w)
+    levels = pyramid.details[j0 - 1 : j1]
+    p = levels[0].shape[1]
+    mats = np.empty((len(levels), p, p))
+    for w, out in zip(levels, mats):
+        np.matmul(w.T, w, out=out)
     return Scalogram(
-        matrices=np.array(mats),
+        matrices=mats,
         counts=pyramid.counts[j0 - 1 : j1].copy(),
         j0=j0,
         j1=j1,
@@ -136,9 +138,9 @@ def scalogram(pyramid: WaveletPyramid, j0: int, j1: int) -> Scalogram:
 def g_hat(scal: Scalogram, d) -> np.ndarray:
     """Profile covariance G_hat(d), entrywise (1/n) sum_j 2^-j(d_l+d_m) I_lm(j)."""
     d = np.atleast_1d(np.asarray(d, dtype=np.float64))
-    factors = np.exp2(-np.arange(scal.j0, scal.j1 + 1)[:, None] * d)
+    factors = np.exp2(scal._geometry[4] * d)
     scaled = factors[:, :, None] * scal.matrices * factors[:, None, :]
-    return scaled.sum(axis=0) / scal.n_coefficients
+    return np.add.reduce(scaled, axis=0) / scal._count
 
 
 def whittle_likelihood(scal: Scalogram, g_matrix: np.ndarray, d) -> float:
@@ -248,7 +250,7 @@ def _centred_sums(scal: Scalogram, d: np.ndarray) -> np.ndarray:
     """G_bar, H and Q at d as a (3, p, p) array: the sums over scales of
     Lam_{j-<J>}(d)^-1 I(j) Lam_{j-<J>}(d)^-1 / n with the weights 1, c_j and
     c_j^2 (``Scalogram._geometry``)."""
-    _, negated, weights, _ = scal._geometry
+    _, negated, weights, _, _ = scal._geometry
     factors = np.exp2(negated * d)
     p = d.size
     scaled = (factors[:, :, None] * factors[:, None, :]).reshape(negated.size, p * p)
@@ -275,7 +277,7 @@ def _objective_derivatives(scal: Scalogram, d: np.ndarray):
         return math.inf, np.zeros(p), np.zeros((p, p))
     b = h @ a
     hess = a * q
-    hess.ravel()[:: p + 1] += hess.sum(axis=1)
+    hess.ravel()[:: p + 1] += np.add.reduce(hess, axis=1)
     hess -= b * b.T
     hess -= a * (b @ h)
     return logdet + p - 1.0, -2.0 * LOG2 * b.diagonal(), 2.0 * LOG2**2 * hess
@@ -329,17 +331,18 @@ def _log_regression_init(scal: Scalogram, box: tuple[float, float]) -> np.ndarra
     with np.errstate(divide="ignore", invalid="ignore"):
         y = np.log2(variances / scal.counts[:, None])
     good = np.isfinite(y)
-    n = good.sum(axis=0)
-    if good.all():
-        slope = scal._geometry[3] @ y
+    if len(y) >= 2 and np.logical_and.reduce(good, axis=None):
+        init = 0.5 * (scal._geometry[3] @ y)
     else:
+        n = np.add.reduce(good, axis=0)
         js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)[:, None]
         w = good * scal.counts[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            dx = np.where(good, js - (w * js).sum(axis=0) / w.sum(axis=0), 0.0)
-            dy = np.where(good, y - (w * np.where(good, y, 0.0)).sum(axis=0) / w.sum(axis=0), 0.0)
-            slope = (w * dx * dy).sum(axis=0) / (w * dx * dx).sum(axis=0)
-    init = np.where(n >= 2, 0.5 * slope, 0.25)
+            total = np.add.reduce(w, axis=0)
+            dx = np.where(good, js - np.add.reduce(w * js, axis=0) / total, 0.0)
+            dy = np.where(good, y - np.add.reduce(w * np.where(good, y, 0.0), axis=0) / total, 0.0)
+            slope = np.add.reduce(w * dx * dy, axis=0) / np.add.reduce(w * dx * dx, axis=0)
+        init = np.where(n >= 2, 0.5 * slope, 0.25)
     margin = 1e-3 * (box[1] - box[0])
     return _project(init, box[0] + margin, box[1] - margin)
 
@@ -353,9 +356,9 @@ def estimate_d(scal: Scalogram, config: EstimationConfig, spec: WaveletSpec):
     of ``scal``.
     """
     p = scal.n_channels
-    if scal.n_coefficients < p:
+    if scal._count < p:
         raise ConfigError(
-            f"only {scal.n_coefficients} coefficients for {p} channels; estimation refused"
+            f"only {scal._count} coefficients for {p} channels; estimation refused"
         )
     return _projected_newton(scal, spec)
 
@@ -385,17 +388,18 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
     while math.isfinite(value) and iterations < NEWTON_MAX_ITERATIONS:
         iterations += 1
         descent = -grad
-        if lo < x.min() and x.max() < hi:
+        if lo < np.minimum.reduce(x) and np.maximum.reduce(x) < hi:
             free, reduced = all_free, hess
         else:
             free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
-            reduced = hess if free.all() else np.where(free & free[:, None], hess, np.eye(x.size))
+            reduced = (hess if np.logical_and.reduce(free)
+                       else np.where(free & free[:, None], hess, np.eye(x.size)))
         searches = []
         newton = _Lapack.newton_step(reduced, descent)
         if newton is not None:
             trial = _project(x + newton, lo, hi)
             step = trial - x
-            if np.abs(step).max() <= STEP_TOL:
+            if np.maximum.reduce(np.abs(step)) <= STEP_TOL:
                 # the confirming evaluation: only its value is read
                 x = trial
                 value = objective_R(scal, x)
@@ -412,7 +416,7 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
                 break
         else:
             # the Newton decrement g^T H^-1 g / 2 on the free block, if it is PD
-            converged = (np.abs(x - _project(x + descent, lo, hi)).max() <= GRAD_TOL
+            converged = (np.maximum.reduce(np.abs(x - _project(x + descent, lo, hi))) <= GRAD_TOL
                          or newton is not None
                          and float((descent * free) @ newton) / 2
                          <= DECREMENT_TOL * max(1.0, abs(value)))
@@ -422,7 +426,7 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
         "converged": bool(converged),
         "function_evaluations": evaluations,
         "iterations": iterations,
-        "active_bounds": np.flatnonzero(~free).tolist(),
+        "active_bounds": [] if free is all_free else np.flatnonzero(~free).tolist(),
     }
     return x, value, diagnostics
 
@@ -445,7 +449,7 @@ def _backtrack(scal: Scalogram, x, value, grad, box, direction, trial=None, step
     if trial is None:
         trial = _project(x + direction, *box)
         step = trial - x
-        if not np.abs(step).max() > STEP_TOL:
+        if not np.maximum.reduce(np.abs(step)) > STEP_TOL:
             return None, evaluations
     while True:
         trial_value, trial_grad, trial_hess = _objective_derivatives(scal, trial)
@@ -455,7 +459,7 @@ def _backtrack(scal: Scalogram, x, value, grad, box, direction, trial=None, step
         alpha *= 0.5
         trial = _project(x + alpha * direction, *box)
         step = trial - x
-        if not np.abs(step).max() > STEP_TOL:
+        if not np.maximum.reduce(np.abs(step)) > STEP_TOL:
             return None, evaluations
 
 
@@ -523,11 +527,10 @@ def _omega(scal: Scalogram, d_hat: np.ndarray, spec: WaveletSpec):
 def correlation_from_cov(omega: np.ndarray) -> np.ndarray:
     """omega_lm / sqrt(omega_ll omega_mm); NaN in every row and column of a
     channel whose variance is not positive (or NaN)."""
-    variance = np.diagonal(omega).copy()
-    variance[~(variance > 0)] = np.nan
-    scale = np.sqrt(variance)
+    variance = np.diagonal(omega)
+    scale = np.sqrt(np.where(variance > 0, variance, np.nan))
     with np.errstate(invalid="ignore", divide="ignore"):
-        return omega / np.outer(scale, scale)
+        return omega / (scale[:, None] * scale)
 
 
 @dataclass
@@ -653,16 +656,17 @@ def _fit_univariate(scal: Scalogram, spec: WaveletSpec) -> tuple[np.ndarray, lis
         raise ConfigError("single-scale objective is flat in d; need j0 < j1")
     lo, hi = search_box(spec)
     p = scal.n_channels
-    _, negated, weights, _ = scal._geometry
+    _, negated, weights, _, _ = scal._geometry
     variances = np.ascontiguousarray(scal._flat[:, :: p + 1].T)
     exponents = 2.0 * negated[:, 0]
-    searches = [_scalar_newton(x, lo, hi, NEWTON_MAX_ITERATIONS)
-                for x in _separable_start(variances, scal, (lo, hi))]
-    points = [search.send(None) for search in searches]
     results = [None] * p
     pending = range(p)
-    # an infinite variance makes its channel's sums NaN: that channel is singular
-    with np.errstate(invalid="ignore"):
+    # a zero variance has no finite logarithm; an infinite one makes its
+    # channel's sums NaN: that channel is singular
+    with np.errstate(divide="ignore", invalid="ignore"):
+        searches = [_scalar_newton(x, lo, hi, NEWTON_MAX_ITERATIONS)
+                    for x in _separable_start(variances, scal, (lo, hi))]
+        points = [search.send(None) for search in searches]
         moments = variances[:, None, :] * weights
         while pending:
             scaled = np.exp2(np.multiply.outer(points, exponents))
@@ -690,10 +694,10 @@ def _separable_start(variances: np.ndarray, scal: Scalogram, box: tuple[float, f
     """``_log_regression_init`` of each row of the (P, J) diagonal alone:
     a row's slope is one sum along it, with no contraction across rows.  A
     row with a non-finite log-variance (its slope is then not finite) takes
-    the start of its channel fitted alone."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log2(variances / scal.counts)
-        slopes = np.add.reduce(y * scal._geometry[3], axis=1).tolist()
+    the start of its channel fitted alone.  Called where the divide and
+    invalid flags are ignored (``_fit_univariate``)."""
+    y = np.log2(variances / scal.counts)
+    slopes = np.add.reduce(y * scal._geometry[3], axis=1).tolist()
     margin = 1e-3 * (box[1] - box[0])
     lo, hi = box[0] + margin, box[1] - margin
     start = []

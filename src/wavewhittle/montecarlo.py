@@ -57,9 +57,12 @@ class Scenario:
     flag must be a bool.  It keeps what the checks build: the validated
     ``model`` that every replication draws with its own seed, the wavelet
     ``spec`` and estimation ``config`` that every replication fits with, and
-    the scale ranges of the joint (p channels) and univariate fits.  A scale
-    range the sample length cannot hold raises ScaleRangeError and an invalid
-    omega CovarianceError; every other failure is one ScenarioError.
+    the scale ranges of the joint (p channels) and univariate fits, and the
+    read-only ``truth`` that its report takes the biases from: d, omega over
+    the pairs l <= m, the correlations over the pairs l < m and, when the
+    univariate fit runs, d again.  A scale range the sample length cannot hold raises
+    ScaleRangeError and an invalid omega CovarianceError; every other
+    failure is one ScenarioError.
     """
 
     d: np.ndarray
@@ -77,6 +80,7 @@ class Scenario:
     config: EstimationConfig = field(init=False, repr=False, compare=False)
     joint_scales: tuple[int, int] = field(init=False, repr=False, compare=False)
     univariate_scales: tuple[int, int] = field(init=False, repr=False, compare=False)
+    truth: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         try:
@@ -111,6 +115,12 @@ class Scenario:
         store("config", EstimationConfig(j0=self.j0, j1=self.j1))
         for name, p in (("joint_scales", self.n_channels), ("univariate_scales", 1)):
             store(name, resolve_scales(self.n_samples, self.spec, self.config, p))
+        _, rows, cols, upper_rows, upper_cols = _report_layout(self.n_channels)
+        truth = [self.d, self.omega[rows, cols],
+                 correlation_from_cov(self.omega)[upper_rows, upper_cols]]
+        if self.include_univariate:
+            truth.append(self.d)
+        store("truth", _freeze(np.concatenate(truth)))
 
     @property
     def n_channels(self) -> int:
@@ -279,27 +289,23 @@ def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -
     d_hat = np.array([r["d"] for r in kept])
     omega_hat = np.array([r["omega"] for r in kept])
     corr_hat = np.array([r["correlation"] for r in kept])
-    truth = [scenario.d, scenario.omega[rows, cols],
-             correlation_from_cov(scenario.omega)[upper_rows, upper_cols]]
     values = [d_hat.T, omega_hat[:, rows, cols].T, corr_hat[:, upper_rows, upper_cols].T]
     if scenario.include_univariate:
         d_uni = np.array([r["d_univariate"] for r in kept])
-        truth.append(scenario.d)
         values.append(d_uni.T)
     # one (quantities, replications) C-contiguous array reduced along its
     # rows sums each quantity in the same order as its own 1-D array; the
     # mean and deviations below take np.mean's and np.std's own steps, so
     # they give their bits
     values = np.concatenate(values)
-    truth = np.concatenate(truth)
     mean = np.add.reduce(values, axis=1) / len(kept)
     values -= mean[:, None]
     np.square(values, out=values)
     std = np.sqrt(np.add.reduce(values, axis=1) / len(kept)).tolist()
-    bias = (mean - truth).tolist()
+    bias = (mean - scenario.truth).tolist()
     rmse = [math.hypot(b, s) for b, s in zip(bias, std)]
     records = [{"quantity": name, "truth": t, "bias": b, "std": s, "rmse": e, "ratio_mu": None}
-               for name, t, b, s, e in zip(quantities, truth.tolist(), bias, std, rmse)]
+               for name, t, b, s, e in zip(quantities, scenario.truth.tolist(), bias, std, rmse)]
     if scenario.include_univariate:
         for rec, rmse_u in zip(records[:p], rmse[-p:]):
             if rmse_u == 0.0:

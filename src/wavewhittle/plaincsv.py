@@ -131,8 +131,12 @@ def _parse_block(buf: np.ndarray, data: bytes, base: int, width: int) -> np.ndar
     np.add(seps[:-1], 1, out=starts[1:])
     ends = seps - crlf
 
-    is_exp = (body | 0x20) == ord("e")
-    n_exp = int(np.count_nonzero(is_exp))
+    # bytes.find rules out an exponent mark faster than a pass over the block
+    lo, hi = base + _WIN, base + buf.size
+    n_exp = 0
+    if data.find(b"e", lo, hi) >= 0 or data.find(b"E", lo, hi) >= 0:
+        is_exp = (body | 0x20) == ord("e")
+        n_exp = int(np.count_nonzero(is_exp))
     first = buf[starts]
     negative = first == ord("-")
     sign = negative | (first == ord("+"))
@@ -148,9 +152,9 @@ def _parse_block(buf: np.ndarray, data: bytes, base: int, width: int) -> np.ndar
     long_cell = mantissa_len > _WIN
 
     # The window of each cell's mantissa, right-aligned, as 3 words (3, n);
-    # row i of ``window`` is buf[i:i + _WIN], a plain strided view.
-    window = np.ndarray((buf.size - _WIN + 1, _WIN), np.uint8, buf, 0, (1, 1))
-    words = window[mantissa_end - _WIN].view(_WORDS).T.astype(_U64, order="C")
+    # item i of ``window`` is buf[i:i + _WIN], a plain strided view.
+    window = np.ndarray((buf.size - _WIN + 1,), np.dtype(f"V{_WIN}"), buf, 0, (1,))
+    words = window[mantissa_end - _WIN].view(_WORDS).reshape(-1, 3).T.astype(_U64, order="C")
     # The high bit of every '.' byte in the mantissa, by the exact zero-byte
     # test on words ^ '........'.
     dots = words ^ _DOTS
@@ -188,7 +192,7 @@ def _parse_block(buf: np.ndarray, data: bytes, base: int, width: int) -> np.ndar
         exp_negative = after == ord("-")
         exp_sign = exp_negative | (after == ord("+"))
         n_exp_digits = exp_end - exp_at - 1 - exp_sign
-        last = window[exp_end - _WIN].view(_WORDS)[:, 2].astype(_U64)
+        last = window[exp_end - _WIN].view(_WORDS)[2::3].astype(_U64)
         last ^= _ZEROS
         last &= _LAST[2, np.clip(n_exp_digits, 0, 8)]
         written = _eight_digits(last).astype(np.intp)

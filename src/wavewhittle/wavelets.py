@@ -231,10 +231,13 @@ def dwt_pyramid(panel: np.ndarray, spec: WaveletSpec, j_max: int | None = None) 
     one contiguous (p, N) copy of the panel (none for a Fortran-ordered
     panel), then per level one product of its decimated windows with the
     filter pair [g, h], which yields the details and the next approximation
-    at once.  The windows are a plain strided view of the level's input,
-    which is kept as one contiguous (p, S_j) array.  Raises
-    InsufficientDataError (carrying the largest feasible level) when the
-    series is too short for ``j_max``.
+    at once, copied into a (p, 2, n_j) block.  The next level's windows are
+    a plain strided view of the block's approximation row, read in place;
+    the details are copied out of it, so no approximation outlives its
+    level.  The product keeps its own (p, n_j, 2) layout: written into the
+    block directly, BLAS computes the transposed product, whose rounding
+    differs (for M >= 8).  Raises InsufficientDataError (carrying the
+    largest feasible level) when the series is too short for ``j_max``.
     """
     x = np.asarray(panel, dtype=np.float64)
     if x.ndim == 1:
@@ -260,17 +263,18 @@ def dwt_pyramid(panel: np.ndarray, spec: WaveletSpec, j_max: int | None = None) 
     counts = coefficient_counts(n_samples, spec, j_max)
 
     details: list[np.ndarray] = []
-    approx = np.ascontiguousarray(x.T)  # (p, N), channel-major
+    source = np.ascontiguousarray(x.T)  # (p, N), channel-major
+    p, sample = source.shape[0], source.itemsize
+    # the level's input: channel l's row starts at byte offset + l * row
+    offset, row = 0, source.strides[0]
     for n_j in counts.tolist():
         # the n_j decimated windows lying entirely inside the level, as one
-        # (p, n_j, taps) view of the contiguous approximation: window k
-        # starts at sample 2k
-        (p, size), sample = approx.shape, approx.itemsize
-        windows = np.ndarray((p, n_j, taps), np.float64, approx, 0,
-                             (size * sample, 2 * sample, sample))
-        both = windows @ filters
-        details.append(np.ascontiguousarray(both[:, :, 0]).T)
-        approx = np.ascontiguousarray(both[:, :, 1])
+        # (p, n_j, taps) view of its input: window k starts at sample 2k
+        windows = np.ndarray((p, n_j, taps), np.float64, source, offset,
+                             (row, 2 * sample, sample))
+        block = np.ascontiguousarray((windows @ filters).transpose(0, 2, 1))
+        details.append(np.ascontiguousarray(block[:, 0]).T)
+        source, offset, row = block, n_j * sample, 2 * n_j * sample
     return WaveletPyramid(details=details, counts=counts)
 
 

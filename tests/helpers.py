@@ -77,6 +77,29 @@ def reference_pyramid(x, spec, j_max):
     return details
 
 
+def copying_pyramid(x, spec, j_max):
+    """The loop that the block-layout ``dwt_pyramid`` replaced: each level's
+    (p, n_j, 2) product is copied into contiguous details and a contiguous
+    approximation, which the next level's windows view; returns the (n_j, p)
+    details."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    h, g = spec.filters()
+    filters = np.stack([g, h], axis=1)
+    counts = wavelets.coefficient_counts(x.shape[0], spec, j_max)
+    details = []
+    approx = np.ascontiguousarray(x.T)
+    for n_j in counts.tolist():
+        (p, size), sample = approx.shape, approx.itemsize
+        windows = np.ndarray((p, n_j, h.size), np.float64, approx, 0,
+                             (size * sample, 2 * sample, sample))
+        both = windows @ filters
+        details.append(np.ascontiguousarray(both[:, :, 0]).T)
+        approx = np.ascontiguousarray(both[:, :, 1])
+    return details
+
+
 def make_pyramid(details):
     counts = np.array([d.shape[0] for d in details], dtype=np.int64)
     return WaveletPyramid(details=[np.asarray(d, float) for d in details], counts=counts)

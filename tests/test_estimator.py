@@ -933,7 +933,11 @@ def test_omega_checks_the_k_domain_once(monkeypatch):
 
 
 def test_geometry_constants_are_read_only():
-    scal = simulated_scalogram(seed=3)
+    scal = simulated_scalogram(seed=3, j0=2)
+    scales = scal._geometry[4]
+    assert scales.shape == (scal.j1 - 1, 1)
+    assert scales.tobytes() == (-np.arange(2, scal.j1 + 1, dtype=np.float64)[:, None]).tobytes()
+    assert scal.n_coefficients == int(scal.counts.sum())
     for constant in (*scal._geometry[1:], *estimator._pair_indices(3),
                      *montecarlo._report_layout(3)[1:], wavelets._filter_pair(4)):
         with pytest.raises(ValueError):

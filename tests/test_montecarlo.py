@@ -64,6 +64,33 @@ def test_report_does_not_depend_on_the_geometry_caches():
     assert report_payload(cold) == report_payload(warm)
 
 
+@pytest.mark.parametrize("univariate", [True, False])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_scenario_truth_is_built_once(p, univariate):
+    """The scenario's truth is what run_scenario built on each call before
+    the scenario kept it: d, omega over the pairs l <= m, the correlations
+    over the pairs l < m, then d again for the univariate fit; every record
+    reads its own.  The kept vector is read-only, and a second run of one
+    scenario reports the same records."""
+    omega = omega_from_rho(0.3, p) * np.sqrt(np.arange(1, p + 1) * np.arange(1, p + 1)[:, None])
+    scenario = Scenario(d=np.linspace(0.1, 0.4, p), omega=omega, n_samples=256, replications=3,
+                        seed=11, j0=1, j1=5, include_univariate=univariate)
+    rows, cols = np.triu_indices(p)
+    upper = rows < cols
+    truth = [scenario.d, omega[rows, cols],
+             estimator.correlation_from_cov(omega)[rows[upper], cols[upper]]]
+    if univariate:
+        truth.append(scenario.d)
+    expected = np.concatenate(truth).tolist()
+    assert scenario.truth.tolist() == expected
+    report = run_scenario(scenario)
+    # the univariate truths serve the M/U ratios; they have no record of their own
+    assert [rec["truth"] for rec in report.records] == expected[:len(report.records)]
+    with pytest.raises(ValueError):
+        scenario.truth[0] = 0.0
+    assert run_scenario(scenario).records == report.records
+
+
 def test_different_seed_changes_results():
     a = run_scenario(small_scenario())
     b = run_scenario(small_scenario(seed=315))

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import brute_force_pyramid, reference_pyramid
+from helpers import brute_force_pyramid, copying_pyramid, reference_pyramid
 
 from wavewhittle import wavelets
 from wavewhittle.errors import ConfigError, DomainError, InsufficientDataError, UnsupportedOrderError
@@ -33,6 +33,7 @@ from wavewhittle.wavelets import (
     qmf,
     spectral_k,
 )
+from wavewhittle.estimator import scalogram
 
 from helpers import direct_spectral_k, factor_psi_hat_sq
 
@@ -204,6 +205,29 @@ def test_pyramid_matches_reference_property(m, extra, p, seed):
         for level, ref in zip(pyr.details, reference_pyramid(same, spec, j_max), strict=True):
             assert level.shape == ref.shape
             assert_allclose(level, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 10])
+@pytest.mark.parametrize("p", [1, 2, 3, 20])
+@pytest.mark.parametrize("n", [64, 513, 4096])
+def test_pyramid_and_scalogram_are_those_of_the_copying_loop(m, p, n):
+    """The block layout changes no bit: every level's details, and the
+    scalogram over every level, equal byte for byte those of the loop that
+    copied each level's details and approximation out (tests/helpers.py).
+    Each level is still (n_j, p) with each channel's coefficients
+    contiguous."""
+    spec = WaveletSpec(vanishing_moments=m)
+    x = np.random.default_rng([m, p, n]).standard_normal((n, p))
+    j_max = max_feasible_level(n, spec)
+    pyr = dwt_pyramid(x, spec, j_max)
+    ref = copying_pyramid(x, spec, j_max)
+    for level, expected in zip(pyr.details, ref, strict=True):
+        assert level.shape == expected.shape == (expected.shape[0], p)
+        assert level.tobytes() == expected.tobytes()
+        if level.shape[0] > 1:  # a length-1 axis has no meaningful stride
+            assert level.strides[0] == 8
+    matrices = np.array([w.T @ w for w in ref])
+    assert scalogram(pyr, 1, j_max).matrices.tobytes() == matrices.tobytes()
 
 
 def test_pyramid_linearity():
