@@ -5,7 +5,10 @@ flags, reads and writes files, and returns the exit code that each error
 type carries (``WavewhittleError.exit_code``):
 
     0  success (estimation warnings are reported in the output, not the code)
-    2  parse or configuration failure (CSV, flags, scenario files)
+    2  parse or configuration failure (CSV, flags, scenario files): among
+       them a panel or scenario file that is missing, a directory or not
+       UTF-8, an ``--output`` whose directory does not exist or takes no
+       new file, and ``mc --workers`` below 1
     3  infeasible scale range for the given sample length
     4  invalid (non positive definite) covariance
 
@@ -40,9 +43,14 @@ EXIT_OK = 0
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text via a temporary file and rename, so readers never see partial files."""
+    """Write text via a temporary file and rename, so readers never see partial files.
+
+    A directory that does not exist or takes no new file is a ConfigError."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -59,7 +67,8 @@ def read_panel(path) -> tuple[list[str], np.ndarray]:
     The header row is mandatory.  Any file ``csv.reader`` reads is accepted,
     quoted cells included.  Raises PanelFormatError with the 1-based line and
     column of the first malformed, missing or non-finite cell, and of a blank
-    channel name or one that holds a carriage return.
+    channel name or one that holds a carriage return; a file that is not
+    UTF-8 with the line of its first undecodable byte.
 
     The file is read once, as bytes.  Its header is split by ``csv.reader``;
     a body in the plain dialect (ASCII, ``,`` between cells, ``\n`` or
@@ -83,19 +92,32 @@ def read_panel(path) -> tuple[list[str], np.ndarray]:
     except OSError as exc:
         raise PanelFormatError(f"cannot open panel file: {exc}") from exc
     fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    header = fh.readline()
-    # a quoted header may span lines, which only the scan follows
-    if '"' not in header:
+    try:
+        header = fh.readline()
+        # a quoted header may span lines, which only the scan follows
+        if '"' not in header:
+            try:
+                names = _channel_names(next(csv.reader([header]), []))
+            except (csv.Error, PanelFormatError):  # e.g. a name over csv.field_size_limit()
+                pass  # the scan raises it
+            else:
+                panel = plaincsv.parse_body(data, len(header.encode("utf-8")), len(names))
+                if panel is not None:
+                    return names, panel
+        fh.seek(0)
+        return _scan_panel(fh)
+    except UnicodeDecodeError:
+        # the reader decodes in chunks, so its error holds no offset in the
+        # file: decoding the whole file again does
         try:
-            names = _channel_names(next(csv.reader([header]), []))
-        except (csv.Error, PanelFormatError):  # e.g. a name over csv.field_size_limit()
-            pass  # the scan raises it
-        else:
-            panel = plaincsv.parse_body(data, len(header.encode("utf-8")), len(names))
-            if panel is not None:
-                return names, panel
-    fh.seek(0)
-    return _scan_panel(fh)
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = data[:exc.start].decode("utf-8")
+            # the line ends of csv.reader on a newline="" stream: \n, \r and \r\n
+            line = 1 + before.count("\n") + before.count("\r") - before.count("\r\n")
+            raise PanelFormatError(f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}",
+                                   line=line) from None
+        raise
 
 
 def _channel_names(header: list[str]) -> list[str]:

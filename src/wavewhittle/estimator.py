@@ -8,6 +8,7 @@ p = 1 reduces to the univariate wavelet Whittle estimator.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -350,75 +351,90 @@ def _log_regression_init(scal: Scalogram, box: tuple[float, float]) -> np.ndarra
 def estimate_d(scal: Scalogram, config: EstimationConfig, spec: WaveletSpec):
     """Minimize R(d) over the search box; returns (d_hat, R(d_hat), diagnostics).
 
-    One damped projected Newton search (see ``_projected_newton``) started
-    from the per-channel log-regression of the scalogram diagonals;
-    deterministic.  ``config`` is not read: its scale range is already that
-    of ``scal``.
+    One damped projected Newton search (``_newton_search``) on p-vectors,
+    started from the per-channel log-regression of the scalogram diagonals;
+    deterministic.  It is sent R's derivatives (``_objective_derivatives``)
+    at each point, and R alone (``objective_R``) at the confirming point.
+    ``config`` is not read: its scale range is already that of ``scal``.
     """
     p = scal.n_channels
     if scal._count < p:
         raise ConfigError(
             f"only {scal._count} coefficients for {p} channels; estimation refused"
         )
-    return _projected_newton(scal, spec)
-
-
-def _projected_newton(scal: Scalogram, spec: WaveletSpec):
-    """Damped projected Newton search for the minimum of R on the box
-    (Bertsekas 1982, SIAM J. Control Optim. 20).
-
-    Coordinates at a bound whose gradient points out of the box are held
-    there: they become identity rows and columns of the Hessian, so that the
-    one solve gives the free coordinates the Newton step of their Hessian
-    block and the held ones the gradient step.  When that block is not
-    positive definite, or no step along the Newton direction lowers R
-    enough, the search takes a backtracked gradient step instead.  A fit
-    that hits the iteration cap, starts at a singular G_bar or can lower R
-    no further with a projected gradient above GRAD_TOL and a Newton
-    decrement above round-off (DECREMENT_TOL) is reported as not converged.
-    ``active_bounds`` lists the coordinates held in the last iteration.
-    """
     if scal.j1 == scal.j0:
         raise ConfigError("single-scale objective is flat in d; need j0 < j1")
     lo, hi = search_box(spec)
-    x = _log_regression_init(scal, (lo, hi))
-    value, grad, hess = _objective_derivatives(scal, x)
-    evaluations, iterations, converged = 1, 0, False
-    free = all_free = np.ones(x.size, dtype=bool)
+    search = _newton_search(_log_regression_init(scal, (lo, hi)), lo, hi, _Vectors)
+    point, confirming = next(search)
+    try:
+        while True:
+            point, confirming = search.send(
+                (objective_R(scal, point),) if confirming else _objective_derivatives(scal, point))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _newton_search(x, lo: float, hi: float, algebra):
+    """Damped projected Newton search for the minimum of R on the box
+    [lo, hi] (Bertsekas 1982, SIAM J. Control Optim. 20), from the start x:
+    the one search of every fit.
+
+    A generator: it yields (point, confirming) for each point where it needs
+    R and is sent (R, gradient, Hessian) there, or (R,) at the confirming
+    point; it returns (d, R(d), diagnostics).  ``algebra`` is the arithmetic
+    of the joint fit's p-vectors (``_Vectors``) or of one channel's float
+    (``_Floats``).
+
+    Coordinates at a bound whose gradient points out of the box are held
+    there and take the gradient step; the free ones take the Newton step of
+    their Hessian block when it passes the positive-definiteness test.  Each
+    direction, the Newton one first, is halved, projected on the box, until
+    R falls by ARMIJO times the decrease its gradient predicts.  It stops by
+    the rules of the module constants above; a search that hits the
+    iteration cap or starts at a singular G_bar has not converged.
+    ``active_bounds`` lists the coordinates held in the last iteration.
+    """
+    move, dot = algebra.move, algebra.dot
+    value, grad, hess = yield x, False
+    evaluations, iterations, converged, free = 1, 0, False, True
     while math.isfinite(value) and iterations < NEWTON_MAX_ITERATIONS:
         iterations += 1
         descent = -grad
-        if lo < np.minimum.reduce(x) and np.maximum.reduce(x) < hi:
-            free, reduced = all_free, hess
-        else:
-            free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
-            reduced = (hess if np.logical_and.reduce(free)
-                       else np.where(free & free[:, None], hess, np.eye(x.size)))
-        searches = []
-        newton = _Lapack.newton_step(reduced, descent)
+        free, newton = algebra.newton_step(x, grad, hess, descent, lo, hi)
+        directions, trial = (descent,), None
         if newton is not None:
-            trial = _project(x + newton, lo, hi)
-            step = trial - x
-            if np.maximum.reduce(np.abs(step)) <= STEP_TOL:
+            trial, step, length = move(x, newton, lo, hi)
+            if length <= STEP_TOL:
                 # the confirming evaluation: only its value is read
                 x = trial
-                value = objective_R(scal, x)
+                value = (yield x, True)[0]
                 evaluations += 1
                 converged = math.isfinite(value)
                 break
-            searches.append((newton, trial, step))
-        searches.append((descent,))
-        for search in searches:
-            accepted, count = _backtrack(scal, x, value, grad, (lo, hi), *search)
-            evaluations += count
-            if accepted is not None:
-                x, value, grad, hess = accepted
-                break
+            directions = (newton, descent)
+        for direction in directions:
+            alpha = 1.0
+            if trial is None:
+                trial, step, length = move(x, direction, lo, hi)
+            # a NaN step is never within STEP_TOL: it ends the direction at once
+            while length > STEP_TOL:
+                trial_value, trial_grad, trial_hess = yield trial, False
+                evaluations += 1
+                if trial_value < value and trial_value <= value + dot(ARMIJO * grad, step):
+                    break
+                alpha *= 0.5
+                trial, step, length = move(x, alpha * direction, lo, hi)
+            else:
+                trial = None
+                continue
+            x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
+            break
         else:
-            # the Newton decrement g^T H^-1 g / 2 on the free block, if it is PD
-            converged = (np.maximum.reduce(np.abs(x - _project(x + descent, lo, hi))) <= GRAD_TOL
+            # the projected gradient, and the Newton decrement of the free block
+            converged = (move(x, descent, lo, hi)[2] <= GRAD_TOL
                          or newton is not None
-                         and float((descent * free) @ newton) / 2
+                         and dot(descent * free, newton) / 2
                          <= DECREMENT_TOL * max(1.0, abs(value)))
             break
     diagnostics = {
@@ -426,7 +442,7 @@ def _projected_newton(scal: Scalogram, spec: WaveletSpec):
         "converged": bool(converged),
         "function_evaluations": evaluations,
         "iterations": iterations,
-        "active_bounds": [] if free is all_free else np.flatnonzero(~free).tolist(),
+        "active_bounds": algebra.held(free),
     }
     return x, value, diagnostics
 
@@ -436,31 +452,62 @@ def _project(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def _backtrack(scal: Scalogram, x, value, grad, box, direction, trial=None, step=None):
-    """Halve the step along ``direction``, projected on the box, until R falls
-    by ARMIJO times the decrease its gradient predicts.  ``trial`` and
-    ``step`` are the projected point and step at alpha = 1, when the caller
-    has them and has found that step not within STEP_TOL.
+class _Vectors:
+    """The arithmetic of ``_newton_search`` on the joint fit's p-vectors.
 
-    Returns ((d, R, gradient, Hessian) at the accepted point, evaluation
-    count), or (None, count) once the step is at most STEP_TOL (or NaN).
+    ``newton_step`` gives the mask of free coordinates (True when x lies
+    inside the box) and ``_Lapack.newton_step`` on the Hessian whose held
+    rows and columns are made identity, so that the held coordinates take
+    the gradient step.
     """
-    alpha, evaluations = 1.0, 0
-    if trial is None:
-        trial = _project(x + direction, *box)
+
+    dot = staticmethod(operator.matmul)
+
+    @staticmethod
+    def move(x, direction, lo, hi):
+        """The point x + direction projected on the box, the step to it, and
+        the step's largest |entry| (NaN when an entry is NaN)."""
+        trial = _project(x + direction, lo, hi)
         step = trial - x
-        if not np.maximum.reduce(np.abs(step)) > STEP_TOL:
-            return None, evaluations
-    while True:
-        trial_value, trial_grad, trial_hess = _objective_derivatives(scal, trial)
-        evaluations += 1
-        if trial_value < value and trial_value <= value + ARMIJO * grad @ step:
-            return (trial, trial_value, trial_grad, trial_hess), evaluations
-        alpha *= 0.5
-        trial = _project(x + alpha * direction, *box)
+        return trial, step, np.maximum.reduce(np.abs(step))
+
+    @staticmethod
+    def newton_step(x, grad, hess, descent, lo, hi):
+        if lo < np.minimum.reduce(x) and np.maximum.reduce(x) < hi:
+            return True, _Lapack.newton_step(hess, descent)
+        free = ~(((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0)))
+        if not np.logical_and.reduce(free):
+            hess = np.where(free & free[:, None], hess, np.eye(x.size))
+        return free, _Lapack.newton_step(hess, descent)
+
+    @staticmethod
+    def held(free) -> list[int]:
+        return [] if free is True else np.flatnonzero(~free).tolist()
+
+
+class _Floats:
+    """The arithmetic of ``_newton_search`` on one channel's float d, with
+    no array and no LAPACK call: whether the channel is free, and its Newton
+    step, a division by R'' (by 1 when held) when that is positive, the
+    1 x 1 Cholesky test."""
+
+    dot = staticmethod(operator.mul)
+
+    @staticmethod
+    def move(x, direction, lo, hi):
+        trial = min(max(x + direction, lo), hi)
         step = trial - x
-        if not np.maximum.reduce(np.abs(step)) > STEP_TOL:
-            return None, evaluations
+        return trial, step, abs(step)
+
+    @staticmethod
+    def newton_step(x, grad, hess, descent, lo, hi):
+        free = lo < x < hi or not (x <= lo and grad > 0 or x >= hi and grad < 0)
+        curvature = hess if free else 1.0
+        return free, descent / curvature if curvature > 0 else None
+
+    @staticmethod
+    def held(free: bool) -> list[int]:
+        return [] if free else [0]
 
 
 @lru_cache(maxsize=32)
@@ -646,7 +693,8 @@ def _fit_univariate(scal: Scalogram, spec: WaveletSpec) -> tuple[np.ndarray, lis
     (G_l, H_l, Q_l) = sum_j (1, c_j, c_j^2) 4^(-c_j d) I_ll(j) / n.  Then
     R_l' = -2 log(2) H_l / G_l, and R_l'' = 4 log(2)^2 (Q_l/G_l - (H_l/G_l)^2)
     is the weighted variance of the scales, so never negative.  Each channel
-    runs its own search (``_scalar_newton``); one round evaluates the points
+    runs its own search (``_newton_search`` on floats, ``_Floats``): the
+    joint fit's search at p = 1, step for step.  One round evaluates the points
     of every pending channel in one pass over the (P, J) diagonal.  That pass
     is elementwise with one sum along each row, so a channel's estimate and
     diagnostics are bit for bit those of the channel fitted alone.  No
@@ -664,9 +712,9 @@ def _fit_univariate(scal: Scalogram, spec: WaveletSpec) -> tuple[np.ndarray, lis
     # a zero variance has no finite logarithm; an infinite one makes its
     # channel's sums NaN: that channel is singular
     with np.errstate(divide="ignore", invalid="ignore"):
-        searches = [_scalar_newton(x, lo, hi, NEWTON_MAX_ITERATIONS)
+        searches = [_newton_search(x, lo, hi, _Floats)
                     for x in _separable_start(variances, scal, (lo, hi))]
-        points = [search.send(None) for search in searches]
+        points = [next(search)[0] for search in searches]
         moments = variances[:, None, :] * weights
         while pending:
             scaled = np.exp2(np.multiply.outer(points, exponents))
@@ -681,13 +729,13 @@ def _fit_univariate(scal: Scalogram, spec: WaveletSpec) -> tuple[np.ndarray, lis
                 else:
                     derivatives = (math.inf, 0.0, 0.0)
                 try:
-                    points[ell] = searches[ell].send(derivatives)
+                    points[ell] = searches[ell].send(derivatives)[0]
                 except StopIteration as stop:
                     results[ell] = stop.value
                 else:
                     still.append(ell)
             pending = still
-    return np.array([d for d, _ in results]), [diagnostics for _, diagnostics in results]
+    return np.array([d for d, _, _ in results]), [diagnostics for _, _, diagnostics in results]
 
 
 def _separable_start(variances: np.ndarray, scal: Scalogram, box: tuple[float, float]) -> list[float]:
@@ -708,67 +756,3 @@ def _separable_start(variances: np.ndarray, scal: Scalogram, box: tuple[float, f
             alone = Scalogram(row[:, None, None], scal.counts, scal.j0, scal.j1)
             start.append(float(_log_regression_init(alone, box)[0]))
     return start
-
-
-def _scalar_newton(x: float, lo: float, hi: float, cap: int):
-    """``_projected_newton`` at p = 1 in plain floats, from the start x.
-
-    A generator: it yields each point where it needs (R, R', R''), is sent
-    them back, and returns (d, diagnostics).  Same steps and stopping rules:
-    the Newton step when R'' > 0 (else the gradient step), each backtracked
-    by halving to the Armijo condition, then the gradient step if the Newton
-    one fails; a step within STEP_TOL stops on a confirming evaluation, and
-    a search that can lower R no further has converged when its projected
-    gradient is within GRAD_TOL or its Newton decrement R'^2 / 2R'' is within
-    DECREMENT_TOL * max(1, |R|).  At a box edge with R' pointing out, the
-    channel is held: its step is zero.
-    """
-    value, grad, hess = yield x
-    evaluations, iterations, converged, free = 1, 0, False, True
-    while math.isfinite(value) and iterations < cap:
-        iterations += 1
-        descent = -grad
-        free = lo < x < hi or not (x <= lo and grad > 0 or x >= hi and grad < 0)
-        curvature = hess if free else 1.0
-        directions, newton = [], None
-        if curvature > 0:
-            newton = descent / curvature
-            trial = min(max(x + newton, lo), hi)
-            if abs(trial - x) <= STEP_TOL:
-                # the confirming evaluation: only its value is read
-                x = trial
-                value = (yield x)[0]
-                evaluations += 1
-                converged = math.isfinite(value)
-                break
-            directions.append(newton)
-        directions.append(descent)
-        for direction in directions:
-            alpha = 1.0
-            trial = min(max(x + direction, lo), hi)
-            step = trial - x
-            while abs(step) > STEP_TOL:
-                trial_value, trial_grad, trial_hess = yield trial
-                evaluations += 1
-                if trial_value < value and trial_value <= value + ARMIJO * grad * step:
-                    break
-                alpha *= 0.5
-                trial = min(max(x + alpha * direction, lo), hi)
-                step = trial - x
-            else:
-                continue
-            x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
-            break
-        else:
-            converged = (abs(x - min(max(x + descent, lo), hi)) <= GRAD_TOL
-                         or newton is not None
-                         and descent * newton / 2 <= DECREMENT_TOL * max(1.0, abs(value)))
-            break
-    diagnostics = {
-        "method": "newton",
-        "converged": bool(converged),
-        "function_evaluations": evaluations,
-        "iterations": iterations,
-        "active_bounds": [] if free else [0],
-    }
-    return x, diagnostics

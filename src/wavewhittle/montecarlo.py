@@ -260,9 +260,12 @@ def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -
     scenario's model and scale ranges were checked when it was built; its
     circulant embedding is checked here, once, before any replication runs,
     and raises CovarianceError when it is not positive definite.  The output
-    is bit reproducible for a fixed scenario regardless of ``workers``.
+    is bit reproducible for a fixed scenario regardless of ``workers``, which
+    must be an integer of at least 1 (else ConfigError).
     """
     t_start = time.perf_counter()
+    if _integer("workers", workers) < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     # builds the cached factor or raises, and fills the K band cache of the
     # fits' M, so that forked workers inherit both
     embedding_factor(scenario.model)
@@ -418,8 +421,11 @@ def load_scenario(path) -> Scenario:
     comma-separated vectors (``d = 0.2, 0.2``) and semicolon-separated matrix
     rows (``omega = 1, 0.4; 0.4, 1``).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ScenarioError(f"cannot read scenario file: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

@@ -762,6 +762,57 @@ def test_error_shows_only_existing_positions(tmp_path, capsys, text, message):
     assert "line 0" not in err[0] and "column" not in err[0]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--input", "{header_not_utf8}"],
+     "error: not UTF-8: invalid start byte 0xff (line 1)"),
+    (["estimate", "--input", "{latin1}"],
+     "error: not UTF-8: invalid continuation byte 0xe9 (line 2)"),
+    (["estimate", "--input", "{deep_not_utf8}"],
+     "error: not UTF-8: invalid continuation byte 0xe9 (line 5002)"),
+    (["simulate", "--d", "0.2,0.2", "--omega-file", "{latin1}", "--N", "16"],
+     "error: not UTF-8: invalid continuation byte 0xe9 (line 2)"),
+    (["mc", "--scenario", "{missing}"], "error: cannot read scenario file: [Errno 2] "),
+    (["mc", "--scenario", "{directory}"], "error: cannot read scenario file: [Errno 21] "),
+    (["mc", "--scenario", "{latin1_scenario}"], "error: cannot read scenario file: 'utf-8' codec"),
+    (["mc", "--scenario", "scenarios/table1_row3.cfg", "--workers", "-3"],
+     "error: workers must be at least 1, got -3"),
+    (["mc", "--scenario", "scenarios/table1_row3.cfg", "--workers", "0"],
+     "error: workers must be at least 1, got 0"),
+    (["estimate", "--input", "{panel}", "--output", "{nodir}/r.json"],
+     "error: cannot write {nodir}/r.json: No such file or directory"),
+    (["estimate", "--input", "{panel}", "--format", "csv", "--output", "{panel}/r.csv"],
+     "error: cannot write {panel}/r.csv: Not a directory"),
+    (["simulate", "--d", "0.2", "--N", "64", "--output", "{nodir}/p.csv"],
+     "error: cannot write {nodir}/p.csv: No such file or directory"),
+    (["mc", "--scenario", "scenarios/table1_row3.cfg", "--reps", "2", "--output", "{nodir}/mc"],
+     "error: cannot write {nodir}/mc.json: No such file or directory"),
+], ids=["header_not_utf8", "body_not_utf8", "deep_not_utf8", "omega_not_utf8",
+        "scenario_missing", "scenario_directory", "scenario_not_utf8", "workers_negative",
+        "workers_zero", "estimate_no_dir", "estimate_csv_under_a_file", "simulate_no_dir",
+        "mc_no_dir"])
+def test_unreadable_input_or_unwritable_output_exits_2(tmp_path, capsys, argv, message):
+    """One error line and exit 2, nothing on stdout, and no file written:
+    no report and no temporary file.  A panel that is not UTF-8 is refused
+    at the line of its first undecodable byte, also past the reader's first
+    chunk and after lines ended by \\r and \\r\\n."""
+    files = {name: tmp_path / name for name in (
+        "header_not_utf8", "latin1", "deep_not_utf8", "missing", "directory",
+        "latin1_scenario", "panel", "nodir")}
+    files["header_not_utf8"].write_bytes(b"\xff\xfech1,ch2\n1,2\n")
+    files["latin1"].write_bytes(b"a,b\n1.0,0.5\xe9\n0.5,2.0\n")
+    files["deep_not_utf8"].write_bytes(b"a,b\r\n" + b"1,2\r" * 3000 + b"3,4\r\n" * 2000
+                                       + b"5,\xe96\n7,8\n")
+    files["directory"].mkdir()
+    files["latin1_scenario"].write_bytes(b"d = 0.2, 0.2\n# r\xe9sum\xe9\n")
+    write_panel(files["panel"], np.random.default_rng(0).standard_normal((64, 2)))
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(*[arg.format(**files) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith(message.format(**files))
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("key, value", [
     ("N", 300.9), ("reps", 2.7), ("seed", 1.5), ("M", 3.5), ("j0", 1.5), ("j1", 5.2),

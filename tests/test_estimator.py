@@ -534,13 +534,15 @@ def test_univariate_each_matches_single_channel_run():
 
 
 def test_univariate_pass_makes_no_lapack_call(monkeypatch):
-    """The univariate pass is one scalar Newton search per channel: it calls
-    neither the joint search nor any LAPACK routine, also on a zero channel,
-    whose start comes from its own log-variances."""
+    """The univariate pass is one search on floats per channel: it calls
+    neither the joint fit, nor the joint objective's derivatives, nor any
+    LAPACK routine, also on a zero channel, whose start comes from its own
+    log-variances."""
     def forbidden(*args):
-        pytest.fail("the univariate pass called the joint search or LAPACK")
+        pytest.fail("the univariate pass called the joint fit or LAPACK")
 
-    monkeypatch.setattr(estimator, "_projected_newton", forbidden)
+    monkeypatch.setattr(estimator, "estimate_d", forbidden)
+    monkeypatch.setattr(estimator, "_objective_derivatives", forbidden)
     for name in ("slogdet", "logdet_inv", "newton_step"):
         monkeypatch.setattr(estimator._Lapack, name, staticmethod(forbidden))
     panel = simulate_arfima(ArfimaSpec(d=np.full(5, 0.3), omega=np.eye(5), n_samples=512, seed=3))
@@ -744,29 +746,36 @@ def test_lapack_adapter_matches_numpy_linalg(p):
     assert lapack.logdet_inv(cases["zero"])[0] == math.inf
 
 
+def drive(search, evaluate):
+    """Run a ``_newton_search`` generator, sending it evaluate(point) at every
+    point it yields; returns the (point, confirming) pairs and its result."""
+    yielded, sent = [], None
+    try:
+        while True:
+            yielded.append(search.send(sent))
+            sent = evaluate(yielded[-1][0])
+    except StopIteration as stop:
+        return yielded, stop.value
+
+
 def test_indefinite_hessian_falls_back_to_the_gradient_step(monkeypatch):
     """Bivariate scalograms whose correlation and variances jump from scale
     to scale make R nonconvex: at the start its Hessian is indefinite, the
-    Cholesky test in ``newton_step`` fails and the search steps along
-    -gradient instead.  It still ends at the bounded L-BFGS-B minimum."""
-    events = []
-    newton_step, backtrack = estimator._Lapack.newton_step, estimator._backtrack
+    Cholesky test in ``newton_step`` fails, and the first iteration's trials
+    halve the projected step along -gradient until the Armijo test accepts
+    one.  The search ends at the bounded L-BFGS-B minimum, and ``estimate_d``
+    is this search."""
+    newton_calls = []
+    newton_step = estimator._Lapack.newton_step
 
     def newton_spy(a, b):
         step = newton_step(a, b)
         if step is None:
             assert np.linalg.eigvalsh(a).min() < 0  # the PD test failed on an indefinite block
-        events.append(("newton", step is None))
+        newton_calls.append(step is None)
         return step
 
-    def backtrack_spy(scal, x, value, grad, box, direction, *trial):
-        accepted, count = backtrack(scal, x, value, grad, box, direction, *trial)
-        gradient_step = not trial and np.array_equal(direction, -grad)
-        events.append(("backtrack", gradient_step, accepted is not None))
-        return accepted, count
-
     monkeypatch.setattr(estimator._Lapack, "newton_step", staticmethod(newton_spy))
-    monkeypatch.setattr(estimator, "_backtrack", backtrack_spy)
     rng = np.random.default_rng(1)
     box, tested = search_box(WSPEC), 0
     while tested < 5:
@@ -777,29 +786,113 @@ def test_indefinite_hessian_falls_back_to_the_gradient_step(monkeypatch):
             r, scale = rng.uniform(-0.999, 0.999), np.exp(rng.normal(0.0, 3.0, 2))
             mats.append(n_j * np.outer(scale, scale) * np.array([[1.0, r], [r, 1.0]]))
         scal = Scalogram(np.array(mats), counts, 1, n_scales)
-        hess = _objective_derivatives(scal, _log_regression_init(scal, box))[2]
+        x = _log_regression_init(scal, box)
+        value, grad, hess = _objective_derivatives(scal, x)
         if np.linalg.eigvalsh(hess).min() >= 0:
             continue
-        events.clear()
-        d_hat, value, diag = estimate_d(scal, EstimationConfig(), WSPEC)
-        d_ref, value_ref = lbfgsb_search(scal, box)
+        newton_calls.clear()
+        iteration = []  # the newton_step calls made before each yielded point
+
+        def evaluate(point):
+            iteration.append(len(newton_calls))
+            return _objective_derivatives(scal, point)
+
+        yielded, (d_hat, value_hat, diag) = drive(
+            estimator._newton_search(x, *box, estimator._Vectors), evaluate)
         # the first iteration's PD test fails, and its gradient step is taken
-        assert events[:2] == [("newton", True), ("backtrack", True, True)]
+        assert newton_calls[0] is True and len(newton_calls) >= 2
+        trials = [point for (point, _), k in zip(yielded, iteration) if k == 1]
+        for halvings, trial in enumerate(trials):
+            assert trial.tobytes() == estimator._project(x + 0.5**halvings * -grad, *box).tobytes()
+        trial_values = [_objective_derivatives(scal, trial)[0] for trial in trials]
+        armijo = [r < value and r <= value + estimator.ARMIJO * grad @ (trial - x)
+                  for r, trial in zip(trial_values, trials)]
+        assert armijo == [False] * (len(trials) - 1) + [True]
         assert diag["converged"] is True
-        assert value <= value_ref + 1e-9
+        public = estimate_d(scal, EstimationConfig(), WSPEC)
+        assert public[0].tobytes() == d_hat.tobytes() and public[1:] == (value_hat, diag)
+        d_ref, value_ref = lbfgsb_search(scal, box)
+        assert value_hat <= value_ref + 1e-9
         assert_allclose(d_hat, d_ref, atol=1e-6)
         tested += 1
 
 
 def test_backtracking_gives_up_on_a_nan_direction():
-    """A NaN direction gives NaN steps, which never fall to STEP_TOL: the
-    search reports no step at once instead of halving forever."""
+    """A NaN gradient gives NaN Newton and gradient steps, which never fall
+    to STEP_TOL: the search, on vectors and on floats, yields no trial point
+    instead of halving forever, and ends not converged after one iteration."""
     scal = Scalogram(np.array([4.0, 2.0, 1.0])[:, None, None] * np.eye(2),
                      np.array([4, 2, 1]), 1, 3)
     x = np.array([0.1, 0.2])
-    value, grad, _ = _objective_derivatives(scal, x)
-    assert estimator._backtrack(scal, x, value, grad, search_box(WSPEC),
-                                np.array([np.nan, 0.0])) == (None, 0)
+    value, grad, hess = _objective_derivatives(scal, x)
+    grad[0] = np.nan
+    for start, algebra, sent in ((x, estimator._Vectors, (value, grad, hess)),
+                                 (0.1, estimator._Floats, (value, math.nan, hess[0, 0]))):
+        search = estimator._newton_search(start, *search_box(WSPEC), algebra)
+        yielded, (d_hat, value_hat, diag) = drive(search, lambda point: sent)
+        assert yielded == [(start, False)] and d_hat is start and value_hat == value
+        assert diag == {"method": "newton", "converged": False, "function_evaluations": 1,
+                        "iterations": 1, "active_bounds": []}
+
+
+def univariate_derivatives(variances: np.ndarray, scal: Scalogram, d: float):
+    """(R, R', R'') of the closed-form p = 1 criterion R(d) = log G(d) of one
+    channel's wavelet variances, as in ``_fit_univariate``'s docstring."""
+    _, negated, weights, _, _ = scal._geometry
+    g, h, q = (weights @ (variances * np.exp2(2.0 * negated[:, 0] * d))).tolist()
+    if not 0.0 < g < math.inf:
+        return math.inf, 0.0, 0.0
+    return math.log(g), -2.0 * LOG2 * h / g, 4.0 * LOG2**2 * (q / g - (h / g) ** 2)
+
+
+def test_the_float_search_is_the_vector_search_at_p_1():
+    """``_newton_search`` on one float (the univariate pass) and on a
+    1-element array (the joint fit) is one search: sent the same (R, R', R'')
+    of the closed-form univariate criterion, the two yield the same points
+    and end at the same d, R and diagnostics, bit for bit.  Random wavelet
+    variances at 2 to 9 scales, among them channels held at BOX_LOW and at
+    M, and a zero channel; each searched from the univariate pass's start
+    and from a random point of the box, which takes longer steps."""
+    rng = np.random.default_rng(24)
+    lo, hi = search_box(WSPEC)
+    held, zero, halved = set(), 0, 0
+    for _ in range(300):
+        n_scales = int(rng.integers(2, 10))
+        counts = np.array([max(8192 >> j, 1) for j in range(1, n_scales + 1)])
+        d = np.append(rng.uniform(-0.5, 1.5, 4), [-3.0, 6.0, 0.0])
+        j = np.arange(1, n_scales + 1)
+        variances = counts * 2.0 ** (2.0 * d[:, None] * j) * rng.chisquare(counts) / counts
+        variances[-1] = 0.0
+        scal = Scalogram(np.zeros((n_scales, 1, 1)), counts, 1, n_scales)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            starts = estimator._separable_start(variances, scal, (lo, hi))
+        for row, start in zip(variances, starts):
+            for x in (start, float(rng.uniform(lo, hi))):
+                def evaluate(point, vector):
+                    value, grad, hess = univariate_derivatives(
+                        row, scal, float(point[0]) if vector else point)
+                    if vector:
+                        return value, np.array([grad]), np.array([[hess]])
+                    return value, grad, hess
+
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    on_floats = drive(estimator._newton_search(x, lo, hi, estimator._Floats),
+                                      lambda point: evaluate(point, False))
+                    on_vectors = drive(estimator._newton_search(np.array([x]), lo, hi,
+                                                                estimator._Vectors),
+                                       lambda point: evaluate(point, True))
+                float_points, (d_float, r_float, diag_float) = on_floats
+                vector_points, (d_vector, r_vector, diag_vector) = on_vectors
+                assert (np.array([point for point, _ in float_points]).tobytes()
+                        == np.concatenate([point for point, _ in vector_points]).tobytes())
+                assert [flag for _, flag in float_points] == [flag for _, flag in vector_points]
+                assert np.float64(d_float).tobytes() == d_vector.tobytes()
+                assert r_float == r_vector and diag_float == diag_vector
+                if diag_float["active_bounds"]:
+                    held.add(d_float)
+                zero += diag_float["iterations"] == 0
+                halved += diag_float["function_evaluations"] > diag_float["iterations"] + 1
+    assert held == {lo, hi} and zero == 600 and halved > 0
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.6])

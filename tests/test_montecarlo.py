@@ -12,7 +12,8 @@ from numpy.testing import assert_allclose
 
 from wavewhittle import arfima, cli, estimator, montecarlo, wavelets
 from wavewhittle.arfima import simulate_arfima
-from wavewhittle.errors import CovarianceError, LikelihoodError, ScaleRangeError, ScenarioError
+from wavewhittle.errors import (ConfigError, CovarianceError, LikelihoodError, ScaleRangeError,
+                               ScenarioError)
 from wavewhittle.estimator import estimate_panel, estimate_univariate_each
 from wavewhittle.montecarlo import (
     SCENARIO_KEYS,
@@ -169,6 +170,20 @@ def test_workers_do_not_change_results():
     serial = run_scenario(small_scenario(replications=8))
     parallel = run_scenario(small_scenario(replications=8), workers=2)
     assert report_payload(serial) == report_payload(parallel)
+
+
+@pytest.mark.parametrize("workers, message", [
+    (0, "workers must be at least 1, got 0"),
+    (-3, "workers must be at least 1, got -3"),
+    (1.5, "workers must be an integer, got 1.5"),
+    (True, "workers must be an integer, got True"),
+])
+def test_workers_below_one_or_not_integers_are_refused(monkeypatch, workers, message):
+    calls = []
+    monkeypatch.setattr(montecarlo, "_replication_worker", calls.append)
+    with pytest.raises(ConfigError, match=message):
+        run_scenario(small_scenario(replications=2), workers=workers)
+    assert calls == []
 
 
 def test_infeasible_scale_range_raises_before_any_replication():
@@ -669,6 +684,17 @@ def test_load_scenario_json(tmp_path):
     sc = load_scenario(path)
     assert sc.n_channels == 1
     assert_allclose(sc.omega, np.eye(1))
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_scenario_file_is_a_scenario_error(tmp_path, kind):
+    path = tmp_path / "scenario.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"d = 0.2\n# r\xe9sum\xe9\n")
+    with pytest.raises(ScenarioError, match="cannot read scenario file: "):
+        load_scenario(path)
 
 
 def test_load_scenario_bad_line(tmp_path):
