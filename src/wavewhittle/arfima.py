@@ -11,28 +11,35 @@ cross-autocovariance (Sela & Hurvich 2009, JTSA 30)
                   * Gamma(h+d_l) / Gamma(h+1-d_m),   h >= 0,
 
 and gamma_lm(-h) = gamma_ml(h).  Wrapped into a circulant of length 2N, it
-has an (N+1, p, p) Hermitian spectrum; its batched Cholesky factor turns the
-rfft of 2N white-noise samples per channel into an exact draw whose first N
-samples have exactly these covariances.  That rfft is never computed: its
-bins are independent Gaussians of known variance (Davies & Harte 1987,
-Biometrika 74; Wood & Chan 1994, JCGS 3), so 2N + 2 standard normals per
-channel, read as N + 1 complex bins and scaled, are the same white noise
-under an orthogonal change of variables.  A draw then costs one irfft per
-channel.  Channels with d >= 1/2 are integrated (cumulative sums) from their
-stationary exponent.
+has an (N+1, p, p) Hermitian spectrum; its Cholesky factor, per frequency,
+turns the rfft of 2N white-noise samples per channel into an exact draw
+whose first N samples have exactly these covariances.  That rfft is never
+computed: its bins are independent Gaussians of known variance (Davies &
+Harte 1987, Biometrika 74; Wood & Chan 1994, JCGS 3), so 2N + 2 standard
+normals per channel, read as N + 1 complex bins and scaled, are the same
+white noise under an orthogonal change of variables.  A draw then costs one
+irfft per channel.  Channels with d >= 1/2 are integrated (cumulative sums)
+from their stationary exponent.
 
-The factor depends only on (stationary exponents, omega, N), and every
-replication of a Monte-Carlo scenario shares those, so the last
+The factor is stored as its packed lower triangle: a C-contiguous
+(p(p+1)/2, N+1) complex array whose row l(l+1)/2 + m holds factor[l, m],
+m <= l, over the frequencies.  It is built in place: one circulant row and
+one rfft per lower pair fill the rows with the spectrum, and a Cholesky
+factorization over frequency blocks of at most ~1 MB writes the factor back
+into the same rows.  No (p, p, 2N) circulant or (N+1, p, p) spectrum is
+ever held.  The factor depends only on (stationary exponents, omega, N),
+and every replication of a Monte-Carlo scenario shares those, so the last
 FACTOR_CACHE_SIZE = 2 factors are kept, read-only: one per scenario, and
-room for two scenarios run in turn.  Each holds (N+1) * p^2 * 16 bytes
-(4.2 MB at N = 65536, p = 2; 1.06 GB at N = 8192, p = 90).  A draw besides
-holds (2N+2) p doubles of bins, one 2N-sample irfft buffer and the N p panel
-(2.1, 1.0 and 1.0 MB at N = 65536, p = 2).  Building a factor first needs a
-(p, p, 2N) float64 circulant; a model whose circulant is larger than the
-address space, or whose build runs out of memory, raises ConfigError
-instead of being drawn.  A spectrum that is not positive definite at some
-frequency has no such factor: the draw raises CovarianceError and is never
-clipped.  For one channel with |d| < 1/2 the
+room for two scenarios run in turn.  Each holds (N+1) * p(p+1)/2 * 16 bytes
+(3.1 MB at N = 65536, p = 2; 0.54 GB at N = 8192, p = 90).  A draw works in
+a (p+1, 2N+2) float64 workspace, one per (p, N), of which the last
+FACTOR_CACHE_SIZE are kept (3.1 MB at N = 65536, p = 2), and allocates only
+the (N, p) panel it returns (1.0 MB there); a draw that finds the workspace
+held by another thread takes a buffer of its own.  A model whose factor is
+larger than the address space, or whose build runs out of memory, raises
+ConfigError instead of being drawn.  A spectrum that is not positive
+definite at some frequency has no such factor: the draw raises
+CovarianceError and is never clipped.  For one channel with |d| < 1/2 the
 embedding is always nonnegative (Craigmile 2003, JTSA 24); for several
 channels it is not (d = (0, 0.49), rho = 0.99, N = 512 fails).
 """
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +61,10 @@ from .wavelets import WaveletSpec, _freeze, _integer, spectral_k
 # keys let a caller alternate the two Table 1 models (their exponents, 0.2
 # and 1.2 - 1 = 0.19999999999999996, differ in the last bit) without rebuilds.
 FACTOR_CACHE_SIZE = 2
+# A factor build runs its Cholesky factorization over (frequencies, p, p)
+# complex blocks of at most this many bytes: beyond the factor, it holds one
+# block and the block's factor.
+_BLOCK_BYTES = 1_000_000
 
 
 def split_memory(d: float) -> tuple[float, int]:
@@ -170,19 +182,22 @@ class ArfimaSpec:
         return self.d.size
 
 
-def _embedding_spectrum(d_s: tuple, omega: tuple, n: int) -> np.ndarray:
-    """(N+1, p, p) Hermitian spectrum of the length-2N circulant embedding.
+def _packed_spectrum(d_s: tuple, omega: tuple, n: int) -> np.ndarray:
+    """Packed lower triangle of the Hermitian spectrum of the length-2N
+    circulant embedding: a C-contiguous (p(p+1)/2, N+1) complex array whose
+    row l(l+1)/2 + m holds entry (l, m), m <= l, at frequencies 0..N.
 
     The cross-autocovariances gamma_lm(h) = E[X_l(t+h) X_m(t)] at lags
-    h = 0..N of every pair come from one cumulative product over a (p, p, N)
-    lag array: gamma(0) = omega_lm Gamma(1-d_l-d_m) / (Gamma(1-d_l)
-    Gamma(1-d_m)) and gamma(h+1) = gamma(h) (h+d_l) / (h+1-d_m), exact zeros
-    after lag 0 when d_l = 0.  Requires |d_l| < 1/2 for every channel.
+    h = 0..N of a pair come from one cumulative product: gamma(0) = omega_lm
+    Gamma(1-d_l-d_m) / (Gamma(1-d_l) Gamma(1-d_m)) and gamma(h+1) = gamma(h)
+    (h+d_l) / (h+1-d_m), exact zeros after lag 0 when d_l = 0.  Requires
+    |d_l| < 1/2 for every channel.
 
-    Circulant entry k holds lag k for k < N and lag k - 2N for k > N.  Entry
-    N stands for lag N and lag -N at once; no covariance among the first N
-    samples uses it, and it holds their symmetric mean, which keeps the
-    spectrum Hermitian.
+    Circulant entry k of pair (l, m) holds gamma_lm(k) for k < N and
+    gamma_ml(2N - k) for k > N.  Entry N stands for lag N and lag -N at once;
+    no covariance among the first N samples uses it, and it holds their
+    symmetric mean, which keeps the spectrum Hermitian.  Each pair is one
+    circulant row, reused, and one rfft written into its packed row.
     """
     p = len(d_s)
     d = np.array(d_s)
@@ -193,45 +208,87 @@ def _embedding_spectrum(d_s: tuple, omega: tuple, n: int) -> np.ndarray:
     gamma0 = np.reshape(omega, (p, p)) * gamma0.reshape(p, p)
     scale = np.array([math.gamma(x) for x in head.tolist()])
     gamma0 /= scale[:, None] * scale
-    circulant = np.empty((p, p, 2 * n))
-    circulant[..., 0] = gamma0
-    # lags 1..N, built in place: the ratios (h+d_l) / (h+1-d_m), h = 0..N-1,
-    # their cumulative product, times gamma(0)
-    lags = circulant[..., 1 : n + 1]
+    packed = np.empty((p * (p + 1) // 2, n + 1), dtype=np.complex128)
     h = np.arange(n, dtype=np.float64)
-    np.divide(h + d[:, None, None], h + 1.0 - d[:, None], out=lags)
-    np.cumprod(lags, axis=-1, out=lags)
-    lags *= gamma0[..., None]
-    circulant[..., n] = 0.5 * (circulant[..., n] + circulant[..., n].T)
-    circulant[..., n + 1 :] = circulant.transpose(1, 0, 2)[..., n - 1 : 0 : -1]
-    return np.moveaxis(np.fft.rfft(circulant, axis=-1), -1, 0)
+    h1 = h + 1.0
+    circulant = np.empty(2 * n)
+    mirror = np.empty(n)  # gamma_ml(1..N)
+    denominator = np.empty(n)
+
+    def lags(out, ell, m):
+        # gamma_lm(1..N): the ratios (h+d_l) / (h+1-d_m), h = 0..N-1, their
+        # cumulative product, times gamma(0)
+        np.add(h, d[ell], out=out)
+        np.divide(out, np.subtract(h1, d[m], out=denominator), out=out)
+        np.cumprod(out, out=out)
+        out *= gamma0[ell, m]
+
+    for ell in range(p):
+        for m in range(ell + 1):
+            circulant[0] = gamma0[ell, m]
+            lags(circulant[1 : n + 1], ell, m)
+            lags(mirror, m, ell)
+            circulant[n] = 0.5 * (circulant[n] + mirror[n - 1])
+            circulant[n + 1 :] = mirror[: n - 1][::-1]
+            np.fft.rfft(circulant, out=packed[ell * (ell + 1) // 2 + m])
+    return packed
+
+
+def _lower_blocks(packed: np.ndarray, p: int):
+    """Yield (block, start, stop) over the frequencies of a packed array:
+    ``block`` is a (stop - start, p, p) complex array whose lower triangle
+    holds the packed rows at frequencies start..stop-1 and whose upper
+    triangle is zero.  One buffer of at most _BLOCK_BYTES, or of one
+    frequency when 16 p^2 exceeds that, is refilled for every block."""
+    size = min(packed.shape[1], max(1, _BLOCK_BYTES // (16 * p * p)))
+    buffer = np.zeros((size, p, p), dtype=np.complex128)
+    for start in range(0, packed.shape[1], size):
+        stop = min(start + size, packed.shape[1])
+        block = buffer[: stop - start]
+        for ell in range(p):
+            base = ell * (ell + 1) // 2
+            block[:, ell, : ell + 1] = packed[base : base + ell + 1, start:stop].T
+        yield block, start, stop
 
 
 @functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _embedding_factor(d_s: tuple, omega: tuple, n: int) -> np.ndarray:
-    """Read-only (p, p, N+1) lower Cholesky factor of the embedding spectrum,
-    frequency last; raises np.linalg.LinAlgError if it is not positive
-    definite, and MemoryError if it cannot be built in memory."""
-    if _circulant_bytes(len(d_s), n) > np.iinfo(np.intp).max:
+    """Read-only packed lower Cholesky factor of the embedding spectrum: a
+    (p(p+1)/2, N+1) complex array whose row l(l+1)/2 + m holds factor[l, m]
+    over the frequencies.  Built in place in the spectrum's own rows, one
+    frequency block at a time.  Raises np.linalg.LinAlgError if the spectrum
+    is not positive definite, and MemoryError if the factor cannot be built
+    in memory."""
+    p = len(d_s)
+    if _factor_bytes(p, n) > np.iinfo(np.intp).max:
         raise MemoryError  # numpy would raise ValueError: array is too big
-    factor = np.linalg.cholesky(_embedding_spectrum(d_s, omega, n)).transpose(1, 2, 0).copy()
+    factor = _packed_spectrum(d_s, omega, n)
+    for block, start, stop in _lower_blocks(factor, p):
+        lower = np.linalg.cholesky(block)
+        for ell in range(p):
+            base = ell * (ell + 1) // 2
+            factor[base : base + ell + 1, start:stop] = lower[:, ell, : ell + 1].T
+        del lower  # before the next block's factor is allocated
     factor.flags.writeable = False
     return factor
 
 
-def _circulant_bytes(p: int, n: int) -> int:
-    """Bytes of the (p, p, 2N) float64 circulant, the first array a factor build allocates."""
-    return p * p * 2 * n * 8
+def _factor_bytes(p: int, n: int) -> int:
+    """Bytes of the packed (p(p+1)/2, N+1) complex factor, the largest array
+    a factor build allocates."""
+    return p * (p + 1) // 2 * (n + 1) * 16
 
 
 def embedding_factor(spec: ArfimaSpec) -> np.ndarray:
-    """The cached circulant-embedding factor of ``spec`` (module docstring).
+    """The cached, packed circulant-embedding factor of ``spec`` (module
+    docstring): row l(l+1)/2 + m holds factor[l, m], m <= l, at the
+    frequencies 0..N.
 
     Raises CovarianceError, naming d, omega, N and the smallest eigenvalue of
     the embedding, when the embedding is not positive definite.  Raises
-    ConfigError, naming N, p and the bytes of the circulant, when the model
-    is too large to simulate: the circulant exceeds the address space
-    (checked before anything is allocated) or the build runs out of memory.
+    ConfigError, naming N, p and the bytes of the factor, when the model is
+    too large to simulate: the factor exceeds the address space (checked
+    before anything is allocated) or the build runs out of memory.
     """
     key = spec._factor_key
     try:
@@ -239,11 +296,13 @@ def embedding_factor(spec: ArfimaSpec) -> np.ndarray:
     except MemoryError:
         p, n = spec.n_channels, spec.n_samples
         raise ConfigError(
-            f"N={n} with p={p} channels is too large to simulate: its circulant "
-            f"embedding alone needs {_circulant_bytes(p, n)} bytes"
+            f"N={n} with p={p} channels is too large to simulate: its embedding "
+            f"factor alone needs {_factor_bytes(p, n)} bytes"
         ) from None
     except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(_embedding_spectrum(*key)).min())
+        # the failed build overwrote part of the spectrum: build it again
+        blocks = _lower_blocks(_packed_spectrum(*key), spec.n_channels)
+        smallest = min(float(np.linalg.eigvalsh(block).min()) for block, _, _ in blocks)
         raise CovarianceError(
             f"the circulant embedding of d={spec.d.tolist()}, omega={spec.omega.tolist()}, "
             f"N={spec.n_samples} is not positive definite (smallest eigenvalue "
@@ -266,27 +325,53 @@ def simulate_arfima(spec: ArfimaSpec) -> np.ndarray:
     return _draw(spec, embedding_factor(spec), spec.seed)
 
 
+@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _workspace(p: int, n: int) -> tuple[threading.Lock, np.ndarray]:
+    """The buffer that draws of p channels and N samples reuse, and the lock
+    of the draw that holds it (``_mix``)."""
+    return threading.Lock(), np.empty((p + 1, 2 * n + 2))
+
+
 def _draw(spec: ArfimaSpec, factor: np.ndarray, seed) -> np.ndarray:
     """``simulate_arfima`` of ``spec`` with ``seed`` in place of ``spec.seed``,
-    given its embedding factor: a Monte-Carlo run validates the model and
-    looks up the factor once, then draws every replication from here."""
+    given its packed embedding factor: a Monte-Carlo run validates the model
+    and looks up the factor once, then draws every replication from here.
+    The draw works in the workspace of its (p, N) and allocates only the
+    panel it returns; while another thread holds that workspace, it takes a
+    buffer of its own."""
     p, n = spec.n_channels, spec.n_samples
+    lock, workspace = _workspace(p, n)
+    if not lock.acquire(blocking=False):
+        return _mix(spec, factor, seed, np.empty((p + 1, 2 * n + 2)))
+    try:
+        return _mix(spec, factor, seed, workspace)
+    finally:
+        lock.release()
+
+
+def _mix(spec: ArfimaSpec, factor: np.ndarray, seed, workspace: np.ndarray) -> np.ndarray:
+    """The draw of ``_draw`` in a (p+1, 2N+2) float64 workspace: its first p
+    rows hold the normals, read as (p, N+1) complex bins, and its last row
+    one (N+1) complex term of the mix, then each 2N-sample irfft."""
+    p, n = spec.n_channels, spec.n_samples
+    normals, buffer = workspace[:p], workspace[p]
     # The rfft of 2N iid N(0, 1) samples has independent bins: real N(0, 2N)
     # at frequencies 0 and N, and N(0, N) real and imaginary parts between.
-    spectrum = np.random.default_rng(seed).standard_normal((p, 2 * n + 2))
-    spectrum = spectrum.view(np.complex128)
+    np.random.default_rng(seed).standard_normal(out=normals)
+    spectrum = normals.view(np.complex128)
     spectrum *= math.sqrt(n)
     spectrum[:, ::n] = spectrum[:, ::n].real * math.sqrt(2.0)
     # spectrum[l] <- sum_{m <= l} factor[l, m] spectrum[m], last channel
     # first so that the rows still to be read are unchanged
-    term = np.empty(n + 1, dtype=np.complex128)
+    term = buffer.view(np.complex128)
     for ell in range(p - 1, -1, -1):
-        spectrum[ell] *= factor[ell, ell]
+        row = factor[ell * (ell + 1) // 2 :]
+        spectrum[ell] *= row[ell]
         for m in range(ell):
-            spectrum[ell] += np.multiply(factor[ell, m], spectrum[m], out=term)
+            spectrum[ell] += np.multiply(row[m], spectrum[m], out=term)
     # one irfft per channel into one reused 2N buffer: a batched irfft holds
     # p such buffers and raised the peak RSS of an N = 65536, p = 2 run by 2 MB
-    full = np.empty(2 * n)
+    full = buffer[: 2 * n]
     panel = np.empty((p, n))
     for ell in range(p):
         np.fft.irfft(spectrum[ell], 2 * n, out=full)

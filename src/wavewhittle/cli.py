@@ -7,16 +7,17 @@ type carries (``WavewhittleError.exit_code``):
     0  success (estimation warnings are reported in the output, not the code)
     2  parse or configuration failure (CSV, flags, scenario files): among
        them a panel or scenario file that is missing, a directory or not
-       UTF-8, an ``--output`` whose directory does not exist or takes no
-       new file, and ``mc --workers`` below 1
+       UTF-8, an ``--output`` that is a directory or whose directory does
+       not exist or takes no new file (``mc`` checks both of its files before
+       it runs), and ``mc --workers`` below 1
     3  infeasible scale range for the given sample length
     4  invalid (non positive definite) covariance
 
 CSV files are RFC-4180 style: header row mandatory, UTF-8, '.' decimals,
 missing values rejected.  Every CSV this module writes goes through
 ``_csv_text``, in the dialect it reads.  Output files are written
-atomically (temp file plus rename) and carry a full configuration echo
-sufficient to re-run.
+atomically (temp file plus rename), with mode 0o666 minus the umask, and
+carry a full configuration echo sufficient to re-run.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import functools
 import io
 import json
@@ -45,20 +47,34 @@ EXIT_OK = 0
 def atomic_write_text(path, text: str) -> None:
     """Write text via a temporary file and rename, so readers never see partial files.
 
-    A directory that does not exist or takes no new file is a ConfigError."""
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    The file gets mode 0o666 minus the umask, as ``open`` would give it.  A
+    path that names a directory, or a directory that does not exist or takes
+    no new file, is a ConfigError, raised before anything is written."""
+    fd, tmp = _temp_file(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            # mkstemp creates the file 0o600, and the rename keeps that mode;
+            # the umask can only be read by setting it
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _temp_file(path) -> tuple[int, str]:
+    """An open temporary file in the directory of ``path``: (fd, name)."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        return tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def read_panel(path) -> tuple[list[str], np.ndarray]:
@@ -330,6 +346,11 @@ def cmd_mc(args) -> int:
         scenario = dataclasses.replace(scenario, replications=args.reps)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
+    if args.output:  # refused before any replication runs, leaving no file
+        for suffix in (".json", ".csv"):
+            fd, tmp = _temp_file(args.output + suffix)
+            os.close(fd)
+            os.unlink(tmp)
     report = run_scenario(scenario, workers=args.workers)
     payload = _json_text(report.to_dict())
     if args.output:

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,11 +126,23 @@ def gamma_closed_form(d_l, d_m, omega_lm, h):
     return float(scale * sign * np.exp(log_ratio))
 
 
+def unpack_lower(packed, p):
+    """The (p, p, N+1) array of a packed lower triangle: entry (l, m), m <= l,
+    from row l(l+1)/2 + m, and zeros above the diagonal."""
+    dense = np.zeros((p, p, packed.shape[1]), dtype=packed.dtype)
+    dense[np.tril_indices(p)] = packed
+    return dense
+
+
 def embedded_sequence(d_s, omega, n):
-    """The (2N, p, p) circulant C(k) of the embedding, back from its spectrum:
+    """The (2N, p, p) circulant C(k) of the embedding, back from its packed
+    spectrum, whose upper triangle is the conjugate of its lower one:
     C(k)[l, m] is gamma_lm(k) for k < N and gamma_lm(k - 2N) for k > N."""
-    spectrum = arfima._embedding_spectrum(tuple(d_s), tuple(np.ravel(omega)), n)
-    return np.fft.irfft(spectrum, 2 * n, axis=0)
+    spectrum = unpack_lower(arfima._packed_spectrum(tuple(d_s), tuple(np.ravel(omega)), n),
+                            len(d_s))
+    rows, cols = np.triu_indices(len(d_s), 1)
+    spectrum[rows, cols] = spectrum[cols, rows].conj()
+    return np.fft.irfft(spectrum, 2 * n, axis=-1).transpose(2, 0, 1)
 
 
 @pytest.mark.parametrize("d_l, d_m, h", [
@@ -168,16 +183,71 @@ def per_pair_spectrum(d_s, omega, n):
     return np.moveaxis(np.fft.rfft(circulant, axis=-1), -1, 0)
 
 
-@pytest.mark.parametrize("p, n", [(1, 1), (1, 64), (2, 2), (3, 37), (6, 512)])
-def test_embedding_spectrum_is_the_per_pair_recursion_bit_for_bit(p, n):
-    """Over stationary exponents of both signs, zero among them or all zero."""
+def random_models(p, n):
+    """Stationary exponents of both signs, zero among them or all zero, each
+    with a positive definite omega."""
     rng = np.random.default_rng(p * 1000 + n)
     with_zero = rng.uniform(-0.45, 0.45, p)
     with_zero[0] = 0.0
     for d_s in (rng.uniform(-0.45, 0.45, p), with_zero, np.zeros(p), -rng.uniform(0, 0.45, p)):
-        omega = omega_from_rho(0.3 / p, p) * rng.uniform(0.5, 2.0)
-        got = arfima._embedding_spectrum(tuple(d_s.tolist()), tuple(omega.ravel()), n)
-        assert got.tobytes() == per_pair_spectrum(d_s.tolist(), omega, n).tobytes()
+        yield d_s.tolist(), omega_from_rho(0.3 / p, p) * rng.uniform(0.5, 2.0)
+
+
+def packed_rows(dense):
+    """The (p(p+1)/2, N+1) packed rows of the lower triangle of an
+    (N+1, p, p) array, C-contiguous."""
+    rows, cols = np.tril_indices(dense.shape[-1])
+    return np.ascontiguousarray(dense[:, rows, cols].T)
+
+
+@pytest.mark.parametrize("p, n", [(1, 1), (1, 64), (2, 2), (3, 37), (6, 512)])
+def test_embedding_spectrum_is_the_per_pair_recursion_bit_for_bit(p, n):
+    """The packed spectrum holds the lower rows of the per-pair one."""
+    for d_s, omega in random_models(p, n):
+        got = arfima._packed_spectrum(tuple(d_s), tuple(omega.ravel()), n)
+        assert got.flags.c_contiguous and got.shape == (p * (p + 1) // 2, n + 1)
+        assert got.tobytes() == packed_rows(per_pair_spectrum(d_s, omega, n)).tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 6])
+@pytest.mark.parametrize("n", [1, 2, 37, 512])
+def test_packed_factor_is_the_batched_cholesky_bit_for_bit(p, n):
+    """The factor, built in place block by block, holds the lower rows of
+    one batched Cholesky factorization of the whole per-pair spectrum."""
+    for d_s, omega in random_models(p, n):
+        got = arfima._embedding_factor.__wrapped__(tuple(d_s), tuple(omega.ravel()), n)
+        expected = packed_rows(np.linalg.cholesky(per_pair_spectrum(d_s, omega, n)))
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_packed_factor_over_several_blocks_is_the_batched_cholesky_bit_for_bit():
+    """At p = 6, N = 4096, the 4097 frequencies span three Cholesky blocks."""
+    p, n = 6, 4096
+    per_block = arfima._BLOCK_BYTES // (16 * p * p)
+    assert 2 * per_block < n + 1 <= 3 * per_block
+    d_s, omega = next(random_models(p, n))
+    got = arfima._embedding_factor.__wrapped__(tuple(d_s), tuple(omega.ravel()), n)
+    expected = packed_rows(np.linalg.cholesky(per_pair_spectrum(d_s, omega, n)))
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_factor_build_holds_little_beyond_the_factor():
+    """A p = 20, N = 4096 build traces at most the packed factor plus 2 MiB:
+    its circulant row, then one Cholesky block and its factor.  A build over
+    a (p, p, 2N) circulant and an (N+1, p, p) spectrum traces ~52 MB."""
+    arfima._embedding_factor.__wrapped__((0.1,), (1.0,), 8)  # numpy's lazy set-up
+    p, n = 20, 4096
+    d_s = tuple(np.linspace(-0.4, 0.45, p).tolist())
+    omega = tuple(omega_from_rho(0.02, p).ravel().tolist())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        factor = arfima._embedding_factor.__wrapped__(d_s, omega, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factor.nbytes == arfima._factor_bytes(p, n) == 210 * 4097 * 16
+    assert peak - before <= factor.nbytes + 2 * 2**20
 
 
 def test_spec_is_frozen_and_keeps_its_memory_split():
@@ -239,10 +309,11 @@ def test_factor_cache_is_read_only_per_key():
     first = simulate_arfima(spec)
     arfima._embedding_factor.cache_clear()
     factor = embedding_factor(spec)
-    assert factor.shape == (2, 2, 301) and factor.dtype == np.complex128
-    assert not factor.flags.writeable
+    # packed: rows (0, 0), (1, 0), (1, 1), and no upper triangle
+    assert factor.shape == (3, 301) and factor.dtype == np.complex128
+    assert factor.flags.c_contiguous and not factor.flags.writeable
     with pytest.raises(ValueError):
-        factor[0, 0, 0] = 0.0
+        factor[0, 0] = 0.0
     # one array per key: another seed, or d with the same stationary
     # exponents, reuses it; another N does not
     same_key = ArfimaSpec(d=[1.25, 0.375], omega=spec.omega, n_samples=300, seed=9)
@@ -251,20 +322,18 @@ def test_factor_cache_is_read_only_per_key():
     assert embedding_factor(other_n) is not factor
     assert arfima._embedding_factor.cache_info().hits == 1
     assert simulate_arfima(spec).tobytes() == first.tobytes()
-    # lower triangular, and real at frequencies 0 and N, where irfft reads
-    # only real parts
-    assert np.all(factor[0, 1] == 0.0)
-    assert np.all(factor[:, :, [0, -1]].imag == 0.0)
+    # real at frequencies 0 and N, where irfft reads only real parts
+    assert np.all(factor[:, [0, -1]].imag == 0.0)
 
 
 def test_simulation_matches_dense_mix():
-    """The in-place per-frequency mix equals the dense product factor @ E, and
-    the factor reproduces the embedding spectrum (p = 3, odd N, one
-    integrated channel)."""
+    """The in-place per-frequency mix of the packed rows equals the dense
+    product factor @ E, and the factor reproduces the embedding spectrum
+    (p = 3, odd N, one integrated channel)."""
     omega = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.5], [-0.2, 0.5, 1.5]])
     spec = ArfimaSpec(d=[0.3, -0.2, 1.25], omega=omega, n_samples=37, seed=4)
-    factor = embedding_factor(spec)
-    spectrum = arfima._embedding_spectrum((0.3, -0.2, 0.25), tuple(omega.ravel()), 37)
+    factor = unpack_lower(embedding_factor(spec), 3)
+    spectrum = per_pair_spectrum((0.3, -0.2, 0.25), omega, 37)
     assert_allclose(np.einsum("lmf,kmf->flk", factor, factor.conj()), spectrum,
                     rtol=0, atol=1e-12 * np.abs(spectrum).max())
     # the draw's white-noise spectrum: 2N + 2 normals per channel, paired
@@ -276,6 +345,56 @@ def test_simulation_matches_dense_mix():
     expected = np.fft.irfft(mixed, 74, axis=-1)[:, :37].T
     expected[:, 2] = np.cumsum(expected[:, 2])
     assert_allclose(simulate_arfima(spec), expected, rtol=0, atol=1e-12)
+
+
+def test_warm_draw_allocates_only_its_panel():
+    """With its factor and workspace built, an N = 65536, p = 2 draw traces
+    at most the panel plus 1 MiB: its bins and its irfft and term buffer come
+    from the workspace."""
+    spec = ArfimaSpec(d=[0.1, 1.3], omega=omega_from_rho(0.4), n_samples=65536, seed=8)
+    first = simulate_arfima(spec)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        panel = simulate_arfima(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert panel.tobytes() == first.tobytes()
+    assert peak - before <= panel.nbytes + 2**20
+
+
+def test_draws_in_threads_give_the_single_thread_bytes():
+    """Threads that draw one key at once share one workspace: the draw that
+    finds it held takes buffers of its own.  Four threads on a short switch
+    interval, and one draw while the workspace is held, give the bytes of
+    draws made one at a time."""
+    omega = omega_from_rho(0.5, 3)
+    specs = [ArfimaSpec(d=[0.2, -0.1, 1.4], omega=omega, n_samples=1024, seed=seed)
+             for seed in range(8)]
+    expected = [simulate_arfima(spec).tobytes() for spec in specs]
+    lock = arfima._workspace(3, 1024)[0]
+    with lock:
+        assert simulate_arfima(specs[0]).tobytes() == expected[0]
+    results = [[] for _ in range(4)]
+
+    def draw(out):
+        for _ in range(10):
+            out.extend(simulate_arfima(spec).tobytes() for spec in specs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(out,)) for out in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(out == expected * 10 for out in results)
+    assert not lock.locked()
 
 
 def test_white_noise_bins_are_scaled_as_an_rfft():

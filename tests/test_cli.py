@@ -786,10 +786,17 @@ def test_error_shows_only_existing_positions(tmp_path, capsys, text, message):
      "error: cannot write {nodir}/p.csv: No such file or directory"),
     (["mc", "--scenario", "scenarios/table1_row3.cfg", "--reps", "2", "--output", "{nodir}/mc"],
      "error: cannot write {nodir}/mc.json: No such file or directory"),
+    (["estimate", "--input", "{panel}", "--output", "{directory}"],
+     "error: cannot write {directory}: Is a directory"),
+    (["simulate", "--d", "0.2", "--N", "64", "--output", "{directory}"],
+     "error: cannot write {directory}: Is a directory"),
+    (["mc", "--scenario", "scenarios/table1_row3.cfg", "--reps", "2", "--output", "{taken}"],
+     "error: cannot write {taken}.csv: Is a directory"),
 ], ids=["header_not_utf8", "body_not_utf8", "deep_not_utf8", "omega_not_utf8",
         "scenario_missing", "scenario_directory", "scenario_not_utf8", "workers_negative",
         "workers_zero", "estimate_no_dir", "estimate_csv_under_a_file", "simulate_no_dir",
-        "mc_no_dir"])
+        "mc_no_dir", "estimate_to_a_directory", "simulate_to_a_directory",
+        "mc_to_a_directory"])
 def test_unreadable_input_or_unwritable_output_exits_2(tmp_path, capsys, argv, message):
     """One error line and exit 2, nothing on stdout, and no file written:
     no report and no temporary file.  A panel that is not UTF-8 is refused
@@ -797,12 +804,13 @@ def test_unreadable_input_or_unwritable_output_exits_2(tmp_path, capsys, argv, m
     chunk and after lines ended by \\r and \\r\\n."""
     files = {name: tmp_path / name for name in (
         "header_not_utf8", "latin1", "deep_not_utf8", "missing", "directory",
-        "latin1_scenario", "panel", "nodir")}
+        "latin1_scenario", "panel", "nodir", "taken")}
     files["header_not_utf8"].write_bytes(b"\xff\xfech1,ch2\n1,2\n")
     files["latin1"].write_bytes(b"a,b\n1.0,0.5\xe9\n0.5,2.0\n")
     files["deep_not_utf8"].write_bytes(b"a,b\r\n" + b"1,2\r" * 3000 + b"3,4\r\n" * 2000
                                        + b"5,\xe96\n7,8\n")
     files["directory"].mkdir()
+    (tmp_path / "taken.csv").mkdir()  # mc --output taken writes taken.json and taken.csv
     files["latin1_scenario"].write_bytes(b"d = 0.2, 0.2\n# r\xe9sum\xe9\n")
     write_panel(files["panel"], np.random.default_rng(0).standard_normal((64, 2)))
     before = sorted(tmp_path.rglob("*"))
@@ -895,6 +903,46 @@ def test_mc_rejects_malformed_scenario_json(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: invalid scenario JSON: Expecting value")
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    """Every file the CLI writes gets mode 0o666 minus the umask, as a file
+    that open() creates would; mkstemp alone would leave 0o600."""
+    old = os.umask(umask)
+    try:
+        assert run_cli("simulate", "--d", "0.2,0.2", "--N", "64",
+                       "--output", str(tmp_path / "ok.csv")) == 0
+        assert run_cli("estimate", "--input", str(tmp_path / "ok.csv"),
+                       "--output", str(tmp_path / "report.json")) == 0
+        assert run_cli("mc", "--scenario", "scenarios/table1_row3.cfg", "--reps", "2",
+                       "--output", str(tmp_path / "mc")) == 0
+    finally:
+        os.umask(old)
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == ["mc.csv", "mc.json", "ok.csv", "ok_config.json", "report.json",
+                     "report_corr.csv", "report_dhist.csv"]
+    assert {name: os.stat(tmp_path / name).st_mode & 0o777 for name in names} == dict.fromkeys(
+        names, mode)
+
+
+@pytest.mark.parametrize("taken", ["json", "csv"])
+def test_mc_refuses_an_unwritable_output_before_it_runs(tmp_path, capsys, monkeypatch, taken):
+    """An mc --output whose .json or .csv cannot be written is refused
+    before run_scenario is called, and nothing is written."""
+    calls = []
+    monkeypatch.setattr(montecarlo, "run_scenario", calls.append)
+    (tmp_path / f"out.{taken}").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli("mc", "--scenario", "scenarios/table1_row3.cfg",
+                   "--output", str(tmp_path / "out")) == 2
+    assert run_cli("mc", "--scenario", "scenarios/table1_row3.cfg",
+                   "--output", str(tmp_path / "nodir" / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {tmp_path / 'out'}.{taken}: Is a directory",
+        f"error: cannot write {tmp_path / 'nodir' / 'out'}.json: No such file or directory",
+    ]
+    assert calls == [] and sorted(tmp_path.rglob("*")) == before
+
+
 def test_atomic_write_leaves_no_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
     target = tmp_path / "report.json"
     target.write_text("old\n")
@@ -954,25 +1002,25 @@ def test_mc_csv_cells():
     ["mc", "--scenario", "{huge}"],
 ])
 def test_model_too_large_to_simulate_exits_2(tmp_path, capsys, argv):
-    """Refused before anything is allocated: the (p, p, 2N) circulant would
-    exceed the address space."""
+    """Refused before anything is allocated: the packed (p(p+1)/2, N+1)
+    complex factor would exceed the address space."""
     scenario = tmp_path / "huge.cfg"
     scenario.write_text(f"d = 0.2, 0.2\nreps = 2\nN = {10**18}\n")
     assert run_cli(*[arg.format(huge=scenario) for arg in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     p = 1 if argv[0] == "simulate" else 2
     assert err == [f"error: N={10**18} with p={p} channels is too large to simulate: its "
-                   f"circulant embedding alone needs {p * p * 2 * 10**18 * 8} bytes"]
+                   f"embedding factor alone needs {p * (p + 1) // 2 * (10**18 + 1) * 16} bytes"]
 
 
 def test_factor_build_out_of_memory_exits_2(monkeypatch, capsys):
     def out_of_memory(*args):
         raise MemoryError
 
-    monkeypatch.setattr(arfima, "_embedding_spectrum", out_of_memory)
+    monkeypatch.setattr(arfima, "_packed_spectrum", out_of_memory)
     arfima._embedding_factor.cache_clear()
     assert run_cli("simulate", "--d", "0.2", "--N", "97") == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: N=97 with p=1 channels is too large to simulate: its circulant "
-        "embedding alone needs 1552 bytes"
+        "error: N=97 with p=1 channels is too large to simulate: its embedding "
+        "factor alone needs 1568 bytes"
     ]
