@@ -37,7 +37,6 @@ from .estimator import (
     estimate_univariate_each,
     g_hat,
     objective_R,
-    rate_rule_j0,
     scalogram,
     whittle_likelihood,
 )
@@ -69,7 +68,7 @@ __all__ = [
     # estimator
     "EstimationConfig", "MwwEstimate", "Scalogram", "correlation_from_cov", "estimate_d",
     "estimate_omega", "estimate_panel", "estimate_univariate_each", "g_hat", "objective_R",
-    "rate_rule_j0", "scalogram", "whittle_likelihood",
+    "scalogram", "whittle_likelihood",
     # wavelets
     "WaveletPyramid", "WaveletSpec", "coefficient_counts", "daubechies_filters", "dwt_pyramid",
     "max_feasible_level", "psi_hat_sq", "qmf", "spectral_k",

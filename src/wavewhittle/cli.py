@@ -222,7 +222,10 @@ def _matrix_list(m: np.ndarray) -> list:
 def _histogram_csv(values: np.ndarray) -> str:
     finite = values[np.isfinite(values)]
     n_bins = min(50, max(5, int(math.ceil(2 * math.sqrt(finite.size)))))
-    counts, edges = np.histogram(finite, bins=n_bins)
+    try:
+        counts, edges = np.histogram(finite, bins=n_bins)
+    except ValueError:  # values ulps apart: widen as numpy does for equal ones
+        counts, edges = np.histogram(finite, n_bins, (finite.min() - 0.5, finite.max() + 0.5))
     # the last edge closes the last bin, with a count of 0
     rows = zip(map(_cell, edges.tolist()), counts.tolist() + [0])
     return _csv_text([("bin_left", "count"), *rows])

@@ -58,21 +58,25 @@ class Scalogram:
     """Per-scale sums of outer products I(j) = sum_k W_{j,k} W_{j,k}^T.
 
     Kept unnormalized (no division by n_j).  ``matrices[i]`` is the p x p
-    matrix for scale j = j0 + i.  Treated as immutable: the derived
-    quantities are set once, when it is built: ``_geometry``, the constants
-    of its scale range and counts (``_scale_terms``), ``_count``, the total
-    number n of coefficients, and ``_flat``, ``matrices`` as a (J, p^2)
-    array, row j holding I(j) row-major.
+    matrix for scale j = j0 + i, and row l of the (p, J) ``variances`` table
+    holds channel l's I_ll(j) (by default the matrices' diagonal).  Treated
+    as immutable: the derived quantities are set once, when it is built:
+    ``_geometry``, the constants of its scale range and counts
+    (``_scale_terms``), ``_count``, the total number n of coefficients, and
+    ``_flat``, ``matrices`` as a (J, p^2) array, row j holding I(j) row-major.
     """
 
     matrices: np.ndarray
     counts: np.ndarray
     j0: int
     j1: int
+    variances: np.ndarray | None = None
 
     def __post_init__(self):
         self._count, self._geometry = _scale_terms(self.j0, self.j1, tuple(self.counts.tolist()))
         self._flat = self.matrices.reshape(len(self.matrices), -1)
+        if self.variances is None:
+            self.variances = np.ascontiguousarray(np.diagonal(self.matrices, axis1=1, axis2=2).T)
 
     @property
     def n_channels(self) -> int:
@@ -91,7 +95,8 @@ class Scalogram:
         """The scalogram of scales j0..j1, j1 at most its own: a view of its
         leading levels, equal bit for bit to one summed over j0..j1."""
         levels = j1 - self.j0 + 1
-        return Scalogram(self.matrices[:levels], self.counts[:levels], self.j0, j1)
+        return Scalogram(self.matrices[:levels], self.counts[:levels], self.j0, j1,
+                         self.variances[:, :levels])
 
 
 @lru_cache(maxsize=32)
@@ -100,8 +105,8 @@ def _scale_terms(j0: int, j1: int, counts: tuple) -> tuple[int, tuple]:
     geometry: the coefficient count n, and the read-only geometry <J>, the
     negated centred scales -c_j = <J> - j as a (J, 1) column, the (3, J)
     weights 1, c_j and c_j^2 divided by n, the regression weights
-    n_j c_j / sum n_j c_j^2 of ``_log_regression_init`` and the negated
-    scales -j as a (J, 1) column."""
+    n_j c_j / sum n_j c_j^2 of ``_start`` and the negated scales -j as a
+    (J, 1) column."""
     n_j = np.array(counts)
     mean = float((np.arange(j0, j1 + 1) * n_j).sum() / n_j.sum())
     scales = np.arange(j0, j1 + 1, dtype=np.float64)
@@ -116,7 +121,11 @@ def _scale_terms(j0: int, j1: int, counts: tuple) -> tuple[int, tuple]:
 
 
 def scalogram(pyramid: WaveletPyramid, j0: int, j1: int) -> Scalogram:
-    """Sum the per-scale outer products of the pyramid over scales j0..j1."""
+    """Sum the per-scale outer products of the pyramid over scales j0..j1.
+    Each level's matrix is one ``w.T @ w``, whose diagonal rounds with the
+    panel's width; the variance table takes each channel's I_ll(j) as one
+    dot of its own row (``np.vecdot``): the same bits in any panel, and at
+    p = 1 those of the matrix."""
     if not 1 <= j0 <= j1 <= pyramid.j_max:
         raise ScaleRangeError(
             f"scales {j0}..{j1} not covered by pyramid (1..{pyramid.j_max})"
@@ -126,13 +135,17 @@ def scalogram(pyramid: WaveletPyramid, j0: int, j1: int) -> Scalogram:
     levels = pyramid.details[j0 - 1 : j1]
     p = levels[0].shape[1]
     mats = np.empty((len(levels), p, p))
-    for w, out in zip(levels, mats):
-        np.matmul(w.T, w, out=out)
+    table = np.empty((len(levels), p))
+    # outputs by position: an out= keyword adds ~0.4 us to each call
+    for w, out, row in zip(levels, mats, table):
+        np.matmul(w.T, w, out)
+        np.vecdot(w.T, w.T, row)
     return Scalogram(
         matrices=mats,
         counts=pyramid.counts[j0 - 1 : j1].copy(),
         j0=j0,
         j1=j1,
+        variances=table.T.copy(),
     )
 
 
@@ -198,7 +211,7 @@ class _Lapack:
     output with NaN and sets the floating-point invalid flag, and nothing
     else leaves that flag set after ``inv``, ``cholesky_lo`` or ``solve1``.
     numpy.linalg turns the flag into LinAlgError under its own errstate
-    (``_raising``), so these calls raise exactly where numpy.linalg does.
+    (``_raising``), so these calls fail exactly where numpy.linalg does.
     ``slogdet`` reports a singular matrix as sign 0, as numpy.linalg's
     does, and sets the flag only on a NaN entry, whose logdet is NaN.
 
@@ -237,14 +250,15 @@ class _Lapack:
     @staticmethod
     def newton_step(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         """a^-1 b when a passes the positive-definiteness test (its lower
-        Cholesky factor exists), else None: numpy.linalg.cholesky, then
-        numpy.linalg.solve (which still raises where numpy.linalg's does)."""
+        Cholesky factor exists) and the solve, else None: numpy.linalg's
+        cholesky, then its solve, which a Hessian singular in round-off
+        (collinear channels) can fail after passing the test."""
         with np.errstate(**_Lapack._raising):
             try:
                 _gufuncs.cholesky_lo(a, signature="d->d")
+                return _gufuncs.solve1(a, b, signature="dd->d")
             except np.linalg.LinAlgError:
                 return None
-            return _gufuncs.solve1(a, b, signature="dd->d")
 
 
 def _centred_sums(scal: Scalogram, d: np.ndarray) -> np.ndarray:
@@ -311,39 +325,33 @@ def search_box(spec: WaveletSpec) -> tuple[float, float]:
     return BOX_LOW, float(spec.vanishing_moments)
 
 
-def rate_rule_j0(n_samples: int, beta: float) -> int:
-    """Finest scale from the optimal-rate rule 2^j0 = N**(1/(1+2*beta))."""
-    if beta <= 0:
-        raise ConfigError("beta must be positive")
-    return max(1, round(math.log2(n_samples) / (1.0 + 2.0 * beta)))
-
-
-def _log_regression_init(scal: Scalogram, box: tuple[float, float]) -> np.ndarray:
-    """Per-channel count-weighted least-squares slope of
-    y_jl = log2(I_ll(j)/n_j) on j, halved, in closed form over every channel
-    at once: sum_j n_j c_j y_jl / sum_j n_j c_j^2 with the centred scales c_j.
-
-    n_j is, up to a constant, the inverse variance of y_jl, so this is the
-    weighted log-regression of Veitch & Abry (1999, IEEE Trans. Inf. Theory
-    45).  A channel with non-finite log-variances is fit on its finite ones
-    with the same weights; one with fewer than two starts at 0.25.
+def _start(scal: Scalogram, box: tuple[float, float]) -> np.ndarray:
+    """The start of every fit, kept 0.1% of the box width inside the box:
+    per channel, half the count-weighted least-squares slope of
+    y_jl = log2(I_ll(j)/n_j) on j, sum_j n_j c_j y_jl / sum_j n_j c_j^2 with
+    the centred scales c_j, one sum along row l of the variance table, so no
+    channel's start depends on another's.  n_j is, up to a constant, the
+    inverse variance of y_jl: the weighted log-regression of Veitch & Abry
+    (1999, IEEE Trans. Inf. Theory 45).  A row with a non-finite
+    log-variance is fit on its finite scales with the same weights; one with
+    fewer than two starts at 0.25.
     """
-    variances = np.diagonal(scal.matrices, axis1=1, axis2=2)
+    if scal.j1 == scal.j0:
+        raise ConfigError("single-scale objective is flat in d; need j0 < j1")
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log2(variances / scal.counts[:, None])
-    good = np.isfinite(y)
-    if len(y) >= 2 and np.logical_and.reduce(good, axis=None):
-        init = 0.5 * (scal._geometry[3] @ y)
-    else:
-        n = np.add.reduce(good, axis=0)
-        js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)[:, None]
-        w = good * scal.counts[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total = np.add.reduce(w, axis=0)
-            dx = np.where(good, js - np.add.reduce(w * js, axis=0) / total, 0.0)
-            dy = np.where(good, y - np.add.reduce(w * np.where(good, y, 0.0), axis=0) / total, 0.0)
-            slope = np.add.reduce(w * dx * dy, axis=0) / np.add.reduce(w * dx * dx, axis=0)
-        init = np.where(n >= 2, 0.5 * slope, 0.25)
+        y = np.log2(scal.variances / scal.counts)
+        init = 0.5 * np.add.reduce(y * scal._geometry[3], axis=1)
+        finite = np.isfinite(init)
+        if not np.logical_and.reduce(finite):
+            bad = ~finite
+            good = np.isfinite(y[bad])
+            w = good * scal.counts
+            total = np.add.reduce(w, axis=1, keepdims=True)
+            dx, dy = (np.where(good, v - np.add.reduce(w * np.where(good, v, 0.0), axis=1,
+                                                       keepdims=True) / total, 0.0)
+                      for v in (-scal._geometry[4].T, y[bad]))
+            slope = np.add.reduce(w * dx * dy, axis=1) / np.add.reduce(w * dx * dx, axis=1)
+            init[bad] = np.where(np.add.reduce(good, axis=1) >= 2, 0.5 * slope, 0.25)
     margin = 1e-3 * (box[1] - box[0])
     return _project(init, box[0] + margin, box[1] - margin)
 
@@ -351,9 +359,8 @@ def _log_regression_init(scal: Scalogram, box: tuple[float, float]) -> np.ndarra
 def estimate_d(scal: Scalogram, config: EstimationConfig, spec: WaveletSpec):
     """Minimize R(d) over the search box; returns (d_hat, R(d_hat), diagnostics).
 
-    One damped projected Newton search (``_newton_search``) on p-vectors,
-    started from the per-channel log-regression of the scalogram diagonals;
-    deterministic.  It is sent R's derivatives (``_objective_derivatives``)
+    One damped projected Newton search (``_newton_search``) on p-vectors
+    from ``_start``; deterministic.  It is sent R's derivatives (``_objective_derivatives``)
     at each point, and R alone (``objective_R``) at the confirming point.
     ``config`` is not read: its scale range is already that of ``scal``.
     """
@@ -362,10 +369,8 @@ def estimate_d(scal: Scalogram, config: EstimationConfig, spec: WaveletSpec):
         raise ConfigError(
             f"only {scal._count} coefficients for {p} channels; estimation refused"
         )
-    if scal.j1 == scal.j0:
-        raise ConfigError("single-scale objective is flat in d; need j0 < j1")
     lo, hi = search_box(spec)
-    search = _newton_search(_log_regression_init(scal, (lo, hi)), lo, hi, _Vectors)
+    search = _newton_search(_start(scal, (lo, hi)), lo, hi, _Vectors)
     point, confirming = next(search)
     try:
         while True:
@@ -627,7 +632,7 @@ def _zero_channels(panel: np.ndarray, scal: Scalogram) -> list[int]:
     """Channels whose wavelet coefficients are rounding-level relative to
     their own amplitude (see ZERO_CHANNEL_RTOL); rescaling never changes
     the verdict."""
-    rms = np.sqrt(np.diagonal(scal.matrices.sum(axis=0)) / scal.n_coefficients)
+    rms = np.sqrt(np.add.reduce(scal.variances, axis=1) / scal.n_coefficients)
     # a column-wise reduction is contiguous only on a Fortran-ordered panel
     amplitude = np.max(np.abs(np.asfortranarray(panel)), axis=0)
     return np.flatnonzero(rms <= ZERO_CHANNEL_RTOL * amplitude).tolist()
@@ -694,28 +699,24 @@ def _fit_univariate(scal: Scalogram, spec: WaveletSpec) -> tuple[np.ndarray, lis
     R_l' = -2 log(2) H_l / G_l, and R_l'' = 4 log(2)^2 (Q_l/G_l - (H_l/G_l)^2)
     is the weighted variance of the scales, so never negative.  Each channel
     runs its own search (``_newton_search`` on floats, ``_Floats``): the
-    joint fit's search at p = 1, step for step.  One round evaluates the points
-    of every pending channel in one pass over the (P, J) diagonal.  That pass
-    is elementwise with one sum along each row, so a channel's estimate and
-    diagnostics are bit for bit those of the channel fitted alone.  No
-    LAPACK call.
+    joint fit's search at p = 1, step for step, from the same start
+    (``_start``).  One round evaluates the points of every pending channel
+    in one pass over the (P, J) variance table.  That pass is elementwise
+    with one sum along each row, and a row of the table is the same bits in
+    any panel (``scalogram``), so a channel's estimate and diagnostics are
+    bit for bit those of the column fitted alone.  No LAPACK call.
     """
-    if scal.j1 == scal.j0:
-        raise ConfigError("single-scale objective is flat in d; need j0 < j1")
     lo, hi = search_box(spec)
     p = scal.n_channels
     _, negated, weights, _, _ = scal._geometry
-    variances = np.ascontiguousarray(scal._flat[:, :: p + 1].T)
     exponents = 2.0 * negated[:, 0]
+    searches = [_newton_search(x, lo, hi, _Floats) for x in _start(scal, (lo, hi)).tolist()]
     results = [None] * p
     pending = range(p)
-    # a zero variance has no finite logarithm; an infinite one makes its
-    # channel's sums NaN: that channel is singular
-    with np.errstate(divide="ignore", invalid="ignore"):
-        searches = [_newton_search(x, lo, hi, _Floats)
-                    for x in _separable_start(variances, scal, (lo, hi))]
+    # an infinite variance makes its channel's sums NaN: that channel is singular
+    with np.errstate(invalid="ignore"):
         points = [next(search)[0] for search in searches]
-        moments = variances[:, None, :] * weights
+        moments = scal.variances[:, None, :] * weights
         while pending:
             scaled = np.exp2(np.multiply.outer(points, exponents))
             sums = np.add.reduce(moments * scaled[:, None, :], axis=2).tolist()
@@ -736,23 +737,3 @@ def _fit_univariate(scal: Scalogram, spec: WaveletSpec) -> tuple[np.ndarray, lis
                     still.append(ell)
             pending = still
     return np.array([d for d, _, _ in results]), [diagnostics for _, _, diagnostics in results]
-
-
-def _separable_start(variances: np.ndarray, scal: Scalogram, box: tuple[float, float]) -> list[float]:
-    """``_log_regression_init`` of each row of the (P, J) diagonal alone:
-    a row's slope is one sum along it, with no contraction across rows.  A
-    row with a non-finite log-variance (its slope is then not finite) takes
-    the start of its channel fitted alone.  Called where the divide and
-    invalid flags are ignored (``_fit_univariate``)."""
-    y = np.log2(variances / scal.counts)
-    slopes = np.add.reduce(y * scal._geometry[3], axis=1).tolist()
-    margin = 1e-3 * (box[1] - box[0])
-    lo, hi = box[0] + margin, box[1] - margin
-    start = []
-    for slope, row in zip(slopes, variances):
-        if math.isfinite(slope):
-            start.append(min(max(0.5 * slope, lo), hi))
-        else:
-            alone = Scalogram(row[:, None, None], scal.counts, scal.j0, scal.j1)
-            start.append(float(_log_regression_init(alone, box)[0]))
-    return start

@@ -390,10 +390,22 @@ def _parse_scalar(text: str):
             return text
 
 
+def _lowered(pairs) -> dict:
+    """The (key, value) pairs keyed by the lowered key; a key given twice is an error."""
+    mapping = {}
+    for key, value in pairs:
+        lowered = str(key).lower()
+        if lowered in mapping:
+            raise ScenarioError(f"scenario key {lowered!r} given twice (keys are case-insensitive)")
+        mapping[lowered] = value
+    return mapping
+
+
 def parse_scenario_mapping(data: dict) -> Scenario:
     """Build a Scenario from the keys of ``SCENARIO_KEYS``, or ``rho`` in
-    place of ``omega``; a key the mapping leaves out keeps the field default."""
-    mapping = {str(k).lower(): v for k, v in data.items()}
+    place of ``omega``; a key the mapping leaves out keeps the field default,
+    and one it gives twice (``N`` and ``n``) is an error."""
+    mapping = _lowered(data.items())
     unknown = set(mapping) - {key.lower() for key in SCENARIO_KEYS} - {"rho"}
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
@@ -419,7 +431,8 @@ def load_scenario(path) -> Scenario:
 
     The text format takes one ``key = value`` pair per line, ``#`` comments,
     comma-separated vectors (``d = 0.2, 0.2``) and semicolon-separated matrix
-    rows (``omega = 1, 0.4; 0.4, 1``).
+    rows (``omega = 1, 0.4; 0.4, 1``).  Keys are case-insensitive, and in
+    either format a key given twice is a ScenarioError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -429,7 +442,7 @@ def load_scenario(path) -> Scenario:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_lowered)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid scenario JSON: {exc}") from exc
         return parse_scenario_mapping(data)
@@ -443,6 +456,8 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
+        if key in data:
+            raise ScenarioError(f"line {lineno}: scenario key {key!r} given twice")
         value = value.strip()
         if ";" in value:
             data[key] = [

@@ -15,8 +15,8 @@ from wavewhittle.estimator import (
     DEGENERACY_THRESHOLD,
     LOG2,
     Scalogram,
-    _log_regression_init,
     _objective_derivatives,
+    _start,
     g_hat,
     objective_R,
     scalogram,
@@ -192,7 +192,7 @@ def multistart_nelder_mead(scal: Scalogram, box):
     log-regression start and four seeded jittered starts; returns (d, R(d))."""
     lo, hi = box
     p = scal.n_channels
-    x_init = _log_regression_init(scal, box)
+    x_init = _start(scal, box)
     rng = np.random.default_rng(0)
     margin = 1e-3 * (hi - lo)
     x0s = [x_init] + [
@@ -220,7 +220,7 @@ def lbfgsb_search(scal: Scalogram, box):
     p = scal.n_channels
     res = minimize(
         lambda d: _objective_derivatives(scal, d)[:2],
-        _log_regression_init(scal, box),
+        _start(scal, box),
         method="L-BFGS-B",
         jac=True,
         bounds=Bounds(np.full(p, lo), np.full(p, hi)),

@@ -140,6 +140,38 @@ def test_estimate_degenerate_panel_reports_strict_json(tmp_path):
     assert report["diagnostics"]["converged"] is False
 
 
+@pytest.mark.parametrize("seed, factor", [(207, 2.0), (178, 1.0)])
+def test_estimate_collinear_panel_reports_strict_json(tmp_path, seed, factor):
+    """Collinear channels [x, factor * x]: the search may meet a Hessian
+    that passes the Cholesky test and is singular to the solve (seed 207
+    did from the old start, seed 178 does from today's).  The search then
+    takes the gradient step: exit 0, strict JSON, and non-convergence."""
+    x = np.random.default_rng(seed).standard_normal(512)
+    panel_path = tmp_path / "collinear.csv"
+    report_path = tmp_path / "collinear.json"
+    write_panel(panel_path, np.column_stack([x, factor * x]))
+    assert run_cli("estimate", "--input", str(panel_path), "--output", str(report_path)) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(report_path.read_text(), parse_constant=reject)
+    assert report["warnings"]["non_convergence"] is True
+    assert report["diagnostics"]["converged"] is False
+
+
+@pytest.mark.parametrize("values", [[0.2, 0.2], [-0.05993373, np.nextafter(-0.05993373, 1.0)],
+                                    [0.3, np.nan, 0.3 + 1e-16]])
+def test_histogram_of_nearly_equal_values(values):
+    """Estimates a few ulps apart, as collinear channels give, leave no room
+    for five finite bins: the range widens by 0.5 on each side, as numpy's
+    does for equal values, and every finite value is counted once."""
+    rows = cli._histogram_csv(np.array(values)).splitlines()
+    assert rows[0] == "bin_left,count" and len(rows) == 1 + 5 + 1
+    assert sum(int(row.split(",")[1]) for row in rows[1:]) == np.isfinite(values).sum()
+    assert float(rows[1].split(",")[0]) == pytest.approx(np.nanmin(values) - 0.5)
+
+
 def test_estimate_reports_invalid_channels(tmp_path):
     # double-differenced white noise: d_hat is far below the K domain, so
     # the Omega diagonal is undefined and both channels are invalid
@@ -833,7 +865,9 @@ def test_mc_rejects_non_integer_scenario_values(tmp_path, capsys, fmt, key, valu
     else:
         path = tmp_path / "bad.cfg"
         text = "true" if value is True else repr(value)
-        path.write_text(f"d = 0.2\nreps = 2\n{key} = {text}\n")
+        # a key given twice is refused, so reps is written once
+        reps = "" if key == "reps" else "reps = 2\n"
+        path.write_text(f"d = 0.2\n{reps}{key} = {text}\n")
     assert run_cli("mc", "--scenario", str(path)) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"'{key.lower()}' must be an integer" in err[0]
@@ -873,6 +907,26 @@ def test_mc_rejects_a_bad_scenario_file_when_loading_it(tmp_path, capsys, monkey
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [message]
     assert calls == [] and not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("N = 512\nn = 256\n", "line 4: scenario key 'n' given twice"),
+    ('{"d": [0.2, 0.2], "reps": 2, "N": 512, "n": 256}',
+     "scenario key 'n' given twice (keys are case-insensitive)"),
+    ('{"d": [0.2, 0.2], "reps": 2, "N": 512, "N": 256}',
+     "scenario key 'n' given twice (keys are case-insensitive)"),
+], ids=["text", "json", "json_same_case"])
+def test_mc_rejects_a_scenario_key_given_twice(tmp_path, capsys, monkeypatch, text, message):
+    """A key given twice, in any case, is refused before any replication
+    runs, instead of its last value silently winning."""
+    calls = []
+    monkeypatch.setattr(montecarlo, "run_scenario", calls.append)
+    path = tmp_path / ("bad.json" if text.startswith("{") else "bad.cfg")
+    path.write_text(text if text.startswith("{") else "d = 0.2, 0.2\nreps = 2\n" + text)
+    assert run_cli("mc", "--scenario", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
+    assert calls == []
 
 
 def test_simulate_takes_rho_or_omega_file_not_both(tmp_path, capsys):

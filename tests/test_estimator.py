@@ -23,15 +23,14 @@ from wavewhittle.estimator import (
     BOX_LOW,
     EstimationConfig,
     Scalogram,
-    _log_regression_init,
     _objective_derivatives,
+    _start,
     estimate_d,
     estimate_omega,
     estimate_panel,
     estimate_univariate_each,
     g_hat,
     objective_R,
-    rate_rule_j0,
     resolve_scales,
     scalogram,
     search_box,
@@ -366,7 +365,7 @@ def test_estimate_d_converged_at_roundoff(monkeypatch):
     p6-1 on the reference pyramid) has since the objective's per-fit
     constants were hoisted.
     """
-    monkeypatch.setattr(estimator, "_log_regression_init", unweighted_start)
+    monkeypatch.setattr(estimator, "_start", unweighted_start)
     scal = scale_domain_scalogram(5, [0.2, 0.4], 0.98)
     config = EstimationConfig()
     d_hat, value, diag = estimate_d(scal, config, WSPEC)
@@ -383,7 +382,7 @@ def test_roundoff_decrement_counts_only_free_coordinates(monkeypatch):
     its gradient (about 1.08) stays out of the decrement, which is read on
     the free block alone (seed 3: 9 evaluations, R = -6.957, from the
     unweighted start as above)."""
-    monkeypatch.setattr(estimator, "_log_regression_init", unweighted_start)
+    monkeypatch.setattr(estimator, "_start", unweighted_start)
     scal = scale_domain_scalogram(3, [0.2, 0.4, -3.0], 0.98)
     config = EstimationConfig()
     d_hat, value, diag = estimate_d(scal, config, WSPEC)
@@ -647,7 +646,7 @@ def test_closed_form_start_matches_polyfit():
     for p in (1, 2, 6):
         for j0, j1 in ((1, 6), (2, 4), (3, 4)):
             scal = random_scalogram(rng, p=p, j0=j0, j1=j1, base=4000)
-            assert_allclose(_log_regression_init(scal, box), polyfit_start(scal, box),
+            assert_allclose(_start(scal, box), polyfit_start(scal, box),
                             rtol=0, atol=1e-12)
     # zero coefficients make log-variances -inf: channel 1 keeps four usable
     # scales, channel 2 one and channel 3 none, so the last two start at 0.25
@@ -659,7 +658,7 @@ def test_closed_form_start_matches_polyfit():
     for level in details:
         level[:, 3] = 0.0
     scal = scalogram(make_pyramid(details), 1, 6)
-    start = _log_regression_init(scal, box)
+    start = _start(scal, box)
     assert_allclose(start, polyfit_start(scal, box), rtol=0, atol=1e-12)
     assert np.isfinite(start[1]) and start[1] != 0.25
     assert start[2] == start[3] == 0.25
@@ -687,6 +686,12 @@ def lapack_cases(p: int) -> dict[str, np.ndarray]:
         cases["zero_row"][-1] = cases["zero_row"][:, -1] = 0.0
         cases["nan_pair"] = spd.copy()
         cases["nan_pair"][0, -1] = cases["nan_pair"][-1, 0] = np.nan
+    if p == 2:
+        # the Hessian of a collinear [x, 2x] panel (seed 207): its Cholesky
+        # factor exists, yet LU meets an exactly zero pivot
+        cases["cholesky_then_singular"] = np.frombuffer(bytes.fromhex(
+            "a495c6b1643b3243a295c6b1643b32c3a295c6b1643b32c3a095c6b1643b3243"),
+            dtype="<f8").reshape(2, 2).copy()
     return cases
 
 
@@ -712,20 +717,21 @@ def reference_logdet_inv(a):
 
 def reference_newton_step(a, b):
     """numpy.linalg's Cholesky test, then its solve only where the test
-    passes: what ``_Lapack.newton_step`` fuses."""
+    passes: what ``_Lapack.newton_step`` fuses; None where either fails."""
     try:
         np.linalg.cholesky(a)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         return None
-    return np.linalg.solve(a, b)
 
 
 @pytest.mark.parametrize("p", range(1, 9))
 def test_lapack_adapter_matches_numpy_linalg(p):
     """Each adapter call returns numpy.linalg's bits, fails exactly where
     numpy.linalg does (slogdet flags failure as sign <= 0 in its bits, the
-    fused calls by inf and None) and warns on nothing, numpy.linalg's own
-    NaN warning included."""
+    fused calls by inf and None, ``newton_step`` also where the Cholesky
+    test passes and the solve fails) and warns on nothing, numpy.linalg's
+    own NaN warning included."""
     lapack = estimator._Lapack
     b = np.random.default_rng(100 + p).normal(size=p)
     pairs = [(np.linalg.slogdet, lapack.slogdet), (reference_logdet_inv, lapack.logdet_inv),
@@ -744,6 +750,12 @@ def test_lapack_adapter_matches_numpy_linalg(p):
         assert (lapack.logdet_inv(cases[name])[1] is not None) is passes, name
         assert (lapack.newton_step(cases[name], b) is not None) is passes, name
     assert lapack.logdet_inv(cases["zero"])[0] == math.inf
+    if p == 2:
+        singular = cases["cholesky_then_singular"]
+        np.linalg.cholesky(singular)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(singular, b)
+        assert lapack.newton_step(singular, b) is None
 
 
 def drive(search, evaluate):
@@ -786,7 +798,7 @@ def test_indefinite_hessian_falls_back_to_the_gradient_step(monkeypatch):
             r, scale = rng.uniform(-0.999, 0.999), np.exp(rng.normal(0.0, 3.0, 2))
             mats.append(n_j * np.outer(scale, scale) * np.array([[1.0, r], [r, 1.0]]))
         scal = Scalogram(np.array(mats), counts, 1, n_scales)
-        x = _log_regression_init(scal, box)
+        x = _start(scal, box)
         value, grad, hess = _objective_derivatives(scal, x)
         if np.linalg.eigvalsh(hess).min() >= 0:
             continue
@@ -863,9 +875,8 @@ def test_the_float_search_is_the_vector_search_at_p_1():
         j = np.arange(1, n_scales + 1)
         variances = counts * 2.0 ** (2.0 * d[:, None] * j) * rng.chisquare(counts) / counts
         variances[-1] = 0.0
-        scal = Scalogram(np.zeros((n_scales, 1, 1)), counts, 1, n_scales)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            starts = estimator._separable_start(variances, scal, (lo, hi))
+        scal = Scalogram(variances.T[:, :, None] * np.eye(len(d)), counts, 1, n_scales)
+        starts = _start(scal, (lo, hi)).tolist()
         for row, start in zip(variances, starts):
             for x in (start, float(rng.uniform(lo, hi))):
                 def evaluate(point, vector):
@@ -938,6 +949,93 @@ def test_leading_levels_are_the_shorter_scalogram():
     assert leading.counts.tolist() == short.counts.tolist()
     assert leading.mean_scale == short.mean_scale
     assert full._leading(6).matrices.tobytes() == full.matrices.tobytes()
+    assert leading.variances.tobytes() == short.variances.tobytes()
+
+
+def test_variance_table_at_p_1_is_the_matrix_diagonal():
+    """At p = 1 a level's ``w.T @ w`` and its per-row dot are the same BLAS
+    dot: the variance table equals the matrices' diagonal bit for bit, on
+    302 sample lengths; built from matrices alone, a Scalogram takes their
+    diagonal as its table."""
+    rng = np.random.default_rng(8)
+    for n in range(64, 64 + 7 * 302, 7):
+        pyramid = dwt_pyramid(rng.standard_normal(n) * rng.uniform(0.1, 100.0), WSPEC)
+        scal = scalogram(pyramid, 1, pyramid.j_max)
+        assert scal.variances.shape == (1, pyramid.j_max)
+        assert scal.variances.tobytes() == scal.matrices[:, 0, 0].tobytes()
+    scal = random_scalogram(rng, p=3)
+    table = Scalogram(scal.matrices, scal.counts, scal.j0, scal.j1).variances
+    assert table.flags.c_contiguous
+    assert table.tobytes() == np.diagonal(scal.matrices, axis1=1, axis2=2).T.tobytes()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), mix=st.floats(0.0, 1.0), zero=st.booleans(),
+       order=st.permutations(range(5)), size=st.integers(1, 5))
+def test_univariate_estimate_of_a_column_is_its_own(seed, mix, zero, order, size):
+    """``estimate_univariate_each`` on any subset or permutation of a panel's
+    columns gives each channel the d and diagnostics of the whole panel's
+    fit, and of the column alone, bit for bit: its pyramid, its row of the
+    variance table, its start and its search see no other channel.  Five
+    ARFIMA channels at N = 512 (independent, so that every draw is
+    embeddable), correlated by adding mix times channel 4 to the others;
+    channel 0 is sometimes all zero."""
+    d = np.random.default_rng(seed).uniform(-0.3, 1.3, 5)
+    panel = simulate_arfima(ArfimaSpec(d=d, omega=np.eye(5), n_samples=512, seed=seed))
+    panel[:, :4] += mix * panel[:, 4:]
+    if zero:
+        panel[:, 0] = 0.0
+    config = EstimationConfig()
+    d_all, diags_all = estimate_univariate_each(panel, WSPEC, config)
+    columns = list(order[:size])
+    d_sub, diags_sub = estimate_univariate_each(panel[:, columns], WSPEC, config)
+    assert d_sub.tobytes() == d_all[columns].tobytes()
+    assert diags_sub == [diags_all[ell] for ell in columns]
+    ell = columns[0]
+    d_alone, diags_alone = estimate_univariate_each(panel[:, ell], WSPEC, config)
+    assert d_alone.tobytes() == d_all[ell:ell + 1].tobytes() and diags_alone == [diags_all[ell]]
+
+
+def test_joint_and_univariate_fits_share_the_start(monkeypatch):
+    """Every fit starts from ``_start``: on one scalogram, the joint search
+    and channel l's univariate search start at the same value, bit for bit.
+    Four channels, one with zero coefficients at scale 3 (its start takes
+    the masked regression); seeds 0..9."""
+    starts = []
+    search = estimator._newton_search
+
+    def spy(x, lo, hi, algebra):
+        starts.append(x)
+        return search(x, lo, hi, algebra)
+
+    monkeypatch.setattr(estimator, "_newton_search", spy)
+    for seed in range(10):
+        panel = simulate_arfima(ArfimaSpec(d=[0.1, 0.3, 0.45, 0.2], omega=omega_from_rho(0.5, 4),
+                                           n_samples=1024, seed=seed))
+        pyramid = dwt_pyramid(panel, WSPEC, 7)
+        pyramid.details[2][:, 1] = 0.0
+        scal = scalogram(pyramid, 1, 7)
+        starts.clear()
+        estimate_d(scal, EstimationConfig(), WSPEC)
+        estimator._fit_univariate(scal, WSPEC)
+        joint, *each = starts
+        assert joint.tobytes() == np.array(each).tobytes()
+
+
+def test_a_non_finite_row_leaves_the_other_starts_alone():
+    """Zeroing one scale of channel 3 makes its log-variance -inf there: its
+    start becomes the masked regression on its finite scales, and every
+    other channel's start keeps its bits."""
+    box = search_box(WSPEC)
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        details = [rng.standard_normal((2048 >> j, 4)) * 2.0 ** (rng.uniform(-0.2, 0.6, 4) * j)
+                   for j in range(1, 9)]
+        before = _start(scalogram(make_pyramid(details), 1, 8), box)
+        details[int(rng.integers(8))][:, 3] = 0.0
+        after = _start(scalogram(make_pyramid(details), 1, 8), box)
+        assert after[:3].tobytes() == before[:3].tobytes()
+        assert np.isfinite(after[3]) and after[3] != before[3]
 
 
 def test_univariate_fit_of_a_channel_ignores_the_others():
@@ -1072,14 +1170,6 @@ def test_degenerate_panel_never_converges_to_infinite_objective(second):
     x = np.random.default_rng(61).standard_normal(512)
     est = estimate_panel(np.column_stack([x, second(x)]), WSPEC, EstimationConfig())
     assert math.isfinite(est.objective_value) or est.diagnostics["converged"] is False
-
-
-def test_rate_rule_j0():
-    assert rate_rule_j0(512, 2.0) == 2
-    assert rate_rule_j0(2048, 2.0) == 2
-    assert rate_rule_j0(2**15, 1.0) == 5
-    with pytest.raises(ConfigError):
-        rate_rule_j0(512, 0.0)
 
 
 def test_config_validation():

@@ -550,6 +550,9 @@ def test_parse_scenario_mapping():
         parse_scenario_mapping({"d": [0.2], "bogus": 1})
     with pytest.raises(ScenarioError):
         parse_scenario_mapping({"rho": 0.1})
+    # keys are case-insensitive, so N and n name one key, given twice
+    with pytest.raises(ScenarioError, match="scenario key 'n' given twice"):
+        parse_scenario_mapping({"d": [0.2], "N": 512, "n": 256})
 
 
 # every key a scenario file may hold: SCENARIO_KEYS plus rho

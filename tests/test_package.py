@@ -20,7 +20,7 @@ EXPORTS = {
              "UnsupportedOrderError", "VanishingMomentError", "WavewhittleError"],
     estimator: ["EstimationConfig", "MwwEstimate", "Scalogram", "correlation_from_cov",
                 "estimate_d", "estimate_omega", "estimate_panel", "estimate_univariate_each",
-                "g_hat", "objective_R", "rate_rule_j0", "scalogram", "whittle_likelihood"],
+                "g_hat", "objective_R", "scalogram", "whittle_likelihood"],
     wavelets: ["WaveletPyramid", "WaveletSpec", "coefficient_counts", "daubechies_filters",
                "dwt_pyramid", "max_feasible_level", "psi_hat_sq", "qmf", "spectral_k"],
     arfima: ["ArfimaSpec", "model_wavelet_cov", "simulate_arfima"],
