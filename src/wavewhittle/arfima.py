@@ -18,8 +18,10 @@ computed: its bins are independent Gaussians of known variance (Davies &
 Harte 1987, Biometrika 74; Wood & Chan 1994, JCGS 3), so 2N + 2 standard
 normals per channel, read as N + 1 complex bins and scaled, are the same
 white noise under an orthogonal change of variables.  A draw then costs one
-irfft per channel.  Channels with d >= 1/2 are integrated (cumulative sums)
-from their stationary exponent.
+irfft per channel, a call of the gufunc that np.fft.irfft wraps
+(numpy.fft._pocketfft_umath.irfft, with its 1/(2N) normalization) into the
+draw's workspace: np.fft.irfft's bits without its Python wrapper.  Channels
+with d >= 1/2 are integrated (cumulative sums) from their stationary exponent.
 
 The factor is stored as its packed lower triangle: a C-contiguous
 (p(p+1)/2, N+1) complex array whose row l(l+1)/2 + m holds factor[l, m],
@@ -374,7 +376,7 @@ def _mix(spec: ArfimaSpec, factor: np.ndarray, seed, workspace: np.ndarray) -> n
     full = buffer[: 2 * n]
     panel = np.empty((p, n))
     for ell in range(p):
-        np.fft.irfft(spectrum[ell], 2 * n, out=full)
+        np.fft._pocketfft_umath.irfft(spectrum[ell], 1.0 / (2 * n), full)
         panel[ell] = full[:n]
         for _ in range(spec._orders[ell]):
             np.cumsum(panel[ell], out=panel[ell])

@@ -63,7 +63,8 @@ class Scalogram:
     as immutable: the derived quantities are set once, when it is built:
     ``_geometry``, the constants of its scale range and counts
     (``_scale_terms``), ``_count``, the total number n of coefficients, and
-    ``_flat``, ``matrices`` as a (J, p^2) array, row j holding I(j) row-major.
+    ``_flat``, ``matrices`` as a (J, p^2) array, row j holding I(j) row-major,
+    and ``_starts``, filled by ``_start`` with the fits' start per search box.
     """
 
     matrices: np.ndarray
@@ -75,6 +76,7 @@ class Scalogram:
     def __post_init__(self):
         self._count, self._geometry = _scale_terms(self.j0, self.j1, tuple(self.counts.tolist()))
         self._flat = self.matrices.reshape(len(self.matrices), -1)
+        self._starts = {}
         if self.variances is None:
             self.variances = np.ascontiguousarray(np.diagonal(self.matrices, axis1=1, axis2=2).T)
 
@@ -92,8 +94,11 @@ class Scalogram:
         return self._geometry[0]
 
     def _leading(self, j1: int) -> Scalogram:
-        """The scalogram of scales j0..j1, j1 at most its own: a view of its
-        leading levels, equal bit for bit to one summed over j0..j1."""
+        """The scalogram of scales j0..j1, j1 at most its own: itself when it
+        keeps every level, else a view of its leading levels, equal bit for
+        bit to one summed over j0..j1."""
+        if j1 == self.j1:
+            return self
         levels = j1 - self.j0 + 1
         return Scalogram(self.matrices[:levels], self.counts[:levels], self.j0, j1,
                          self.variances[:, :levels])
@@ -334,8 +339,12 @@ def _start(scal: Scalogram, box: tuple[float, float]) -> np.ndarray:
     inverse variance of y_jl: the weighted log-regression of Veitch & Abry
     (1999, IEEE Trans. Inf. Theory 45).  A row with a non-finite
     log-variance is fit on its finite scales with the same weights; one with
-    fewer than two starts at 0.25.
+    fewer than two starts at 0.25.  Computed once per scalogram and box, and
+    read-only: the joint and univariate fits of a replication share it.
     """
+    start = scal._starts.get(box)
+    if start is not None:
+        return start
     if scal.j1 == scal.j0:
         raise ConfigError("single-scale objective is flat in d; need j0 < j1")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -353,7 +362,8 @@ def _start(scal: Scalogram, box: tuple[float, float]) -> np.ndarray:
             slope = np.add.reduce(w * dx * dy, axis=1) / np.add.reduce(w * dx * dx, axis=1)
             init[bad] = np.where(np.add.reduce(good, axis=1) >= 2, 0.5 * slope, 0.25)
     margin = 1e-3 * (box[1] - box[0])
-    return _project(init, box[0] + margin, box[1] - margin)
+    start = scal._starts[box] = _freeze(_project(init, box[0] + margin, box[1] - margin))
+    return start
 
 
 def estimate_d(scal: Scalogram, config: EstimationConfig, spec: WaveletSpec):
@@ -370,7 +380,8 @@ def estimate_d(scal: Scalogram, config: EstimationConfig, spec: WaveletSpec):
             f"only {scal._count} coefficients for {p} channels; estimation refused"
         )
     lo, hi = search_box(spec)
-    search = _newton_search(_start(scal, (lo, hi)), lo, hi, _Vectors)
+    # a copy: a search that never moves returns its start as d_hat
+    search = _newton_search(_start(scal, (lo, hi)).copy(), lo, hi, _Vectors)
     point, confirming = next(search)
     try:
         while True:

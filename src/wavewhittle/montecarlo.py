@@ -5,8 +5,9 @@ it yields per-quantity bias / standard deviation / RMSE records plus the
 multivariate-to-univariate RMSE ratios computed on shared panels (paired
 design).  ``MCReport.to_dict()`` is a report's data; writing it to files is
 the CLI's job (``wavewhittle mc``).  Everything is deterministic
-given the root seed: replication seeds are spawned from a SeedSequence and
-aggregation follows replication order, so worker counts never change results.
+given the root seed: replication i draws from the SeedSequence child
+``spawn`` would give it (spawn key (i,)), and aggregation follows
+replication order, so worker counts never change results.
 """
 
 from __future__ import annotations
@@ -115,9 +116,8 @@ class Scenario:
         store("config", EstimationConfig(j0=self.j0, j1=self.j1))
         for name, p in (("joint_scales", self.n_channels), ("univariate_scales", 1)):
             store(name, resolve_scales(self.n_samples, self.spec, self.config, p))
-        _, rows, cols, upper_rows, upper_cols = _report_layout(self.n_channels)
-        truth = [self.d, self.omega[rows, cols],
-                 correlation_from_cov(self.omega)[upper_rows, upper_cols]]
+        _, pairs, upper_pairs = _report_layout(self.n_channels)
+        truth = [self.d, self.omega.take(pairs), correlation_from_cov(self.omega).take(upper_pairs)]
         if self.include_univariate:
             truth.append(self.d)
         store("truth", _freeze(np.concatenate(truth)))
@@ -198,8 +198,9 @@ def _run_replication(scenario: Scenario, seed) -> dict:
 
     It builds one pyramid and one scalogram, over the univariate scales when
     that fit runs: both ranges start at j0 and the joint one ends no deeper,
-    so the joint fit reads its leading levels.  It computes neither the
-    report's warnings nor its zero-channel scan.
+    so the joint fit reads its leading levels: when the ranges are equal, the
+    scalogram itself, whose one start both fits share.  It computes neither
+    the report's warnings nor its zero-channel scan.
     """
     model, spec, config = scenario.model, scenario.spec, scenario.config
     panel = _draw(model, embedding_factor(model), seed)
@@ -237,18 +238,18 @@ def _replication_worker(args):
 
 
 @lru_cache(maxsize=32)
-def _report_layout(p: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _report_layout(p: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     """The joint quantities of a p-channel report, in record order (d, then
-    omega and corr over the upper-triangle pairs), and the read-only pair
-    indices that pick them: rows and cols of every pair l <= m, then of
-    every pair l < m."""
+    omega and corr over the upper-triangle pairs), and the read-only
+    row-major flat indices in a p x p matrix that pick them: of every pair
+    l <= m, then of every pair l < m."""
     rows, cols, upper = _pair_indices(p)
-    upper_rows, upper_cols = _freeze(rows[upper]), _freeze(cols[upper])
+    pairs = rows * p + cols
     quantities = ([f"d_{ell + 1}" for ell in range(p)]
                   + [f"omega_{ell + 1}_{m + 1}" for ell, m in zip(rows.tolist(), cols.tolist())]
                   + [f"corr_{ell + 1}_{m + 1}"
-                     for ell, m in zip(upper_rows.tolist(), upper_cols.tolist())])
-    return tuple(quantities), rows, cols, upper_rows, upper_cols
+                     for ell, m in zip(rows[upper].tolist(), cols[upper].tolist())])
+    return tuple(quantities), _freeze(pairs), _freeze(pairs[upper])
 
 
 def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -> MCReport:
@@ -270,8 +271,9 @@ def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -
     # fits' M, so that forked workers inherit both
     embedding_factor(scenario.model)
     _psi_bands(scenario.vanishing_moments)
-    seeds = np.random.SeedSequence(scenario.seed).spawn(scenario.replications)
-    jobs = [(scenario, s) for s in seeds]
+    # child i of SeedSequence(seed).spawn, without building the parent
+    jobs = [(scenario, np.random.SeedSequence(scenario.seed, spawn_key=(i,)))
+            for i in range(scenario.replications)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # costs ~20 ms to import
 
@@ -288,11 +290,12 @@ def run_scenario(scenario: Scenario, keep_raw: bool = False, workers: int = 1) -
         raise ScenarioError(f"all replications failed: {failures}")
 
     p = scenario.n_channels
-    quantities, rows, cols, upper_rows, upper_cols = _report_layout(p)
+    quantities, pairs, upper_pairs = _report_layout(p)
     d_hat = np.array([r["d"] for r in kept])
     omega_hat = np.array([r["omega"] for r in kept])
     corr_hat = np.array([r["correlation"] for r in kept])
-    values = [d_hat.T, omega_hat[:, rows, cols].T, corr_hat[:, upper_rows, upper_cols].T]
+    values = [d_hat.T, omega_hat.reshape(len(kept), -1).T.take(pairs, axis=0),
+              corr_hat.reshape(len(kept), -1).T.take(upper_pairs, axis=0)]
     if scenario.include_univariate:
         d_uni = np.array([r["d_univariate"] for r in kept])
         values.append(d_uni.T)

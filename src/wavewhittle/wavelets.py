@@ -446,7 +446,8 @@ def _spectral_k(delta, spec: WaveletSpec):
     parts = np.exp(x * bands.centers) * (powers @ bands.moments)
     prev, last = parts[:, bands.n_up - 2], parts[:, bands.n_up - 1]
     magnitude = np.abs(last)
-    tail = (prev != 0.0) & (0.0 < magnitude) & (magnitude < 0.95 * np.abs(prev))
-    ratio = np.where(tail, last, 0.0) / np.where(tail, prev, 1.0)
-    total = 2.0 * (parts.sum(axis=1) + last * ratio / (1.0 - ratio))
+    # the tail's ratio where it shrinks (so prev != 0), else 0
+    tail = (0.0 < magnitude) & (magnitude < 0.95 * np.abs(prev))
+    ratio = np.divide(last, prev, out=np.zeros(len(last)), where=tail)
+    total = 2.0 * (np.add.reduce(parts, axis=1) + last * ratio / (1.0 - ratio))
     return float(total[0]) if d.ndim == 0 else total.reshape(d.shape)

@@ -9,8 +9,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import Bounds, minimize
 
 from wavewhittle import wavelets
-from wavewhittle.arfima import split_memory
-from wavewhittle.errors import DomainError, PanelFormatError
+from wavewhittle.arfima import ArfimaSpec, simulate_arfima, split_memory
+from wavewhittle.errors import ConfigError, DomainError, PanelFormatError
 from wavewhittle.estimator import (
     DEGENERACY_THRESHOLD,
     LOG2,
@@ -375,6 +375,42 @@ def scan_panel_oracle(path) -> tuple[list[str], np.ndarray]:
 # ---------------------------------------------------------------------------
 # The truncated MA(inf) simulator the exact circulant embedding replaced, kept
 # as the oracle for the model's cross-covariances.
+
+
+def off_half_integers(d: float) -> bool:
+    """Whether the simulator accepts the memory parameter d: ``split_memory``
+    refuses the half-integers, where the stationary part sits on the
+    +-1/2 boundary (and d <= -1/2)."""
+    try:
+        split_memory(d)
+    except ConfigError:
+        return False
+    return True
+
+
+def mixed_panel(kinds, d, seed: int, n: int = 512) -> np.ndarray:
+    """An (n, len(kinds)) panel whose channel l is, by kinds[l]: "arfima",
+    an independent unit-variance ARFIMA(0, d, 0) draw taking the next entry
+    of d; "zero"; "constant"; "trend", a random line; or a channel exactly
+    collinear with the ARFIMA channels x (the first) and y (the last): x
+    ("copy"), 2x ("double") or x + y ("sum").  Needs an ARFIMA channel."""
+    rng = np.random.default_rng(seed)
+    arfima = [ell for ell, kind in enumerate(kinds) if kind == "arfima"]
+    panel = np.empty((n, len(kinds)))
+    panel[:, arfima] = simulate_arfima(ArfimaSpec(
+        d=d[:len(arfima)], omega=np.eye(len(arfima)), n_samples=n, seed=seed))
+    x, y = panel[:, arfima[0]], panel[:, arfima[-1]]
+    t = np.arange(n, dtype=np.float64)
+    for ell, kind in enumerate(kinds):
+        if kind == "zero":
+            panel[:, ell] = 0.0
+        elif kind == "constant":
+            panel[:, ell] = rng.uniform(-5.0, 5.0)
+        elif kind == "trend":
+            panel[:, ell] = rng.uniform(-5.0, 5.0) + rng.uniform(-1.0, 1.0) * t
+        elif kind != "arfima":
+            panel[:, ell] = {"copy": x, "double": 2.0 * x, "sum": x + y}[kind]
+    return panel
 
 
 def frac_diff_coeffs(d: float, count: int) -> np.ndarray:

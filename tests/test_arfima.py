@@ -347,6 +347,18 @@ def test_simulation_matches_dense_mix():
     assert_allclose(simulate_arfima(spec), expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 37, 512, 65536])
+def test_direct_irfft_is_numpy_irfft(n):
+    """A draw calls the gufunc that np.fft.irfft wraps, with its 1/(2N)
+    normalization, into a preallocated buffer: the 2N samples are
+    np.fft.irfft's, byte for byte, on any numpy the package accepts."""
+    rng = np.random.default_rng(n)
+    bins = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    out = np.empty(2 * n)
+    np.fft._pocketfft_umath.irfft(bins, 1.0 / (2 * n), out)
+    assert out.tobytes() == np.fft.irfft(bins, 2 * n).tobytes()
+
+
 def test_warm_draw_allocates_only_its_panel():
     """With its factor and workspace built, an N = 65536, p = 2 draw traces
     at most the panel plus 1 MiB: its bins and its irfft and term buffer come

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import wavewhittle.cli as cli
-from helpers import scan_panel_oracle
+from helpers import mixed_panel, off_half_integers, scan_panel_oracle
 from wavewhittle import arfima, errors, montecarlo, plaincsv
 from wavewhittle.cli import main, read_panel, write_panel
 from wavewhittle.errors import PanelFormatError
@@ -29,6 +29,15 @@ from wavewhittle.wavelets import WaveletSpec
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def strict_json(path):
+    """The JSON report at path; a NaN or Infinity in it is a ValueError."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def test_simulate_writes_deterministic_panel(tmp_path):
@@ -131,10 +140,7 @@ def test_estimate_degenerate_panel_reports_strict_json(tmp_path):
     write_panel(panel_path, np.column_stack([x, x]))
     assert run_cli("estimate", "--input", str(panel_path), "--output", str(report_path)) == 0
 
-    def reject(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
-    report = json.loads(report_path.read_text(), parse_constant=reject)
+    report = strict_json(report_path)
     assert report["objective_value"] is None
     assert report["warnings"]["non_convergence"] is True
     assert report["diagnostics"]["converged"] is False
@@ -152,12 +158,37 @@ def test_estimate_collinear_panel_reports_strict_json(tmp_path, seed, factor):
     write_panel(panel_path, np.column_stack([x, factor * x]))
     assert run_cli("estimate", "--input", str(panel_path), "--output", str(report_path)) == 0
 
-    def reject(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
-    report = json.loads(report_path.read_text(), parse_constant=reject)
+    report = strict_json(report_path)
     assert report["warnings"]["non_convergence"] is True
     assert report["diagnostics"]["converged"] is False
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["arfima", "zero", "constant", "trend", "copy", "double",
+                                       "sum"]),
+                      min_size=2, max_size=6).filter(lambda kinds: "arfima" in kinds),
+       d=st.lists(st.floats(-0.3, 1.4).filter(off_half_integers), min_size=6, max_size=6),
+       seed=st.integers(0, 2**16))
+def test_estimate_degenerate_mix_reports_strict_json(tmp_path_factory, kinds, d, seed):
+    """ARFIMA channels mixed, in any order, with zero, constant and
+    linear-trend channels and with channels exactly collinear with them (x,
+    2x, x + y), N = 512: ``estimate_panel`` and ``wavewhittle estimate
+    --output`` raise nothing, list every zero, constant and trend channel in
+    ``zero_channels``, keep ``non_convergence`` as the last warnings key, and
+    the report is strict JSON."""
+    panel = mixed_panel(kinds, d, seed)
+    flat = [ell for ell, kind in enumerate(kinds) if kind in ("zero", "constant", "trend")]
+    est = estimate_panel(panel, WaveletSpec(vanishing_moments=4), EstimationConfig())
+    assert est.warnings["zero_channels"] == flat
+    assert list(est.warnings)[-1] == "non_convergence"
+    workdir = tmp_path_factory.mktemp("mix")
+    write_panel(workdir / "panel.csv", panel)
+    assert run_cli("estimate", "--input", str(workdir / "panel.csv"),
+                   "--output", str(workdir / "report.json")) == 0
+
+    report = strict_json(workdir / "report.json")
+    assert report["warnings"]["zero_channels"] == flat
+    assert list(report["warnings"])[-1] == "non_convergence"
 
 
 @pytest.mark.parametrize("values", [[0.2, 0.2], [-0.05993373, np.nextafter(-0.05993373, 1.0)],

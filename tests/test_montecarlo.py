@@ -114,12 +114,14 @@ def test_single_replication_degenerate_stats():
 
 @pytest.mark.parametrize("univariate", [True, False])
 @pytest.mark.parametrize("p", [1, 2, 3])
-@pytest.mark.parametrize("replications", [1, 2, 7])
+@pytest.mark.parametrize("replications", [1, 2, 7, 40])
 def test_records_are_numpy_statistics_of_the_raw_estimates(replications, p, univariate):
     """Each record's bias, std and rmse are np.mean(raw) - truth, np.std(raw)
     and their math.hypot, bit for bit, over the raw estimates the report
     keeps; truth is the scenario's d, omega and correlation, and the M/U
-    ratio divides by the univariate rmse formed the same way."""
+    ratio divides by the univariate rmse formed the same way.  At 40
+    replications a sum takes numpy's unrolled blocks, which a reduction
+    along a Fortran-ordered array would not."""
     scenario = small_scenario(d=[0.2, 0.3, 0.1][:p], omega=omega_from_rho(0.4, p),
                               replications=replications, include_univariate=univariate)
     report = run_scenario(scenario, keep_raw=True)
@@ -184,6 +186,21 @@ def test_workers_below_one_or_not_integers_are_refused(monkeypatch, workers, mes
     with pytest.raises(ConfigError, match=message):
         run_scenario(small_scenario(replications=2), workers=workers)
     assert calls == []
+
+
+@pytest.mark.parametrize("replications", [1, 7, 64])
+def test_replication_seeds_are_the_spawned_children(monkeypatch, replications):
+    """Replication i draws from SeedSequence(seed, spawn_key=(i,)), built
+    without a parent: child i of SeedSequence(seed).spawn(R), state for
+    state."""
+    seeds = []
+    monkeypatch.setattr(montecarlo, "_replication_worker",
+                        lambda job: seeds.append(job[1]) or "non_converged")
+    with pytest.raises(ScenarioError, match="all replications failed"):
+        run_scenario(small_scenario(replications=replications, seed=2718))
+    spawned = np.random.SeedSequence(2718).spawn(replications)
+    assert ([seed.generate_state(4).tolist() for seed in seeds]
+            == [child.generate_state(4).tolist() for child in spawned])
 
 
 def test_infeasible_scale_range_raises_before_any_replication():
