@@ -37,13 +37,17 @@ ZERO_CHANNEL_RTOL = 1e-12
 # The search box for d is (BOX_LOW, M].
 BOX_LOW = -2.0
 # Projected Newton: iteration cap, and the stopping rule.  A fit has converged
-# once its projected step is at most STEP_TOL in every coordinate, or when no
-# step lowers R and either the projected gradient is at most GRAD_TOL or the
-# free Hessian block is positive definite with a Newton decrement
-# g^T H^-1 g / 2 of at most DECREMENT_TOL * max(1, |R|): the most any step
-# could still gain is then below what R resolves in double precision (Boyd &
-# Vandenberghe 2004, sec. 9.5.1).  A 1e-9 step tolerance stalls on the ~6e-9
-# round-off floor of the gradient.
+# once its projected step, of length l (its largest |entry|), is at most
+# STEP_TOL, or at most (STEP_TOL l_prev^2)^(1/3) after a whole Newton step of
+# length l_prev: in Newton's quadratic phase the error left after the step is
+# about (l / l_prev^2) l^2, so the last two steps predict it at most STEP_TOL
+# (Boyd & Vandenberghe 2004, sec. 9.5.3).  Either step is taken, and R alone
+# evaluated there.  A fit has also converged when no step lowers R and either
+# the projected gradient is at most GRAD_TOL or the free Hessian block is
+# positive definite with a Newton decrement g^T H^-1 g / 2 of at most
+# DECREMENT_TOL * max(1, |R|): the most any step could still gain is then
+# below what R resolves in double precision (ibid., sec. 9.5.1).  A 1e-9 step
+# tolerance stalls on the ~6e-9 round-off floor of the gradient.
 NEWTON_MAX_ITERATIONS = 50
 STEP_TOL = 1e-8
 GRAD_TOL = 1e-7
@@ -407,13 +411,20 @@ def _newton_search(x, lo: float, hi: float, algebra):
     their Hessian block when it passes the positive-definiteness test.  Each
     direction, the Newton one first, is halved, projected on the box, until
     R falls by ARMIJO times the decrease its gradient predicts.  It stops by
-    the rules of the module constants above; a search that hits the
-    iteration cap or starts at a singular G_bar has not converged.
+    the rules of the module constants above; l_prev is 0 after a halved
+    step, a gradient step, or none, so only a run of whole Newton steps can
+    predict.  A box-shortened l_prev makes the prediction more cautious, and
+    at a degenerate minimum, where Newton converges linearly at a rate
+    r >= 1/2, the prediction fires at l <= STEP_TOL / r^2, at most 4 times
+    the plain step rule.  A search that hits the iteration cap or starts at
+    a singular G_bar has not converged.  ``stopped_by`` names the rule that
+    ended it: "step", "predicted_step", "gradient", "decrement", or, not
+    converged, "no_descent", "iteration_cap" or "singular_start".
     ``active_bounds`` lists the coordinates held in the last iteration.
     """
     move, dot = algebra.move, algebra.dot
     value, grad, hess = yield x, False
-    evaluations, iterations, converged, free = 1, 0, False, True
+    evaluations, iterations, converged, free, previous = 1, 0, False, True, 0.0
     while math.isfinite(value) and iterations < NEWTON_MAX_ITERATIONS:
         iterations += 1
         descent = -grad
@@ -421,8 +432,9 @@ def _newton_search(x, lo: float, hi: float, algebra):
         directions, trial = (descent,), None
         if newton is not None:
             trial, step, length = move(x, newton, lo, hi)
-            if length <= STEP_TOL:
+            if length <= STEP_TOL or length * length * length <= STEP_TOL * previous * previous:
                 # the confirming evaluation: only its value is read
+                stopped_by = "step" if length <= STEP_TOL else "predicted_step"
                 x = trial
                 value = (yield x, True)[0]
                 evaluations += 1
@@ -445,17 +457,26 @@ def _newton_search(x, lo: float, hi: float, algebra):
                 trial = None
                 continue
             x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
+            # the length of a whole Newton step, for the next predicted error
+            previous = length if alpha == 1.0 and direction is newton else 0.0
             break
         else:
             # the projected gradient, and the Newton decrement of the free block
-            converged = (move(x, descent, lo, hi)[2] <= GRAD_TOL
-                         or newton is not None
-                         and dot(descent * free, newton) / 2
-                         <= DECREMENT_TOL * max(1.0, abs(value)))
+            if move(x, descent, lo, hi)[2] <= GRAD_TOL:
+                stopped_by = "gradient"
+            elif (newton is not None
+                  and dot(descent * free, newton) / 2 <= DECREMENT_TOL * max(1.0, abs(value))):
+                stopped_by = "decrement"
+            else:
+                stopped_by = "no_descent"
+            converged = stopped_by != "no_descent"
             break
+    else:
+        stopped_by = "iteration_cap" if math.isfinite(value) else "singular_start"
     diagnostics = {
         "method": "newton",
         "converged": bool(converged),
+        "stopped_by": stopped_by,
         "function_evaluations": evaluations,
         "iterations": iterations,
         "active_bounds": algebra.held(free),
@@ -692,13 +713,20 @@ def estimate_univariate_each(
     minimized on its own (``_fit_univariate``).
 
     The scale range is resolved as for p = 1.  Returns the estimates and one
-    diagnostics dict per channel, the dict ``estimate_d`` gives for that
-    channel alone (``active_bounds`` is [0] when it is held at a box edge):
-    a channel whose criterion is singular (e.g. all zero) keeps its start
-    value and is the only one marked not converged.
+    diagnostics dict per channel: the dict ``estimate_d`` gives for that
+    channel alone (``active_bounds`` is [0] when it is held at a box edge),
+    and ``zero_channel``, the verdict of ``_zero_channels`` on the channel
+    alone.  A channel whose criterion is singular (e.g. all zero) keeps its
+    start value and is the only one marked not converged.
     """
-    scal = _scalogram(np.asarray(panel, dtype=np.float64), spec, config, 1)
-    return _fit_univariate(scal, spec)
+    x = np.asarray(panel, dtype=np.float64)
+    scal = _scalogram(x, spec, config, 1)
+    d_hat, diagnostics = _fit_univariate(scal, spec)
+    # row l of the variance table and column l of the panel are the channel's own
+    zero = _zero_channels(x, scal)
+    for ell, channel in enumerate(diagnostics):
+        channel["zero_channel"] = ell in zero
+    return d_hat, diagnostics
 
 
 def _fit_univariate(scal: Scalogram, spec: WaveletSpec) -> tuple[np.ndarray, list[dict]]:

@@ -168,25 +168,6 @@ def polyfit_start(scal: Scalogram, box):
     return np.clip(init, box[0] + margin, box[1] - margin)
 
 
-def unweighted_start(scal: Scalogram, box):
-    """The unweighted closed-form start that the count-weighted one replaced:
-    the least-squares slope of log2(I_ll(j)/n_j) on j over the finite
-    scales, every scale weighted alike, halved; 0.25 with fewer than two
-    finite scales."""
-    js = np.arange(scal.j0, scal.j1 + 1, dtype=np.float64)[:, None]
-    variances = np.diagonal(scal.matrices, axis1=1, axis2=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.log2(variances / scal.counts[:, None])
-        good = np.isfinite(y)
-        n = good.sum(axis=0)
-        dx = np.where(good, js - (good * js).sum(axis=0) / n, 0.0)
-        dy = np.where(good, y - np.where(good, y, 0.0).sum(axis=0) / n, 0.0)
-        slope = (dx * dy).sum(axis=0) / (dx * dx).sum(axis=0)
-    init = np.where(n >= 2, 0.5 * slope, 0.25)
-    margin = 1e-3 * (box[1] - box[0])
-    return np.clip(init, box[0] + margin, box[1] - margin)
-
-
 def multistart_nelder_mead(scal: Scalogram, box):
     """Reference minimizer of R(d): derivative-free simplex searches from the
     log-regression start and four seeded jittered starts; returns (d, R(d))."""

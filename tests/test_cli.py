@@ -395,6 +395,63 @@ def test_mc_subcommand_deterministic(tmp_path):
     assert (tmp_path / "out1.csv").read_text() == (tmp_path / "out2.csv").read_text()
 
 
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=5)),
+    max_leaves=40)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(obj=JSON_VALUES
+       | st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.none(), max_size=30)
+       | st.lists(st.lists(st.floats(allow_nan=True) | st.integers(), min_size=1, max_size=4),
+                  max_size=4))
+def test_json_text_is_json_dumps_with_indent(obj):
+    """The report writer lays out any mix of dicts, lists and tuples, empty
+    ones among them, holding floats (NaN and +-inf too), ints, bools, None
+    and strings (non-ASCII ones too), byte for byte as
+    ``json.dumps(obj, indent=2)`` does, plus a newline."""
+    assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {"a, b": [1.0, "x, y"], "": [], "e": {}, "t": (1, 2), "u": "\u00e9\u4e2d\U0001f600"},
+    [[], {}, [[]], [1, [2, [3.5, float("nan"), float("-inf")]]], ["[", "{", '"']],
+    {1: "int key", 2.5: [None], True: False, None: {"nested": [1, 2]}},
+    [[1.0, 2.0], (3, None), {"k": [True, False, None]}],
+    "\u00e9", 1e300, -0.0, float("inf"), None,
+], ids=["mixed", "nested", "non-string keys", "matrix", "text", "float", "zero", "inf", "null"])
+def test_json_text_cases_json_dumps_lays_out(obj):
+    """Strings that hold the encoder's own separators or brackets, keys
+    that are not strings (left to json.dumps, re-indented to their depth),
+    and top-level scalars."""
+    assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_reports_are_json_dumps_with_indent(tmp_path):
+    """The files ``estimate``, ``simulate`` and ``mc`` write are laid out as
+    ``json.dumps(data, indent=2)`` lays out the data they hold: a p = 20
+    estimate report (three 20 x 20 matrices), its CSV-format config echo,
+    a simulate config echo and an mc report."""
+    panel = tmp_path / "wide.csv"
+    assert run_cli("simulate", "--d", ",".join(["0.1", "0.3"] * 10), "--rho", "0.3",
+                   "--N", "1024", "--seed", "3", "--output", str(panel)) == 0
+    assert run_cli("estimate", "--input", str(panel), "--output", str(tmp_path / "wide.json")) == 0
+    assert run_cli("estimate", "--input", str(panel), "--format", "csv",
+                   "--output", str(tmp_path / "table.csv")) == 0
+    assert run_cli("mc", "--scenario", "scenarios/table1_row3.cfg", "--reps", "3",
+                   "--output", str(tmp_path / "mc")) == 0
+    names = ["wide.json", "wide_config.json", "table_config.json", "mc.json"]
+    for name in names:
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", name
+    assert len(json.loads((tmp_path / "wide.json").read_text())["omega"]) == 20
+
+
 @pytest.mark.parametrize("scenario, extra", [
     ("scenarios/table1_row3.cfg", ["--reps", "4"]),
     ("d = 0.3\nN = 300\nreps = 3\nseed = 5\nM = 2\n"
