@@ -24,6 +24,7 @@ from .wavelets import (
     _spectral_k,
     coefficient_counts,
     dwt_pyramid,
+    in_k_domain,
     max_feasible_level,
 )
 
@@ -42,16 +43,13 @@ BOX_LOW = -2.0
 # length l_prev: in Newton's quadratic phase the error left after the step is
 # about (l / l_prev^2) l^2, so the last two steps predict it at most STEP_TOL
 # (Boyd & Vandenberghe 2004, sec. 9.5.3).  Either step is taken, and R alone
-# evaluated there.  A fit has also converged when no step lowers R and either
-# the projected gradient is at most GRAD_TOL or the free Hessian block is
-# positive definite with a Newton decrement g^T H^-1 g / 2 of at most
-# DECREMENT_TOL * max(1, |R|): the most any step could still gain is then
-# below what R resolves in double precision (ibid., sec. 9.5.1).  A 1e-9 step
-# tolerance stalls on the ~6e-9 round-off floor of the gradient.
+# evaluated there.  A fit where no step of its direction lowers R has
+# converged only when its projected gradient is at most GRAD_TOL: a search
+# stalled in round-off above it, as on collinear channels, has not.  A 1e-9
+# step tolerance stalls on the ~6e-9 round-off floor of the gradient.
 NEWTON_MAX_ITERATIONS = 50
 STEP_TOL = 1e-8
 GRAD_TOL = 1e-7
-DECREMENT_TOL = 8 * np.finfo(np.float64).eps
 # Backtracking accepts a step once R falls by this fraction of the decrease
 # the gradient predicts.
 ARMIJO = 1e-4
@@ -192,14 +190,10 @@ def objective_R(scal: Scalogram, d) -> float:
     covariance is singular so minimizers treat the point as infeasible.
     """
     d = np.atleast_1d(np.asarray(d, dtype=np.float64))
-    return _profile_logdet(_centred_sums(scal, d)[0]) + scal.n_channels - 1.0
-
-
-def _profile_logdet(g_bar: np.ndarray) -> float:
-    sign, logdet = _Lapack.slogdet(g_bar)
+    sign, logdet = _Lapack.slogdet(_centred_sums(scal, d)[0])
     if sign <= 0 or not math.isfinite(logdet):
         return math.inf
-    return float(logdet)
+    return float(logdet) + scal.n_channels - 1.0
 
 
 def _lapack_failed(err, flag):
@@ -406,21 +400,23 @@ def _newton_search(x, lo: float, hi: float, algebra):
     of the joint fit's p-vectors (``_Vectors``) or of one channel's float
     (``_Floats``).
 
-    Coordinates at a bound whose gradient points out of the box are held
-    there and take the gradient step; the free ones take the Newton step of
-    their Hessian block when it passes the positive-definiteness test.  Each
-    direction, the Newton one first, is halved, projected on the box, until
-    R falls by ARMIJO times the decrease its gradient predicts.  It stops by
-    the rules of the module constants above; l_prev is 0 after a halved
-    step, a gradient step, or none, so only a run of whole Newton steps can
-    predict.  A box-shortened l_prev makes the prediction more cautious, and
-    at a degenerate minimum, where Newton converges linearly at a rate
-    r >= 1/2, the prediction fires at l <= STEP_TOL / r^2, at most 4 times
-    the plain step rule.  A search that hits the iteration cap or starts at
-    a singular G_bar has not converged.  ``stopped_by`` names the rule that
-    ended it: "step", "predicted_step", "gradient", "decrement", or, not
-    converged, "no_descent", "iteration_cap" or "singular_start".
-    ``active_bounds`` lists the coordinates held in the last iteration.
+    Each iteration takes one direction.  Coordinates at a bound whose
+    gradient points out of the box are held there and take the gradient
+    step; the free ones take the Newton step of their Hessian block when it
+    passes the positive-definiteness test, and the gradient step when it
+    does not.  The direction is halved, projected on the box, until R falls
+    by ARMIJO times the decrease its gradient predicts; when the halved step
+    reaches STEP_TOL first, the search ends.  It stops by the rules of the
+    module constants above; l_prev is 0 after a halved step, a gradient
+    step, or none, so only a run of whole Newton steps can predict.  A
+    box-shortened l_prev makes the prediction more cautious, and at a
+    degenerate minimum, where Newton converges linearly at a rate r >= 1/2,
+    the prediction fires at l <= STEP_TOL / r^2, at most 4 times the plain
+    step rule.  A search that hits the iteration cap or starts at a singular
+    G_bar has not converged.  ``stopped_by`` names the rule that ended it:
+    "step", "predicted_step", "gradient", or, not converged, "no_descent",
+    "iteration_cap" or "singular_start".  ``active_bounds`` lists the
+    coordinates held in the last iteration.
     """
     move, dot = algebra.move, algebra.dot
     value, grad, hess = yield x, False
@@ -429,48 +425,34 @@ def _newton_search(x, lo: float, hi: float, algebra):
         iterations += 1
         descent = -grad
         free, newton = algebra.newton_step(x, grad, hess, descent, lo, hi)
-        directions, trial = (descent,), None
-        if newton is not None:
-            trial, step, length = move(x, newton, lo, hi)
-            if length <= STEP_TOL or length * length * length <= STEP_TOL * previous * previous:
-                # the confirming evaluation: only its value is read
-                stopped_by = "step" if length <= STEP_TOL else "predicted_step"
-                x = trial
-                value = (yield x, True)[0]
-                evaluations += 1
-                converged = math.isfinite(value)
+        direction = descent if newton is None else newton
+        trial, step, length = move(x, direction, lo, hi)
+        if newton is not None and (length <= STEP_TOL
+                                   or length * length * length <= STEP_TOL * previous * previous):
+            # the confirming evaluation: only its value is read
+            stopped_by = "step" if length <= STEP_TOL else "predicted_step"
+            x = trial
+            value = (yield x, True)[0]
+            evaluations += 1
+            converged = math.isfinite(value)
+            break
+        alpha = 1.0
+        # a NaN step is never within STEP_TOL: it ends the search at once
+        while length > STEP_TOL:
+            trial_value, trial_grad, trial_hess = yield trial, False
+            evaluations += 1
+            if trial_value < value and trial_value <= value + dot(ARMIJO * grad, step):
                 break
-            directions = (newton, descent)
-        for direction in directions:
-            alpha = 1.0
-            if trial is None:
-                trial, step, length = move(x, direction, lo, hi)
-            # a NaN step is never within STEP_TOL: it ends the direction at once
-            while length > STEP_TOL:
-                trial_value, trial_grad, trial_hess = yield trial, False
-                evaluations += 1
-                if trial_value < value and trial_value <= value + dot(ARMIJO * grad, step):
-                    break
-                alpha *= 0.5
-                trial, step, length = move(x, alpha * direction, lo, hi)
-            else:
-                trial = None
-                continue
-            x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
-            # the length of a whole Newton step, for the next predicted error
-            previous = length if alpha == 1.0 and direction is newton else 0.0
-            break
+            alpha *= 0.5
+            trial, step, length = move(x, alpha * direction, lo, hi)
         else:
-            # the projected gradient, and the Newton decrement of the free block
-            if move(x, descent, lo, hi)[2] <= GRAD_TOL:
-                stopped_by = "gradient"
-            elif (newton is not None
-                  and dot(descent * free, newton) / 2 <= DECREMENT_TOL * max(1.0, abs(value))):
-                stopped_by = "decrement"
-            else:
-                stopped_by = "no_descent"
-            converged = stopped_by != "no_descent"
+            # no step lowers R: the projected gradient alone can say converged
+            stopped_by = "gradient" if move(x, descent, lo, hi)[2] <= GRAD_TOL else "no_descent"
+            converged = stopped_by == "gradient"
             break
+        x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
+        # the length of a whole Newton step, for the next predicted error
+        previous = length if alpha == 1.0 and newton is not None else 0.0
     else:
         stopped_by = "iteration_cap" if math.isfinite(value) else "singular_start"
     diagnostics = {
@@ -596,10 +578,8 @@ def _omega(scal: Scalogram, d_hat: np.ndarray, spec: WaveletSpec):
     d_rows, d_cols = d_hat[rows], d_hat[cols]
     cosine = np.cos(np.pi * (d_rows - d_cols) / 2.0)
     delta = d_rows + d_cols
-    # the cosine vanishes where d_l - d_m is congruent to 1 mod 2; K's domain
-    # is that of wavelets.in_k_domain
-    defined = (~(np.abs(cosine) < 1e-12) & (-spec.alpha < delta)
-               & (delta < spec.vanishing_moments))
+    # the cosine vanishes where d_l - d_m is congruent to 1 mod 2
+    defined = ~(np.abs(cosine) < 1e-12) & in_k_domain(delta, spec)
     # every defined exponent is inside K's domain: spectral_k's check would repeat this
     k_norm = _spectral_k(delta[defined], spec) / (2.0 * math.pi)
     r, c = rows[defined], cols[defined]

@@ -20,7 +20,7 @@ from numpy.testing import assert_allclose
 
 import wavewhittle.cli as cli
 from helpers import mixed_panel, off_half_integers, scan_panel_oracle
-from wavewhittle import arfima, errors, montecarlo, plaincsv
+from wavewhittle import arfima, errors, estimator, montecarlo, plaincsv
 from wavewhittle.cli import main, read_panel, write_panel
 from wavewhittle.errors import PanelFormatError
 from wavewhittle.estimator import EstimationConfig, estimate_panel
@@ -146,6 +146,25 @@ def test_estimate_degenerate_panel_reports_strict_json(tmp_path):
     assert report["diagnostics"]["converged"] is False
 
 
+def test_estimate_zero_channel_reports_null_objective(tmp_path):
+    """An ARFIMA channel beside an all-zero one: G_bar has a zero row and
+    column at every d, so the search starts at a singular point by
+    construction, not by round-off, and the objective is written as null."""
+    x = arfima.simulate_arfima(arfima.ArfimaSpec(d=[0.3], omega=np.eye(1), n_samples=512,
+                                                 seed=61))
+    panel_path = tmp_path / "zero.csv"
+    report_path = tmp_path / "zero.json"
+    write_panel(panel_path, np.column_stack([x[:, 0], np.zeros(512)]))
+    assert run_cli("estimate", "--input", str(panel_path), "--output", str(report_path)) == 0
+
+    report = strict_json(report_path)
+    assert report["objective_value"] is None
+    assert report["diagnostics"]["stopped_by"] == "singular_start"
+    assert report["diagnostics"]["converged"] is False
+    assert report["warnings"]["non_convergence"] is True
+    assert report["warnings"]["zero_channels"] == [1]
+
+
 @pytest.mark.parametrize("seed, factor", [(207, 2.0), (178, 1.0)])
 def test_estimate_collinear_panel_reports_strict_json(tmp_path, seed, factor):
     """Collinear channels [x, factor * x]: the search may meet a Hessian
@@ -175,12 +194,21 @@ def test_estimate_degenerate_mix_reports_strict_json(tmp_path_factory, kinds, d,
     2x, x + y), N = 512: ``estimate_panel`` and ``wavewhittle estimate
     --output`` raise nothing, list every zero, constant and trend channel in
     ``zero_channels``, keep ``non_convergence`` as the last warnings key, and
-    the report is strict JSON."""
+    the report is strict JSON.  A fit reported converged stopped on its step
+    or predicted step, or on a projected gradient of at most GRAD_TOL."""
     panel = mixed_panel(kinds, d, seed)
     flat = [ell for ell, kind in enumerate(kinds) if kind in ("zero", "constant", "trend")]
-    est = estimate_panel(panel, WaveletSpec(vanishing_moments=4), EstimationConfig())
+    spec, config = WaveletSpec(vanishing_moments=4), EstimationConfig()
+    est = estimate_panel(panel, spec, config)
     assert est.warnings["zero_channels"] == flat
     assert list(est.warnings)[-1] == "non_convergence"
+    if est.diagnostics["converged"]:
+        assert est.diagnostics["stopped_by"] in ("step", "predicted_step", "gradient")
+    if est.diagnostics["stopped_by"] == "gradient":
+        scal = estimator._scalogram(panel, spec, config, panel.shape[1])
+        _, grad, _ = estimator._objective_derivatives(scal, est.d_hat)
+        projected = estimator._project(est.d_hat - grad, *estimator.search_box(spec)) - est.d_hat
+        assert np.max(np.abs(projected)) <= estimator.GRAD_TOL
     workdir = tmp_path_factory.mktemp("mix")
     write_panel(workdir / "panel.csv", panel)
     assert run_cli("estimate", "--input", str(workdir / "panel.csv"),

@@ -349,57 +349,59 @@ def test_non_convergence_is_the_last_warning(monkeypatch):
     assert est.warnings["non_convergence"] is True and est.diagnostics["converged"] is False
 
 
-def fit_from_its_estimate(monkeypatch, scal):
-    """``estimate_d`` on scal, searched again from the d_hat of its own fit."""
-    d_hat = estimate_d(scal, EstimationConfig(), WSPEC)[0]
-    monkeypatch.setattr(estimator, "_start", lambda scal, box: d_hat)
-    return d_hat, estimate_d(scal, EstimationConfig(), WSPEC)
+# Near-collinear scale-domain scalograms (seed 18), searched again from
+# their own d_hat: (d, rho, evaluations, active_bounds).  The second holds a
+# third, independent channel at BOX_LOW, its gradient about 1.09.
+STALLED_IN_ROUNDOFF = [pytest.param([0.2, 0.4], 1 - 1e-5, 2, [], id="free"),
+                       pytest.param([0.2, 0.4, -3.0], 1 - 1e-6, 4, [2], id="held")]
 
 
-def test_estimate_d_converged_at_roundoff(monkeypatch):
-    """A search that ends where no step lowers R, with a projected gradient
-    above GRAD_TOL but a Newton decrement below what R resolves, sits at
-    the optimum and counts as converged.
+@pytest.mark.parametrize("d, rho, evaluations, held", STALLED_IN_ROUNDOFF)
+def test_a_search_stalled_in_roundoff_has_not_converged(monkeypatch, d, rho, evaluations, held):
+    """A search where no step lowers R, with a projected gradient above
+    GRAD_TOL, has not converged, however little R could still fall.
 
-    The scalogram is drawn in the scale domain, channels 0 and 1 with
-    correlation 1 - 1e-5 (seed 18): nearly collinear, so the gradient's
-    round-off is ~3e-6.  Its fit stops by the predicted step after 3
-    evaluations; searched again from that estimate, the first iteration
-    has no earlier step to predict from, its Newton step (1.03e-8) is just
-    above STEP_TOL, and neither it nor the gradient step lowers R: the
-    search stops after 11 evaluations with max|g| = 2.85e-6 and
-    g^T H^-1 g / 2 = 3.8e-16 at R = -8.152, where it started.  That stall
-    depends on the last bits of the arithmetic.
+    Channels 0 and 1 correlate 1 - 1e-5 (or 1 - 1e-6), so the gradient's
+    round-off is far above GRAD_TOL.  Each fit stops by the predicted step
+    after 3 evaluations; searched again from that estimate, the first
+    iteration has no earlier step to predict from, its Newton step (1.03e-8,
+    or 6.5e-8) is above STEP_TOL, and no halving of it lowers R before the
+    step falls to STEP_TOL: the search stops where it started, at R = -8.152
+    (or -16.778), by ``no_descent``.
     """
-    scal = scale_domain_scalogram(18, [0.2, 0.4], 1 - 1e-5)
-    d_fit, (d_hat, value, diag) = fit_from_its_estimate(monkeypatch, scal)
-    assert diag["converged"] is True and diag["stopped_by"] == "decrement"
-    assert diag["function_evaluations"] == 11 and diag["iterations"] == 1
-    assert d_hat.tobytes() == d_fit.tobytes()
-    _, grad, _ = _objective_derivatives(scal, d_hat)
-    assert np.max(np.abs(grad)) > estimator.GRAD_TOL  # only the decrement rule applies
-    assert value == pytest.approx(-8.152, abs=0.01)
-    monkeypatch.setattr(estimator, "DECREMENT_TOL", 0.0)
-    diag = estimate_d(scal, EstimationConfig(), WSPEC)[2]
+    scal = scale_domain_scalogram(18, d, rho)
+    d_fit, value_fit, _ = estimate_d(scal, EstimationConfig(), WSPEC)
+    monkeypatch.setattr(estimator, "_start", lambda scal, box: d_fit)
+    d_hat, value, diag = estimate_d(scal, EstimationConfig(), WSPEC)
     assert diag["converged"] is False and diag["stopped_by"] == "no_descent"
+    assert diag["function_evaluations"] == evaluations and diag["iterations"] == 1
+    assert diag["active_bounds"] == held
+    assert d_hat.tobytes() == d_fit.tobytes() and value == value_fit
+    # the projected gradient: a held coordinate's points out of the box
+    _, grad, _ = _objective_derivatives(scal, d_hat)
+    assert np.max(np.abs(np.delete(grad, held))) > estimator.GRAD_TOL
 
 
-def test_roundoff_decrement_counts_only_free_coordinates(monkeypatch):
-    """The stall above with a third, independent channel held at BOX_LOW:
-    its gradient (about 1.09) stays out of the decrement, which is read on
-    the free block alone (correlation 1 - 1e-6, seed 18: from its own
-    estimate, a Newton step of 6.5e-8, 18 evaluations, R = -16.778)."""
-    scal = scale_domain_scalogram(18, [0.2, 0.4, -3.0], 1 - 1e-6)
-    d_fit, (d_hat, value, diag) = fit_from_its_estimate(monkeypatch, scal)
-    assert diag["converged"] is True and diag["stopped_by"] == "decrement"
-    assert diag["function_evaluations"] == 18 and diag["active_bounds"] == [2]
-    assert d_hat.tobytes() == d_fit.tobytes()
-    _, grad, _ = _objective_derivatives(scal, d_hat)
-    assert np.max(np.abs(grad[:2])) > estimator.GRAD_TOL and grad[2] > 1.0
-    assert value == pytest.approx(-16.778, abs=0.01)
-    monkeypatch.setattr(estimator, "DECREMENT_TOL", 0.0)
-    diag = estimate_d(scal, EstimationConfig(), WSPEC)[2]
-    assert diag["converged"] is False and diag["stopped_by"] == "no_descent"
+@pytest.mark.parametrize("d, rho, evaluations, held", STALLED_IN_ROUNDOFF)
+def test_an_iteration_tries_one_direction(d, rho, evaluations, held):
+    """Each iteration halves one direction: on the stalled searches above,
+    every trial point is the box projection of x + 0.5^k times the Newton
+    step of the free block (held rows and columns made identity), k = 0,
+    1, ..., and none is a gradient trial after the Newton halvings fail."""
+    scal = scale_domain_scalogram(18, d, rho)
+    x = estimate_d(scal, EstimationConfig(), WSPEC)[0]
+    box = search_box(WSPEC)
+    _, grad, hess = _objective_derivatives(scal, x)
+    free = np.ones(x.size, dtype=bool)
+    free[held] = False
+    newton = np.linalg.solve(np.where(free & free[:, None], hess, np.eye(x.size)), -grad)
+    yielded, (d_hat, _, diag) = drive(estimator._newton_search(x.copy(), *box, estimator._Vectors),
+                                      lambda point: _objective_derivatives(scal, point))
+    trials = [point for point, _ in yielded[1:]]
+    for k, trial in enumerate(trials):
+        assert trial.tobytes() == estimator._project(x + 0.5**k * newton, *box).tobytes()
+    assert len(trials) == evaluations - 1 and not any(confirming for _, confirming in yielded)
+    assert diag["stopped_by"] == "no_descent" and d_hat.tobytes() == x.tobytes()
 
 
 def test_permutation_equivariance():
