@@ -339,7 +339,7 @@ def cmd_estimate(args) -> int:
         atomic_write_text(_stem(args.output) + "_dhist.csv", _histogram_csv(result.d_hat))
         atomic_write_text(_stem(args.output) + "_corr.csv", _corr_grid_csv(names, result.correlation))
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(_estimate_csv(names, result) if args.format == "csv" else payload)
     return EXIT_OK
 
 
@@ -423,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="estimate d and the long-run covariance from a CSV panel")
     est.add_argument("--input", required=True, help="CSV panel (header row, N rows x p columns)")
-    est.add_argument("--output", help="report path (omit to print JSON to stdout)")
+    est.add_argument("--output", help="report path (omit to print the report, or with --format "
+                     "csv its CSV table, to stdout)")
     est.add_argument("--format", choices=("json", "csv"), default="json")
     est.add_argument("--M", type=int, default=4, help="vanishing moments (default 4)")
     est.add_argument("--j0", type=int, default=1, help="finest scale (default 1)")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.linalg import _umath_linalg as _gufuncs
@@ -368,8 +368,9 @@ def estimate_d(scal: Scalogram, config: EstimationConfig, spec: WaveletSpec):
     """Minimize R(d) over the search box; returns (d_hat, R(d_hat), diagnostics).
 
     One damped projected Newton search (``_newton_search``) on p-vectors
-    from ``_start``; deterministic.  It is sent R's derivatives (``_objective_derivatives``)
-    at each point, and R alone (``objective_R``) at the confirming point.
+    from ``_start``; deterministic.  It reads R's derivatives
+    (``_objective_derivatives``) at each point, and R alone (``objective_R``)
+    at the confirming point.
     ``config`` is not read: its scale range is already that of ``scal``.
     """
     p = scal.n_channels
@@ -379,26 +380,20 @@ def estimate_d(scal: Scalogram, config: EstimationConfig, spec: WaveletSpec):
         )
     lo, hi = search_box(spec)
     # a copy: a search that never moves returns its start as d_hat
-    search = _newton_search(_start(scal, (lo, hi)).copy(), lo, hi, _Vectors)
-    point, confirming = next(search)
-    try:
-        while True:
-            point, confirming = search.send(
-                (objective_R(scal, point),) if confirming else _objective_derivatives(scal, point))
-    except StopIteration as stop:
-        return stop.value
+    return _newton_search(_start(scal, (lo, hi)).copy(), lo, hi, _Vectors,
+                          partial(_objective_derivatives, scal), partial(objective_R, scal))
 
 
-def _newton_search(x, lo: float, hi: float, algebra):
+def _newton_search(x, lo: float, hi: float, algebra, derivatives, value_at):
     """Damped projected Newton search for the minimum of R on the box
     [lo, hi] (Bertsekas 1982, SIAM J. Control Optim. 20), from the start x:
     the one search of every fit.
 
-    A generator: it yields (point, confirming) for each point where it needs
-    R and is sent (R, gradient, Hessian) there, or (R,) at the confirming
-    point; it returns (d, R(d), diagnostics).  ``algebra`` is the arithmetic
-    of the joint fit's p-vectors (``_Vectors``) or of one channel's float
-    (``_Floats``).
+    It calls derivatives(point) for (R, gradient, Hessian) at the start and
+    at every trial point, and value_at(point) for R alone at the confirming
+    point of a "step" or "predicted_step" stop; it returns (d, R(d),
+    diagnostics).  ``algebra`` is the arithmetic of the joint fit's
+    p-vectors (``_Vectors``) or of one channel's float (``_Floats``).
 
     Each iteration takes one direction.  Coordinates at a bound whose
     gradient points out of the box are held there and take the gradient
@@ -419,7 +414,7 @@ def _newton_search(x, lo: float, hi: float, algebra):
     coordinates held in the last iteration.
     """
     move, dot = algebra.move, algebra.dot
-    value, grad, hess = yield x, False
+    value, grad, hess = derivatives(x)
     evaluations, iterations, converged, free, previous = 1, 0, False, True, 0.0
     while math.isfinite(value) and iterations < NEWTON_MAX_ITERATIONS:
         iterations += 1
@@ -429,17 +424,17 @@ def _newton_search(x, lo: float, hi: float, algebra):
         trial, step, length = move(x, direction, lo, hi)
         if newton is not None and (length <= STEP_TOL
                                    or length * length * length <= STEP_TOL * previous * previous):
-            # the confirming evaluation: only its value is read
+            # the confirming evaluation: R alone
             stopped_by = "step" if length <= STEP_TOL else "predicted_step"
             x = trial
-            value = (yield x, True)[0]
+            value = value_at(x)
             evaluations += 1
             converged = math.isfinite(value)
             break
         alpha = 1.0
         # a NaN step is never within STEP_TOL: it ends the search at once
         while length > STEP_TOL:
-            trial_value, trial_grad, trial_hess = yield trial, False
+            trial_value, trial_grad, trial_hess = derivatives(trial)
             evaluations += 1
             if trial_value < value and trial_value <= value + dot(ARMIJO * grad, step):
                 break
@@ -716,43 +711,44 @@ def _fit_univariate(scal: Scalogram, spec: WaveletSpec) -> tuple[np.ndarray, lis
     Channel l minimizes R_l(d) = log G_l(d), the p = 1 objective, where
     (G_l, H_l, Q_l) = sum_j (1, c_j, c_j^2) 4^(-c_j d) I_ll(j) / n.  Then
     R_l' = -2 log(2) H_l / G_l, and R_l'' = 4 log(2)^2 (Q_l/G_l - (H_l/G_l)^2)
-    is the weighted variance of the scales, so never negative.  Each channel
-    runs its own search (``_newton_search`` on floats, ``_Floats``): the
-    joint fit's search at p = 1, step for step, from the same start
-    (``_start``).  One round evaluates the points of every pending channel
-    in one pass over the (P, J) variance table.  That pass is elementwise
-    with one sum along each row, and a row of the table is the same bits in
-    any panel (``scalogram``), so a channel's estimate and diagnostics are
-    bit for bit those of the column fitted alone.  No LAPACK call.
+    is the weighted variance of the scales, so never negative.  One channel
+    at a time runs its own search (``_newton_search`` on floats,
+    ``_Floats``): the joint fit's search at p = 1, step for step, from the
+    same start (``_start``).  Its sums are Python floats over its own row of
+    the variance table, which is the same bits in any panel
+    (``scalogram``), so a channel's estimate and diagnostics are bit for bit
+    those of the column fitted alone.  No array and no LAPACK call.
     """
     lo, hi = search_box(spec)
-    p = scal.n_channels
     _, negated, weights, _, _ = scal._geometry
-    exponents = 2.0 * negated[:, 0]
-    searches = [_newton_search(x, lo, hi, _Floats) for x in _start(scal, (lo, hi)).tolist()]
-    results = [None] * p
-    pending = range(p)
-    # an infinite variance makes its channel's sums NaN: that channel is singular
-    with np.errstate(invalid="ignore"):
-        points = [next(search)[0] for search in searches]
-        moments = scal.variances[:, None, :] * weights
-        while pending:
-            scaled = np.exp2(np.multiply.outer(points, exponents))
-            sums = np.add.reduce(moments * scaled[:, None, :], axis=2).tolist()
-            still = []
-            for ell in pending:
-                g, h, q = sums[ell]
-                if 0.0 < g < math.inf:
-                    ratio = h / g
-                    derivatives = (math.log(g), -2.0 * LOG2 * ratio,
-                                   4.0 * LOG2**2 * (q / g - ratio * ratio))
-                else:
-                    derivatives = (math.inf, 0.0, 0.0)
-                try:
-                    points[ell] = searches[ell].send(derivatives)[0]
-                except StopIteration as stop:
-                    results[ell] = stop.value
-                else:
-                    still.append(ell)
-            pending = still
-    return np.array([d for d, _, _ in results]), [diagnostics for _, _, diagnostics in results]
+    scales = list(zip(*weights.tolist(), (2.0 * negated[:, 0]).tolist()))
+    fits = []
+    for x, row in zip(_start(scal, (lo, hi)).tolist(), scal.variances.tolist()):
+        terms = [(v * w0, v * w1, v * w2, e) for v, (w0, w1, w2, e) in zip(row, scales)]
+        fits.append(_newton_search(x, lo, hi, _Floats, partial(_channel_derivatives, terms),
+                                   partial(_channel_value, terms)))
+    return np.array([d for d, _, _ in fits]), [diagnostics for _, _, diagnostics in fits]
+
+
+def _channel_derivatives(terms: list, d: float) -> tuple[float, float, float]:
+    """(R_l, R_l', R_l'') at d from the channel's terms per scale (I_ll(j)
+    times 1, c_j and c_j^2 over n, and -2 c_j); (inf, 0, 0) where G_l is not
+    positive and finite, as on a zero row or one with an infinite variance."""
+    g = h = q = 0.0
+    for g_j, h_j, q_j, e in terms:
+        s = 2.0 ** (d * e)
+        g += g_j * s
+        h += h_j * s
+        q += q_j * s
+    if not 0.0 < g < math.inf:
+        return math.inf, 0.0, 0.0
+    ratio = h / g
+    return math.log(g), -2.0 * LOG2 * ratio, 4.0 * LOG2**2 * (q / g - ratio * ratio)
+
+
+def _channel_value(terms: list, d: float) -> float:
+    """R_l alone at d, the same bits as ``_channel_derivatives``'s."""
+    g = 0.0
+    for g_j, _, _, e in terms:
+        g += g_j * 2.0 ** (d * e)
+    return math.log(g) if 0.0 < g < math.inf else math.inf

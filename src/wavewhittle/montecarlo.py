@@ -346,11 +346,13 @@ def rate_check(scenario: Scenario, n_values, workers: int = 1) -> dict:
     """RMSE of d_hat across increasing sample sizes (consistency probe).
 
     Returns rows of per-channel and mean RMSE per sample size, the log-log
-    slope of mean RMSE against N, and a flag for monotone decrease.
+    slope of mean RMSE against N, and a flag for monotone decrease.  Sizes
+    that fail a scenario's N check (a fraction is never truncated), or do not
+    strictly increase, or none at all, are a ScenarioError before any run.
     """
-    n_values = [int(n) for n in n_values]
-    if sorted(n_values) != n_values:
-        raise ScenarioError("sample sizes must be increasing")
+    n_values = [replace(scenario, n_samples=n).n_samples for n in n_values]
+    if not n_values or any(a >= b for a, b in zip(n_values, n_values[1:])):
+        raise ScenarioError(f"sample sizes must be one or more, strictly increasing: {n_values}")
     seeds = np.random.SeedSequence(scenario.seed).spawn(len(n_values))
     rows = []
     for n, seed in zip(n_values, seeds):

@@ -268,6 +268,20 @@ def test_estimate_csv_format(tmp_path):
     assert (tmp_path / "report_config.json").exists()
 
 
+def test_estimate_csv_format_prints_the_table_without_output(tmp_path, capsysbinary):
+    """``--format csv`` without ``--output`` prints to stdout the CSV table
+    that ``--output X.csv`` writes, byte for byte, and writes no file."""
+    panel_path = tmp_path / "panel.csv"
+    write_panel(panel_path, np.random.default_rng(30).standard_normal((512, 2)))
+    assert run_cli("estimate", "--input", str(panel_path), "--format", "csv") == 0
+    printed = capsysbinary.readouterr().out
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["panel.csv"]
+    out = tmp_path / "table.csv"
+    assert run_cli("estimate", "--input", str(panel_path), "--format", "csv",
+                   "--output", str(out)) == 0
+    assert printed == out.read_bytes() and printed.startswith(b"quantity,row,col,value\n")
+
+
 QUOTED_NAMES = ["a,b", 'q"x', "plain"]
 
 

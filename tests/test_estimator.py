@@ -395,12 +395,12 @@ def test_an_iteration_tries_one_direction(d, rho, evaluations, held):
     free = np.ones(x.size, dtype=bool)
     free[held] = False
     newton = np.linalg.solve(np.where(free & free[:, None], hess, np.eye(x.size)), -grad)
-    yielded, (d_hat, _, diag) = drive(estimator._newton_search(x.copy(), *box, estimator._Vectors),
-                                      lambda point: _objective_derivatives(scal, point))
-    trials = [point for point, _ in yielded[1:]]
+    evaluated, (d_hat, _, diag) = drive(x.copy(), estimator._Vectors,
+                                        lambda point: _objective_derivatives(scal, point))
+    trials = [point for point, _ in evaluated[1:]]
     for k, trial in enumerate(trials):
         assert trial.tobytes() == estimator._project(x + 0.5**k * newton, *box).tobytes()
-    assert len(trials) == evaluations - 1 and not any(confirming for _, confirming in yielded)
+    assert len(trials) == evaluations - 1 and not any(confirming for _, confirming in evaluated)
     assert diag["stopped_by"] == "no_descent" and d_hat.tobytes() == x.tobytes()
 
 
@@ -768,16 +768,23 @@ def test_lapack_adapter_matches_numpy_linalg(p):
         assert lapack.newton_step(singular, b) is None
 
 
-def drive(search, evaluate):
-    """Run a ``_newton_search`` generator, sending it evaluate(point) at every
-    point it yields; returns the (point, confirming) pairs and its result."""
-    yielded, sent = [], None
-    try:
-        while True:
-            yielded.append(search.send(sent))
-            sent = evaluate(yielded[-1][0])
-    except StopIteration as stop:
-        return yielded, stop.value
+def drive(x, algebra, evaluate):
+    """Run ``_newton_search`` on the box of WSPEC from x, handing it
+    evaluate(point) as its derivatives and evaluate(point)[0] as the value
+    alone; returns the (point, confirming) pairs it evaluated, in order,
+    confirming when it asked for the value alone, and its result."""
+    evaluated = []
+
+    def derivatives(point):
+        evaluated.append((point, False))
+        return evaluate(point)
+
+    def value_at(point):
+        evaluated.append((point, True))
+        return evaluate(point)[0]
+
+    result = estimator._newton_search(x, *search_box(WSPEC), algebra, derivatives, value_at)
+    return evaluated, result
 
 
 def test_indefinite_hessian_falls_back_to_the_gradient_step(monkeypatch):
@@ -813,17 +820,16 @@ def test_indefinite_hessian_falls_back_to_the_gradient_step(monkeypatch):
         if np.linalg.eigvalsh(hess).min() >= 0:
             continue
         newton_calls.clear()
-        iteration = []  # the newton_step calls made before each yielded point
+        iteration = []  # the newton_step calls made before each evaluated point
 
         def evaluate(point):
             iteration.append(len(newton_calls))
             return _objective_derivatives(scal, point)
 
-        yielded, (d_hat, value_hat, diag) = drive(
-            estimator._newton_search(x, *box, estimator._Vectors), evaluate)
+        evaluated, (d_hat, value_hat, diag) = drive(x, estimator._Vectors, evaluate)
         # the first iteration's PD test fails, and its gradient step is taken
         assert newton_calls[0] is True and len(newton_calls) >= 2
-        trials = [point for (point, _), k in zip(yielded, iteration) if k == 1]
+        trials = [point for (point, _), k in zip(evaluated, iteration) if k == 1]
         for halvings, trial in enumerate(trials):
             assert trial.tobytes() == estimator._project(x + 0.5**halvings * -grad, *box).tobytes()
         trial_values = [_objective_derivatives(scal, trial)[0] for trial in trials]
@@ -841,18 +847,17 @@ def test_indefinite_hessian_falls_back_to_the_gradient_step(monkeypatch):
 
 def test_backtracking_gives_up_on_a_nan_direction():
     """A NaN gradient gives NaN Newton and gradient steps, which never fall
-    to STEP_TOL: the search, on vectors and on floats, yields no trial point
+    to STEP_TOL: the search, on vectors and on floats, evaluates no trial point
     instead of halving forever, and ends not converged after one iteration."""
     scal = Scalogram(np.array([4.0, 2.0, 1.0])[:, None, None] * np.eye(2),
                      np.array([4, 2, 1]), 1, 3)
     x = np.array([0.1, 0.2])
     value, grad, hess = _objective_derivatives(scal, x)
     grad[0] = np.nan
-    for start, algebra, sent in ((x, estimator._Vectors, (value, grad, hess)),
-                                 (0.1, estimator._Floats, (value, math.nan, hess[0, 0]))):
-        search = estimator._newton_search(start, *search_box(WSPEC), algebra)
-        yielded, (d_hat, value_hat, diag) = drive(search, lambda point: sent)
-        assert yielded == [(start, False)] and d_hat is start and value_hat == value
+    for start, algebra, handed in ((x, estimator._Vectors, (value, grad, hess)),
+                                   (0.1, estimator._Floats, (value, math.nan, hess[0, 0]))):
+        evaluated, (d_hat, value_hat, diag) = drive(start, algebra, lambda point: handed)
+        assert evaluated == [(start, False)] and d_hat is start and value_hat == value
         assert diag == {"method": "newton", "converged": False, "stopped_by": "no_descent",
                         "function_evaluations": 1, "iterations": 1, "active_bounds": []}
 
@@ -869,8 +874,8 @@ def univariate_derivatives(variances: np.ndarray, scal: Scalogram, d: float):
 
 def test_the_float_search_is_the_vector_search_at_p_1():
     """``_newton_search`` on one float (the univariate pass) and on a
-    1-element array (the joint fit) is one search: sent the same (R, R', R'')
-    of the closed-form univariate criterion, the two yield the same points
+    1-element array (the joint fit) is one search: handed the same (R, R', R'')
+    of the closed-form univariate criterion, the two evaluate the same points
     and end at the same d, R and diagnostics, bit for bit.  Random wavelet
     variances at 2 to 9 scales, among them channels held at BOX_LOW and at
     M, and a zero channel; each searched from the univariate pass's start
@@ -897,10 +902,8 @@ def test_the_float_search_is_the_vector_search_at_p_1():
                     return value, grad, hess
 
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    on_floats = drive(estimator._newton_search(x, lo, hi, estimator._Floats),
-                                      lambda point: evaluate(point, False))
-                    on_vectors = drive(estimator._newton_search(np.array([x]), lo, hi,
-                                                                estimator._Vectors),
+                    on_floats = drive(x, estimator._Floats, lambda point: evaluate(point, False))
+                    on_vectors = drive(np.array([x]), estimator._Vectors,
                                        lambda point: evaluate(point, True))
                 float_points, (d_float, r_float, diag_float) = on_floats
                 vector_points, (d_vector, r_vector, diag_vector) = on_vectors
@@ -914,6 +917,54 @@ def test_the_float_search_is_the_vector_search_at_p_1():
                 zero += diag_float["iterations"] == 0
                 halved += diag_float["function_evaluations"] > diag_float["iterations"] + 1
     assert held == {lo, hi} and zero == 600 and halved > 0
+
+
+def test_each_channel_is_handed_its_closed_form_criterion(monkeypatch):
+    """The callbacks that ``_fit_univariate`` hands a channel's search are its
+    closed-form criterion: at random points of the box, (R, R', R'') equal
+    the numpy oracle ``univariate_derivatives`` to 1e-13 relative to the
+    larger of the value and the size of its terms (1, 2 log(2) max|c_j| and
+    4 log(2)^2 max c_j^2: each of R, R' and R'' crosses zero, and R'' is a
+    difference of terms that cancel near the box edges), and the value alone
+    is R's bits.  Random variance tables at 2 to 12 scales, each with an
+    all-zero row and a row with one infinite entry, whose callbacks give
+    (inf, 0, 0) everywhere."""
+    handed = []
+    search = estimator._newton_search
+
+    def spy(x, lo, hi, algebra, derivatives, value_at):
+        handed.append((derivatives, value_at))
+        return search(x, lo, hi, algebra, derivatives, value_at)
+
+    monkeypatch.setattr(estimator, "_newton_search", spy)
+    rng = np.random.default_rng(30)
+    lo, hi = search_box(WSPEC)
+    for _ in range(60):
+        n_scales = int(rng.integers(2, 13))
+        counts = np.array([max(8192 >> j, 1) for j in range(1, n_scales + 1)])
+        j = np.arange(1, n_scales + 1)
+        d = rng.uniform(-0.5, 1.5, 4)
+        variances = counts * 2.0 ** (2.0 * d[:, None] * j) * rng.chisquare(counts) / counts
+        variances = np.vstack([variances, np.zeros(n_scales), variances[0]])
+        variances[-1, rng.integers(n_scales)] = math.inf
+        p = len(variances)
+        scal = Scalogram(np.zeros((n_scales, p, p)), counts, 1, n_scales, variances)
+        c = np.max(np.abs(scal._geometry[1]))
+        size = np.array([1.0, 2.0 * LOG2 * c, 4.0 * LOG2**2 * c * c])
+        handed.clear()
+        estimator._fit_univariate(scal, WSPEC)
+        assert len(handed) == p
+        for ell, (row, (derivatives, value_at)) in enumerate(zip(variances, handed)):
+            for point in rng.uniform(lo, hi, 20).tolist():
+                got = derivatives(point)
+                assert value_at(point) == got[0]
+                with np.errstate(invalid="ignore"):  # inf times a zero weight
+                    expected = univariate_derivatives(row, scal, point)
+                if ell >= p - 2:
+                    assert got == expected == (math.inf, 0.0, 0.0)
+                else:
+                    error = np.abs(np.subtract(got, expected))
+                    assert np.all(error <= 1e-13 * np.maximum(np.abs(expected), size))
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.6])
@@ -998,11 +1049,10 @@ def test_predicted_stops_leave_a_step_of_at_most_twice_step_tol():
 
 
 def drive_floats(start, derivatives):
-    """Run ``_newton_search`` on floats from start, sent derivatives(x) =
-    (R, R', R'') at every point; returns the yielded (point, confirming)
-    pairs and the search's result."""
-    search = estimator._newton_search(start, *search_box(WSPEC), estimator._Floats)
-    return drive(search, derivatives)
+    """Run ``_newton_search`` on floats from start, handed derivatives(x) =
+    (R, R', R''); returns the evaluated (point, confirming) pairs and the
+    search's result."""
+    return drive(start, estimator._Floats, derivatives)
 
 
 def test_predicted_stop_in_the_quadratic_phase():
@@ -1017,12 +1067,12 @@ def test_predicted_stop_in_the_quadratic_phase():
         u = x - 0.3
         return math.exp(u) - u, math.exp(u) - 1.0, math.exp(u)
 
-    yielded, (x, value, diag) = drive_floats(0.8, derivatives)
-    assert [confirming for _, confirming in yielded] == [False] * 4 + [True]
+    evaluated, (x, value, diag) = drive_floats(0.8, derivatives)
+    assert [confirming for _, confirming in evaluated] == [False] * 4 + [True]
     assert diag["stopped_by"] == "predicted_step" and diag["converged"] is True
     assert diag["function_evaluations"] == 5 and diag["iterations"] == 4
     assert abs(x - 0.3) < 2e-10 and value == 1.0
-    steps = np.abs(np.diff([point for point, _ in yielded]))
+    steps = np.abs(np.diff([point for point, _ in evaluated]))
     assert steps[-1] ** 3 <= estimator.STEP_TOL * steps[-2] ** 2 and steps[-1] > estimator.STEP_TOL
 
 
@@ -1041,8 +1091,7 @@ def test_predicted_stop_at_a_degenerate_minimum():
         return value, np.array([grad]), np.array([[hess]])
 
     searches = (drive_floats(0.8, derivatives),
-                drive(estimator._newton_search(np.array([0.8]), *search_box(WSPEC),
-                                               estimator._Vectors), on_vectors))
+                drive(np.array([0.8]), estimator._Vectors, on_vectors))
     for _, (x, _, diag) in searches:
         assert diag["stopped_by"] == "predicted_step" and diag["converged"] is True
         assert abs(float(np.squeeze(x)) - 0.3) <= 4.5 * estimator.STEP_TOL
@@ -1065,9 +1114,9 @@ def test_a_halved_step_predicts_nothing():
     def derivatives(x):
         return script[min(script, key=lambda key: abs(key - x))]
 
-    yielded, (_, _, diag) = drive_floats(1.0, derivatives)
-    assert [round(point, 6) for point, _ in yielded] == [1.0, 1.5, 1.7, 1.6, 1.6001, 1.6001]
-    assert [confirming for _, confirming in yielded] == [False] * 5 + [True]
+    evaluated, (_, _, diag) = drive_floats(1.0, derivatives)
+    assert [round(point, 6) for point, _ in evaluated] == [1.0, 1.5, 1.7, 1.6, 1.6001, 1.6001]
+    assert [confirming for _, confirming in evaluated] == [False] * 5 + [True]
     assert diag["stopped_by"] == "step" and diag["function_evaluations"] == 6
 
 
@@ -1156,9 +1205,9 @@ def test_joint_and_univariate_fits_share_the_start(monkeypatch):
     starts = []
     search = estimator._newton_search
 
-    def spy(x, lo, hi, algebra):
+    def spy(x, lo, hi, algebra, derivatives, value_at):
         starts.append(x)
-        return search(x, lo, hi, algebra)
+        return search(x, lo, hi, algebra, derivatives, value_at)
 
     monkeypatch.setattr(estimator, "_newton_search", spy)
     for seed in range(10):

@@ -435,6 +435,23 @@ def test_rate_check_structure():
         rate_check(sc, [512, 256])
 
 
+@pytest.mark.parametrize("n_values, message", [
+    ([512, 512], r"strictly increasing: \[512, 512\]"),
+    ([256, 512, 384], "strictly increasing"),
+    ([256.7, 512], "must be an integer, got 256.7"),
+    ([True, 512], "must be an integer, got True"),
+    ([], r"one or more, strictly increasing: \[\]"),
+])
+def test_rate_check_refuses_bad_sizes_before_any_replication(monkeypatch, n_values, message):
+    """Repeated or falling sample sizes, a fraction (never truncated) and no
+    size at all are ScenarioErrors raised before ``run_scenario`` runs."""
+    runs = []
+    monkeypatch.setattr(montecarlo, "run_scenario", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(ScenarioError, match=message):
+        rate_check(small_scenario(replications=10, include_univariate=False), n_values)
+    assert runs == []
+
+
 @pytest.mark.slow
 def test_rate_check_rmse_decreases():
     sc = small_scenario(replications=60, include_univariate=False, j1=9)
