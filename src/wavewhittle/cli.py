@@ -206,47 +206,6 @@ def write_panel(path, panel: np.ndarray, names=None) -> None:
     atomic_write_text(path, panel_csv(panel, names))
 
 
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2) + "\n"``, byte for byte.
-
-    ``indent`` makes json use its pure-Python encoder, which lays out a
-    p = 20 estimate report in 1.25 ms against 1.0 ms here (2-core VM; the
-    float reprs alone take 0.67 ms).  Here each list of numbers and nulls
-    is one call of the C encoder (no ``indent``), whose ", " separators
-    become the line breaks ``indent=2`` writes; keys and other scalars are
-    C-encoded one at a time.  An empty container, or a dict with a key that
-    is not a string, is left to ``json.dumps``, re-indented to its depth:
-    JSON text holds no raw newline, so that is exact.
-    """
-    return _indented(obj, "\n") + "\n"
-
-
-_encode = json.JSONEncoder().encode
-
-
-def _indented(obj, newline: str) -> str:
-    """obj as ``json.dumps(obj, indent=2)`` lays it out, nested at the depth
-    that ``newline``, a line break and that depth's indent, begins."""
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        if obj and all(isinstance(key, str) for key in obj):
-            return "{" + inner + ("," + inner).join(
-                _encode(key) + ": " + _indented(value, inner) for key, value in obj.items()
-            ) + newline + "}"
-    elif isinstance(obj, (list, tuple)):
-        if obj and not isinstance(obj[0], (dict, list, tuple)):
-            body = _encode(obj)[1:-1]
-            # numbers, true, false and null only: no string, no container
-            if not ('"' in body or "[" in body or "{" in body):
-                return "[" + inner + body.replace(", ", "," + inner) + newline + "]"
-        if obj:
-            return "[" + inner + ("," + inner).join(
-                _indented(item, inner) for item in obj) + newline + "]"
-    else:
-        return _encode(obj)
-    return json.dumps(obj, indent=2).replace("\n", newline)
-
-
 def _cell(value) -> str:
     """A number in a report CSV: empty when missing or non-finite, else ``.10g``."""
     return "" if value is None or not math.isfinite(value) else f"{value:.10g}"
@@ -329,7 +288,7 @@ def cmd_estimate(args) -> int:
         "warnings": result.warnings,  # pairs are tuples, which json writes as 2-lists
         "diagnostics": result.diagnostics,
     }
-    payload = _json_text(report)
+    payload = json.dumps(report, indent=2) + "\n"
     if args.output:
         if args.format == "csv":
             atomic_write_text(args.output, _estimate_csv(names, result))
@@ -371,7 +330,7 @@ def cmd_simulate(args) -> int:
     }
     if args.output:
         write_panel(args.output, panel)
-        atomic_write_text(_stem(args.output) + "_config.json", _json_text(echo))
+        atomic_write_text(_stem(args.output) + "_config.json", json.dumps(echo, indent=2) + "\n")
     else:
         sys.stdout.write(panel_csv(panel))
     return EXIT_OK
@@ -392,7 +351,7 @@ def cmd_mc(args) -> int:
             os.close(fd)
             os.unlink(tmp)
     report = run_scenario(scenario, workers=args.workers)
-    payload = _json_text(report.to_dict())
+    payload = json.dumps(report.to_dict(), indent=2) + "\n"
     if args.output:
         atomic_write_text(args.output + ".json", payload)
         atomic_write_text(args.output + ".csv", _mc_csv(report.records))
@@ -438,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--d", required=True, help="memory parameters, e.g. 0.2,0.2")
     cov = sim.add_mutually_exclusive_group()
     cov.add_argument("--rho", type=float, default=None, help="constant cross-correlation")
-    cov.add_argument("--omega-file", help="CSV matrix with the long-run covariance")
+    cov.add_argument("--omega-file", help="long-run covariance as a CSV panel: a header row, "
+                     "then p rows of p numbers")
     sim.add_argument("--N", type=int, required=True, help="number of time points")
     sim.add_argument("--M", type=int, default=None,
                      help="reject d >= M (vanishing-moment cap check)")

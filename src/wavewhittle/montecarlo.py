@@ -30,8 +30,16 @@ from .wavelets import WaveletSpec, _freeze, _integer, _psi_bands, dwt_pyramid
 
 
 def omega_from_rho(rho: float, p: int = 2) -> np.ndarray:
-    """Unit-diagonal long-run covariance with constant cross-correlation."""
-    omega = np.full((p, p), float(rho))
+    """Unit-diagonal long-run covariance with constant cross-correlation.
+
+    A non-finite ``rho``, or one with |rho| > 1, is a CovarianceError for
+    every p, one channel included, with the message the matrix check gives."""
+    rho = float(rho)
+    if not math.isfinite(rho):
+        raise CovarianceError("omega contains non-finite entries")
+    if abs(rho) > 1:
+        raise CovarianceError("omega is not positive definite")
+    omega = np.full((p, p), rho)
     np.fill_diagonal(omega, 1.0)
     return omega
 

@@ -52,23 +52,37 @@ def test_simulate_writes_deterministic_panel(tmp_path):
     assert panel.shape == (512, 2)
 
 
-def test_simulate_rejects_bad_covariance(tmp_path):
-    code = run_cli("simulate", "--d", "0.2,0.2", "--rho", "1.5", "--N", "64",
-                   "--output", str(tmp_path / "x.csv"))
-    assert code == 4
+def test_simulate_rejects_bad_covariance(tmp_path, capsys):
+    # one channel too: its omega is [[1.0]] whatever rho is, so rho is checked first
+    for d, rho, message in [("0.2,0.2", "1.5", "omega is not positive definite"),
+                            ("0.2", "1.5", "omega is not positive definite"),
+                            ("0.2", "-7", "omega is not positive definite"),
+                            ("0.2", "nan", "omega contains non-finite entries"),
+                            ("0.2,0.2", "nan", "omega contains non-finite entries")]:
+        code = run_cli("simulate", "--d", d, "--rho", rho, "--N", "64",
+                       "--output", str(tmp_path / "x.csv"))
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("text", [
     "d = 0.2, 0.2\nrho = 1.5\nreps = 2\n",
     '{"d": [0.2, 0.2], "rho": 1.5, "reps": 2}',
     '{"d": [0.2, 0.2], "omega": [[1.0, 1.5], [1.5, 1.0]], "reps": 2}',
+    "d = 0.2\nrho = 1.5\nreps = 2\n",
+    '{"d": 0.2, "rho": 7, "reps": 2}',
+    "d = 0.2\nrho = nan\nreps = 2\n",
+    "d = 0.2, 0.2\nrho = nan\nreps = 2\n",
 ])
 def test_mc_invalid_omega_exits_4_as_simulate_does(tmp_path, capsys, text):
-    # the matrix that `simulate --d 0.2,0.2 --rho 1.5` rejects with exit 4
+    # the rho or matrix that `simulate` rejects with exit 4, at one channel too
+    message = ("omega contains non-finite entries" if "nan" in text
+               else "omega is not positive definite")
     scenario = tmp_path / "bad.cfg"
     scenario.write_text(text)
     assert run_cli("mc", "--scenario", str(scenario), "--output", str(tmp_path / "out")) == 4
-    assert capsys.readouterr().err.splitlines() == ["error: omega is not positive definite"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not list(tmp_path.glob("out*"))
 
 
@@ -437,43 +451,6 @@ def test_mc_subcommand_deterministic(tmp_path):
     assert (tmp_path / "out1.csv").read_text() == (tmp_path / "out2.csv").read_text()
 
 
-JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
-                | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8))
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda children: (st.lists(children, max_size=5)
-                      | st.lists(children, max_size=5).map(tuple)
-                      | st.dictionaries(st.text(max_size=6), children, max_size=5)),
-    max_leaves=40)
-
-
-@settings(derandomize=True, max_examples=500, deadline=None)
-@given(obj=JSON_VALUES
-       | st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.none(), max_size=30)
-       | st.lists(st.lists(st.floats(allow_nan=True) | st.integers(), min_size=1, max_size=4),
-                  max_size=4))
-def test_json_text_is_json_dumps_with_indent(obj):
-    """The report writer lays out any mix of dicts, lists and tuples, empty
-    ones among them, holding floats (NaN and +-inf too), ints, bools, None
-    and strings (non-ASCII ones too), byte for byte as
-    ``json.dumps(obj, indent=2)`` does, plus a newline."""
-    assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("obj", [
-    {"a, b": [1.0, "x, y"], "": [], "e": {}, "t": (1, 2), "u": "\u00e9\u4e2d\U0001f600"},
-    [[], {}, [[]], [1, [2, [3.5, float("nan"), float("-inf")]]], ["[", "{", '"']],
-    {1: "int key", 2.5: [None], True: False, None: {"nested": [1, 2]}},
-    [[1.0, 2.0], (3, None), {"k": [True, False, None]}],
-    "\u00e9", 1e300, -0.0, float("inf"), None,
-], ids=["mixed", "nested", "non-string keys", "matrix", "text", "float", "zero", "inf", "null"])
-def test_json_text_cases_json_dumps_lays_out(obj):
-    """Strings that hold the encoder's own separators or brackets, keys
-    that are not strings (left to json.dumps, re-indented to their depth),
-    and top-level scalars."""
-    assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
-
-
 def test_reports_are_json_dumps_with_indent(tmp_path):
     """The files ``estimate``, ``simulate`` and ``mc`` write are laid out as
     ``json.dumps(data, indent=2)`` lays out the data they hold: a p = 20
@@ -547,6 +524,7 @@ def test_mc_invalid_memory_exits_2(tmp_path, d):
     ["mc", "--scenario", "scenarios/table1_row3.cfg", "--seed", "-5"],
     ["simulate", "--d", "", "--N", "8"],
     ["simulate", "--d", "0.2,,0.3,", "--N", "3"],
+    ["simulate", "--d", "0.2,abc", "--N", "8"],
 ])
 def test_bad_simulation_inputs_exit_2(tmp_path, capsys, argv):
     scenario = tmp_path / "negative_seed.cfg"
@@ -676,6 +654,8 @@ PANEL_CORPUS = {
     "carriage_return_in_quoted_name": 'a,"b\rc"\n1,2\n',
     "long_cell_then_bare_cr": "a,b\n1,2\n" + "1" * 30 + "\r,2\n",
     "long_padded_cell": "a,b\n1," + "2" * 30 + " \n",
+    # digits enough for float(cell), which refuses the second dot
+    "long_cell_two_dots": "a,b\n1.0,2.0\n1.2." + "3" * 25 + ",3\n",
 }
 
 

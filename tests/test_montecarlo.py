@@ -465,7 +465,10 @@ def test_scenario_validation():
     with pytest.raises(CovarianceError):
         Scenario(d=[0.2, 0.2], omega=np.eye(3))
     with pytest.raises(CovarianceError):
-        Scenario(d=[0.2, 0.2], omega=omega_from_rho(1.5))
+        Scenario(d=[0.2, 0.2], omega=[[1.0, 1.5], [1.5, 1.0]])
+    # rho itself is checked, so one channel, whose omega would be [[1.0]], too
+    with pytest.raises(CovarianceError, match="^omega is not positive definite$"):
+        omega_from_rho(1.5, 1)
     with pytest.raises(ScenarioError):
         Scenario(d=[0.2], omega=np.eye(1), replications=0)
     with pytest.raises(ScenarioError):
